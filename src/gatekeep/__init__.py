@@ -48,15 +48,6 @@ from .normal import (
     tilted_upper_tail,
     tilted_upper_tail2,
 )
-from .oracle import (
-    McEstimate,
-    OracleReport,
-    estimate_aggregates,
-    estimate_profit_given_signal,
-    quadrature_reference,
-    sample_log_population,
-    simulate_operating_mass,
-)
 from .policy import (
     ContractPoint,
     PolicyBundle,
@@ -81,3 +72,23 @@ from .welfare import (
     welfare_selection_burden,
 )
 from .config import GridSpec, RunConfig, config_hash, format_config, parse_config
+
+#: names re-exported from ``oracle``, which needs numpy and scipy; it is
+#: imported on first access so the solver paths load only the standard library
+_ORACLE_NAMES = frozenset({
+    "McEstimate",
+    "OracleReport",
+    "estimate_aggregates",
+    "estimate_profit_given_signal",
+    "quadrature_reference",
+    "sample_log_population",
+    "simulate_operating_mass",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,6 @@ from .config import GridSpec, MODES, RunConfig, config_hash, parse_config
 from .economy import Regime, expected_profit_given_signal
 from .equilibrium import melitz_limit_perfect, melitz_limit_zero, solve_equilibrium
 from .errors import GatekeepError, ParseError, ValidationError
-from .oracle import estimate_aggregates, estimate_profit_given_signal, quadrature_reference, sample_log_population
 from .policy import pigouvian_welfare
 from .svgchart import line_chart_svg
 from .welfare import find_optimal_precision, sweep_records
@@ -203,6 +202,14 @@ def _run_limits(config: RunConfig, quiet: bool) -> int:
 
 
 def _run_validate(config: RunConfig, quiet: bool) -> int:
+    # numpy and scipy load here, on the one mode that needs them
+    from .oracle import (
+        estimate_aggregates,
+        estimate_profit_given_signal,
+        quadrature_reference,
+        sample_log_population,
+    )
+
     prim = config.primitives
     rho = _require(config, "rho", "validate")
     regime = Regime(rho, config.schedule)

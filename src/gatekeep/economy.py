@@ -20,6 +20,7 @@ from .errors import DomainError, NearSingularCorrelationError
 from .normal import (
     NEAR_SINGULAR_RHO,
     bvn_cdf,
+    exp_tilt,
     log_std_normal_cdf,
     log_tilted_upper_tail2,
     std_normal_cdf,
@@ -249,10 +250,11 @@ def expected_profit_given_signal(
         if p_star > 0:
             return 0.0
         # No operating cutoff: the truncation disappears.
-        return prim.f * (math.exp(k * rho * t + 0.5 * k * k * s2) - 1.0)
+        log_mean = k * rho * t + 0.5 * k * k * s2
+        return prim.f * (exp_tilt(log_mean, "untruncated profit moment") - 1.0)
     log_lead = k * x + 0.5 * k * k * s2 + log_std_normal_cdf((x + k * s2) / sd)
     tail = std_normal_cdf(x / sd)
-    lead = 0.0 if log_lead == -math.inf else math.exp(log_lead)
+    lead = exp_tilt(log_lead, "expected profit given signal")
     return prim.f * (lead - tail)
 
 
@@ -268,6 +270,6 @@ def expected_joint_profit(prim: Primitives, rho: float, cutoffs: LogCutoffs) -> 
     k = prim.k
     t_star, p_star = cutoffs.t_star, cutoffs.p_star
     log_s = log_tilted_upper_tail2(k, p_star, t_star, rho)
-    lead = 0.0 if log_s == -math.inf else math.exp(log_s - k * p_star)
+    lead = exp_tilt(log_s - k * p_star, "expected joint profit")
     p_phi = bvn_cdf(-p_star, -t_star, rho)
     return prim.f * (lead - p_phi)

@@ -7,6 +7,13 @@ and along that locus the Free-Entry residual ``J(t) = H(rho t + a, t)`` is
 strictly decreasing in ``t``, so each stage is a bracketed 1-D root find
 (geometric bracket expansion, then Brent).
 
+The root finder is an in-house, pure-Python Brent's method (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 4). It is a line-by-line
+port of ``brentq.c`` from SciPy (BSD-licensed), with its ``rtol = 4 eps`` and
+100-iteration cap, so roots and iteration counts equal
+``scipy.optimize.brentq``'s bit for bit, and the solver needs only the
+standard library.
+
 Also provides the two degenerate-information limit economies (zero precision
 and the perfect-information thought experiment), which are separate 1-D
 solves because they live outside the maintained precision domain.
@@ -15,13 +22,12 @@ solves because they live outside the maintained precision domain.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .economy import LogCutoffs, Primitives, Regime, expected_joint_profit, expected_profit_given_signal
-from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError
-from .normal import log_std_normal_cdf, std_normal_cdf
+from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError, IterationCapError
+from .normal import exp_tilt, log_std_normal_cdf, std_normal_cdf
 
 #: log-space window beyond which tail probabilities underflow; treated as
 #: parameter pathology rather than searched further
@@ -31,6 +37,10 @@ AC_RESIDUAL_TOL = 1e-12
 FE_RESIDUAL_TOL = 1e-10
 STATIONARITY_TOL = 1e-6
 _STATIONARITY_STEP = 1e-5
+
+#: Brent's relative tolerance and iteration cap (scipy.optimize.brentq's defaults)
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -92,11 +102,66 @@ def _bracket_decreasing(fn, start: float, bound: float, what: str):
     return lo, hi
 
 
+def _brent_eval(fn, x: float) -> float:
+    fx = fn(x)
+    if math.isnan(fx):
+        raise DomainError(f"root finder: residual is NaN at x={x!r}")
+    return fx
+
+
 def _brent_root(fn, lo: float, hi: float, xtol: float):
+    """Root of fn in [lo, hi] by Brent's method; returns (root, iterations).
+
+    Converges when the bracket half-width falls below (xtol + 4 eps |x|) / 2.
+    """
     if lo == hi:
         return lo, 0
-    root, info = brentq(fn, lo, hi, xtol=xtol, full_output=True)
-    return root, info.iterations
+    xpre, xcur = lo, hi
+    xblk = fblk = spre = scur = 0.0
+    fpre = _brent_eval(fn, xpre)
+    fcur = _brent_eval(fn, xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketFailureError(f"root finder: no sign change on [{lo!r}, {hi!r}]")
+    for iterations in range(1, _BRENT_MAXITER + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic extrapolation through the three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # accept the interpolated step; otherwise bisect
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = _brent_eval(fn, xcur)
+    raise IterationCapError(
+        f"root finder: no convergence after {_BRENT_MAXITER} iterations, last x={xcur!r}"
+    )
 
 
 def activation_residual(a: float, prim: Primitives, rho: float, activation_cost: float) -> float:
@@ -223,7 +288,7 @@ def _survivor_entry_residual(
     # written as fixed_cost * (exp(k^2/2 - k p*) Phi(k - p*) - Phi(-p*)).
     k = prim.k
     log_lead = 0.5 * k * k - k * p_star + log_std_normal_cdf(k - p_star)
-    lead = 0.0 if log_lead == -math.inf else math.exp(log_lead)
+    lead = exp_tilt(log_lead, "limit-economy profit moment")
     return fixed_cost * (lead - std_normal_cdf(-p_star)) / prim.delta - entry_cost
 
 

@@ -155,6 +155,22 @@ def bvn_cdf(x: float, y: float, rho: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def exp_tilt(log_val: float, what: str) -> float:
+    """exp(log_val) of a moment held in log space; 0.0 at -inf.
+
+    Raises ``TiltOverflowError`` naming ``what`` when the result exceeds the
+    double range, where ``math.exp`` would raise a bare ``OverflowError``.
+    """
+    if log_val == -math.inf:
+        return 0.0
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        raise TiltOverflowError(
+            f"{what} exceeds the double exponent range (log value {log_val!r})"
+        ) from None
+
+
 def log_tilted_upper_tail(k: float, c: float) -> float:
     """log E[exp(k Z) 1{Z >= c}] for Z ~ N(0, 1); -inf when the mass is zero."""
     if math.isnan(k) or math.isnan(c):

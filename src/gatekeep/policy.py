@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .economy import Primitives, Regime, expected_profit_given_signal
 from .equilibrium import (
     BRACKET_BOUND,
     EquilibriumSolution,
     _bracket_decreasing,
+    _brent_root,
     _solve_activation_intercept,
     fe_residual,
     solve_equilibrium,
@@ -77,7 +76,7 @@ def planner_cutoff(prim: Primitives, regime: Regime, eq: EquilibriumSolution) ->
     kernel = lambda t: planner_kernel(prim, regime, p_star, t)
     # The kernel increases in t; bracket its negation, which decreases.
     lo, hi = _bracket_decreasing(lambda t: -kernel(t), 0.0, BRACKET_BOUND, "planner cutoff")
-    t_p = brentq(kernel, lo, hi, xtol=1e-12) if lo != hi else lo
+    t_p, _ = _brent_root(kernel, lo, hi, xtol=1e-12)
     if abs(t_p - eq.cutoffs.t_star) > _PLANNER_MARKET_TOL:
         raise InconsistentEquilibriumError(
             f"planner cutoff {t_p!r} deviates from market cutoff {eq.cutoffs.t_star!r}"
@@ -162,7 +161,7 @@ def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
             t_star = t_lo
             break
         if r_lo * r_hi < 0.0:
-            t_star = brentq(locus_residual, t_lo, t_hi, xtol=1e-12)
+            t_star, _ = _brent_root(locus_residual, t_lo, t_hi, xtol=1e-12)
             break
         t_lo, r_lo = t_hi, r_hi
     if t_star is None:

@@ -31,7 +31,7 @@ from .errors import (
     IterationCapError,
     KinkError,
 )
-from .normal import bvn_cdf, log_tilted_upper_tail2, std_normal_cdf
+from .normal import bvn_cdf, exp_tilt, log_tilted_upper_tail2, std_normal_cdf
 
 _IDENTITY_RTOL = 1e-8
 
@@ -89,14 +89,15 @@ def aggregates_from_cutoffs(
     p_theta = std_normal_cdf(-t_star)
     p_phi = bvn_cdf(-p_star, -t_star, rho)
     log_s = log_tilted_upper_tail2(k, p_star, t_star, rho)
-    s_term = 0.0 if log_s == -math.inf else math.exp(log_s)
+    s_term = exp_tilt(log_s, "selection term S")
     if p_phi <= 0.0 or s_term <= 0.0:
         raise InconsistentEquilibriumError(
             f"no surviving mass at cutoffs ({t_star!r}, {p_star!r})"
         )
-    pi_breve = prim.f * (math.exp(log_s - k * p_star) - p_phi)
+    lead = exp_tilt(log_s - k * p_star, "operating revenue moment")
+    pi_breve = prim.f * (lead - p_phi)
     phi_tilde = (s_term / p_phi) ** (1.0 / k)
-    r_bar = prim.sigma * prim.f * math.exp(log_s - k * p_star) / p_phi
+    r_bar = prim.sigma * prim.f * lead / p_phi
     pi_bar = r_bar / prim.sigma - prim.f
     b_term = prim.f_n + p_theta * regime.f_b + (p_phi / prim.delta) * (r_bar - pi_bar)
     m_e = prim.L / b_term

@@ -1,9 +1,17 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gatekeep
 from gatekeep.cli import SWEEP_COLUMNS, main
+
+#: the directory that holds the gatekeep package, for child interpreters
+SRC = os.path.dirname(os.path.dirname(gatekeep.__file__))
 
 BASE = """\
 [primitives]
@@ -175,3 +183,69 @@ def test_config_errors_exit_one(tmp_path):
 
 def test_bad_grid_flag(cfg_path):
     assert main(["sweep", "--config", cfg_path, "--grid", "0.1:0.9"]) == 1
+
+
+def _python(args):
+    """Run a fresh interpreter that imports gatekeep from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("mode", ["sweep", "limits"])
+def test_tilt_overflow_is_a_solver_failure(mode, tmp_path):
+    # sigma = 60 (k = 59) pushes the tilted profit moments past exp's range
+    path = tmp_path / "overflow.cfg"
+    path.write_text(BASE.replace("sigma = 2.0", "sigma = 60.0"))
+    out = str(tmp_path / "overflow.csv")
+    proc = _python(["-m", "gatekeep", mode, "--config", str(path), "--out", out, "--quiet"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "TiltOverflowError" in proc.stderr
+    if mode == "sweep":
+        _, _, rows = _read(out)
+        assert len(rows) == 4
+        assert all(r[-1].startswith("failed: TiltOverflowError") for r in rows)
+
+
+COLD_IMPORT_SCRIPT = """
+import json, sys
+
+def numeric():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+
+cfg, val_cfg, out = sys.argv[1:]
+import gatekeep
+from gatekeep import cli
+
+seen = {"import": numeric()}
+seen["sweep_code"] = cli.main(["sweep", "--config", cfg, "--out", out, "--quiet"])
+seen["sweep"] = numeric()
+seen["oracle_before_validate"] = "gatekeep.oracle" in sys.modules
+seen["validate_code"] = cli.main(["validate", "--config", val_cfg, "--out", out, "--quiet"])
+seen["oracle_after_validate"] = "gatekeep.oracle" in sys.modules
+from gatekeep import McEstimate, estimate_aggregates
+seen["lazy"] = [McEstimate.__module__, estimate_aggregates.__module__]
+print(json.dumps(seen))
+"""
+
+
+def test_solve_paths_load_no_numpy_or_scipy(cfg_path, tmp_path):
+    val_cfg = tmp_path / "val.cfg"
+    val_cfg.write_text(BASE + "mc_n = 20000\n")
+    proc = _python(["-c", COLD_IMPORT_SCRIPT, cfg_path, str(val_cfg), str(tmp_path / "out.csv")])
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == []
+    assert seen["sweep_code"] == 0
+    assert seen["sweep"] == []
+    assert not seen["oracle_before_validate"]
+    assert seen["validate_code"] == 0
+    assert seen["oracle_after_validate"]
+    assert seen["lazy"] == ["gatekeep.oracle", "gatekeep.oracle"]
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gatekeep.no_such_name

@@ -19,7 +19,14 @@ from gatekeep import (
     solve_equilibrium,
 )
 from gatekeep.economy import LogCutoffs
-from gatekeep.errors import BracketFailureError, DomainError
+from gatekeep.equilibrium import (
+    BRACKET_BOUND,
+    _bracket_decreasing,
+    _brent_root,
+    _solve_activation_intercept,
+    activation_residual,
+)
+from gatekeep.errors import BracketFailureError, DomainError, IterationCapError
 from gatekeep.normal import std_normal_cdf
 from golden_values import AC_INTERCEPT, MELITZ_PERFECT_P_STAR, MELITZ_ZERO_P_STAR, P_STAR, T_STAR
 
@@ -140,6 +147,64 @@ def test_locus_residual_strictly_decreasing(solved):
     grid = [eq.cutoffs.t_star + 0.25 * (i - 12) for i in range(25)]
     vals = [fe_residual(regime.rho * t + a, t, PRIM, regime) for t in grid]
     assert all(b < a_ for a_, b in zip(vals, vals[1:]))
+
+
+def _brent_cases():
+    """(fn, lo, hi) triples: seeded smooth functions, then the solver's own residuals."""
+    rng = random.Random(20261017)
+    shapes = (
+        lambda c, a: lambda x: math.tanh(a * (x - c)),
+        lambda c, a: lambda x: (x - c) ** 3 + a * (x - c),
+        lambda c, a: lambda x: math.exp(a * (x - c)) - 1.0,
+        lambda c, a: lambda x: math.atan(x - c) + 0.1 * a * math.sin(x),
+        lambda c, a: lambda x: -math.erf(a * (x - c)) ** 3 - 1e-3 * (x - c),
+    )
+    for i in range(200):
+        c, a = rng.uniform(-3.0, 3.0), rng.uniform(0.2, 5.0)
+        lo, hi = c - rng.uniform(0.01, 20.0), c + rng.uniform(0.01, 20.0)
+        if i % 2:
+            lo, hi = hi, lo
+        yield shapes[i % len(shapes)](c, a), lo, hi
+    for sched in (SCHED, ConstantCost(2.0)):
+        for rho in (0.05, 0.5, 0.89, 0.97):
+            regime = Regime(rho, sched)
+            ac = lambda x, r=regime: activation_residual(x, PRIM, r.rho, r.f_b)
+            yield (ac, *_bracket_decreasing(ac, 0.0, BRACKET_BOUND, "ac"))
+            a, _ = _solve_activation_intercept(PRIM, rho, regime.f_b)
+            locus = lambda t, r=regime, a=a: fe_residual(r.rho * t + a, t, PRIM, r)
+            yield (locus, *_bracket_decreasing(locus, 0.0, BRACKET_BOUND, "fe"))
+
+
+def test_brent_root_matches_scipy_brentq():
+    from scipy.optimize import brentq
+
+    cases = list(_brent_cases())
+    assert len(cases) == 216
+    for fn, lo, hi in cases:
+        for xtol in (1e-12, 1e-14, 1e-15):
+            want, info = brentq(fn, lo, hi, xtol=xtol, full_output=True)
+            root, iterations = _brent_root(fn, lo, hi, xtol)
+            assert root == want
+            assert iterations == info.iterations
+
+
+def test_brent_root_nan_residual_raises_domain_error():
+    with pytest.raises(DomainError, match="NaN"):
+        _brent_root(lambda x: math.nan if x > 0.5 else 1.0 - x, 0.0, 2.0, 1e-12)
+    assert issubclass(DomainError, ValueError)  # what scipy's wrapper raised
+
+
+def test_brent_root_iteration_cap_raises():
+    # a step at 0 with xtol = 1e-300: the bracket halves towards 0 and would
+    # need about a thousand halvings to meet the tolerance
+    step = lambda x: -1.0 if x > 0.0 else 1.0
+    with pytest.raises(IterationCapError, match="100 iterations"):
+        _brent_root(step, -1.0, 1.0, 1e-300)
+
+
+def test_brent_root_degenerate_bracket():
+    # an empty bracket is its own root and is never evaluated
+    assert _brent_root(lambda x: 1.0 / 0.0, 0.25, 0.25, 1e-12) == (0.25, 0)
 
 
 def test_no_entry_pathology_reports_bracket_failure():
