@@ -159,7 +159,6 @@ def _run_pigouvian(config: RunConfig, quiet: bool) -> int:
     half = regime.f_b / 2.0
     n = config.s_points
     rows = []
-    failures = 0
     for i in range(n):
         # symmetric form so the midpoint of an odd grid is exactly s = 0
         s = half * (2 * i - (n - 1)) / (n - 1)
@@ -167,15 +166,16 @@ def _run_pigouvian(config: RunConfig, quiet: bool) -> int:
             w = pigouvian_welfare(config.primitives, regime, s)
             rows.append([s, w, "ok"])
         except GatekeepError as exc:
-            failures += 1
             rows.append([s, math.nan, f"failed: {type(exc).__name__}: {exc}"])
     _write_csv(config, ("s", "W", "status"), rows, config.out)
-    if not quiet:
-        solved = [(s, w) for s, w, status in rows if status == "ok"]
-        if solved:
-            best = max(solved, key=lambda r: r[1])
-            print(f"welfare argmax over transfers at s={best[0]!r}")
-    return 2 if failures else 0
+    solved = [(s, w) for s, w, status in rows if status == "ok"]
+    if solved and not quiet:
+        best = max(solved, key=lambda r: r[1])
+        print(f"welfare argmax over transfers at s={best[0]!r}")
+    failed = [(s, status) for s, _, status in rows if status != "ok"]
+    for s, status in failed:
+        print(f"s={s!r}: {status}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def _run_limits(config: RunConfig, quiet: bool) -> int:

@@ -7,7 +7,11 @@ inline density and ``scipy.special.ndtr``), so agreement is evidence rather
 than tautology.
 
 Sampling uses numpy's PCG64 generator (``numpy.random.default_rng``) seeded
-explicitly; identical (n, seed) reproduce identical draws and reports.
+explicitly; identical (n, seed) reproduce identical draws and reports. The
+draws stream in fixed blocks of ``_BLOCK`` pairs, and their concatenation
+equals numpy's one-shot draw of all n pairs. Estimates combine per-block
+moments (Chan, Golub & LeVeque 1979), so the memory of an estimate is one
+block whatever n is, and ``validate`` memory does not depend on ``mc_n``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .normal import bvn_cdf, std_normal_cdf, tilted_upper_tail2
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: integration window in standard deviations; the omitted tail mass is < 1e-300
 _TAIL = 40.0
+#: draws per Monte Carlo block: bounds the memory of every estimate
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,18 +63,37 @@ class OracleReport:
     seed: int
 
 
-@dataclass(frozen=True, eq=False)
-class PopulationDraws:
-    """Paired (log productivity, log signal) draws with their provenance."""
+def _block_sizes(n: int):
+    for start in range(0, n, _BLOCK):
+        yield min(_BLOCK, n - start)
 
-    p: np.ndarray
-    t: np.ndarray
+
+@dataclass(frozen=True)
+class PopulationDraws:
+    """n paired (log productivity, log signal) draws, generated block by block."""
+
     rho: float
+    n: int
     seed: int
 
-    @property
-    def n(self) -> int:
-        return int(self.t.size)
+    def blocks(self):
+        """Yield (p, t) arrays of at most ``_BLOCK`` pairs.
+
+        Concatenated, they equal the one-shot construction: t is the first n
+        standard normals of ``default_rng(seed)``, z the next n, and
+        p = rho*t + sqrt(1-rho^2)*z. A second generator from the same seed
+        discards the n signal normals to reach z; numpy's normal stream does
+        not depend on how it is split into calls.
+        """
+        signals = np.random.default_rng(self.seed)
+        noise = np.random.default_rng(self.seed)
+        skip = np.empty(min(self.n, _BLOCK))
+        for size in _block_sizes(self.n):
+            noise.standard_normal(out=skip[:size])
+        sd = math.sqrt(1.0 - self.rho * self.rho)
+        for size in _block_sizes(self.n):
+            t = signals.standard_normal(size)
+            yield self.rho * t + sd * noise.standard_normal(size), t
 
 
 def sample_log_population(rho: float, n: int, seed: int) -> PopulationDraws:
@@ -81,18 +106,33 @@ def sample_log_population(rho: float, n: int, seed: int) -> PopulationDraws:
         raise DomainError(f"need at least one draw, got n={n!r}")
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
-    rng = np.random.default_rng(seed)
-    t = rng.standard_normal(n)
-    z = rng.standard_normal(n)
-    p = rho * t + math.sqrt(1.0 - rho * rho) * z
-    return PopulationDraws(p=p, t=t, rho=rho, seed=seed)
+    return PopulationDraws(rho=rho, n=n, seed=seed)
 
 
-def _mc_estimate(values: np.ndarray, seed: int) -> McEstimate:
-    n = int(values.size)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(mean=mean, std_error=se, n=n, seed=seed)
+class _Moments:
+    """Running count, mean and sum of squared deviations over blocks of values.
+
+    Blocks merge with the pairwise update of Chan, Golub & LeVeque (1979).
+    """
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        size = int(values.size)
+        mean = float(values.mean())
+        dev = values - mean
+        n = self.n + size
+        delta = mean - self.mean
+        self.m2 += float(np.dot(dev, dev)) + delta * delta * (self.n * size / n)
+        self.mean += delta * (size / n)
+        self.n = n
+
+    def estimate(self, seed: int) -> McEstimate:
+        se = math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n) if self.n > 1 else 0.0
+        return McEstimate(mean=self.mean, std_error=se, n=self.n, seed=seed)
 
 
 def _z_score(closed_form: float, est: McEstimate) -> float:
@@ -111,39 +151,46 @@ def estimate_aggregates(
     """
     if draws.n < 1:
         raise DomainError("draws must be nonempty")
-    p, t = draws.p, draws.t
     rho, seed = draws.rho, draws.seed
     t_star, p_star = cutoffs.t_star, cutoffs.p_star
     k = prim.k
+    profit = math.isfinite(p_star)
 
-    pass_t = t >= t_star
-    pass_both = pass_t & (p >= p_star)
-    t_empty = not bool(pass_t.any())
-    both_empty = not bool(pass_both.any())
+    p_theta, p_phi, s_term, pi_breve = (_Moments() for _ in range(4))
+    t_any = both_any = False
+    for p, t in draws.blocks():
+        pass_t = t >= t_star
+        pass_both = pass_t & (p >= p_star)
+        t_any = t_any or bool(pass_t.any())
+        both_any = both_any or bool(pass_both.any())
+        p_theta.add(pass_t.astype(float))
+        p_phi.add(pass_both.astype(float))
+        s_term.add(np.exp(k * p) * pass_both)
+        if profit:
+            pi_breve.add(prim.f * (np.exp(k * (p - p_star)) - 1.0) * pass_both)
 
     rows = []
 
-    est = _mc_estimate(pass_t.astype(float), seed)
+    est = p_theta.estimate(seed)
     closed = std_normal_cdf(-t_star)
-    rows.append(OracleRow("p_theta", closed, est, _z_score(closed, est), t_empty))
+    rows.append(OracleRow("p_theta", closed, est, _z_score(closed, est), not t_any))
 
-    est = _mc_estimate(pass_both.astype(float), seed)
+    est = p_phi.estimate(seed)
     closed = bvn_cdf(-p_star, -t_star, rho)
-    rows.append(OracleRow("p_phi", closed, est, _z_score(closed, est), both_empty))
+    rows.append(OracleRow("p_phi", closed, est, _z_score(closed, est), not both_any))
 
-    est = _mc_estimate(np.exp(k * p) * pass_both, seed)
+    est = s_term.estimate(seed)
     closed = tilted_upper_tail2(k, p_star, t_star, rho)
-    rows.append(OracleRow("s_term", closed, est, _z_score(closed, est), both_empty))
+    rows.append(OracleRow("s_term", closed, est, _z_score(closed, est), not both_any))
 
-    if math.isfinite(p_star):
-        values = prim.f * (np.exp(k * (p - p_star)) - 1.0) * pass_both
-        est = _mc_estimate(values, seed)
+    if profit:
+        est = pi_breve.estimate(seed)
         closed = expected_joint_profit(prim, rho, cutoffs)
-        rows.append(OracleRow("pi_breve", closed, est, _z_score(closed, est), both_empty))
+        rows.append(OracleRow("pi_breve", closed, est, _z_score(closed, est), not both_any))
     else:
         # Profit relative to a zero productivity cutoff is infinite.
         est = McEstimate(mean=math.inf, std_error=0.0, n=draws.n, seed=seed)
-        rows.append(OracleRow("pi_breve", math.inf, est, 0.0, both_empty))
+        rows.append(OracleRow("pi_breve", math.inf, est, 0.0, not both_any))
 
     return OracleReport(rows=tuple(rows), rho=rho, n=draws.n, seed=seed)
 
@@ -153,16 +200,20 @@ def estimate_profit_given_signal(
 ) -> McEstimate:
     """Monte Carlo of expected flow profit conditional on a log signal t.
 
-    Samples the conditional law p | t = N(rho t, 1 - rho^2) directly.
+    Samples the conditional law p | t = N(rho t, 1 - rho^2) directly, in
+    blocks of ``_BLOCK`` draws.
     """
     if n < 1:
         raise DomainError(f"need at least one draw, got n={n!r}")
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
     rng = np.random.default_rng(seed)
-    p = rho * t + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
-    values = prim.f * (np.exp(prim.k * (p - p_star)) - 1.0) * (p >= p_star)
-    return _mc_estimate(values, seed)
+    sd = math.sqrt(1.0 - rho * rho)
+    profit = _Moments()
+    for size in _block_sizes(n):
+        p = rho * t + sd * rng.standard_normal(size)
+        profit.add(prim.f * (np.exp(prim.k * (p - p_star)) - 1.0) * (p >= p_star))
+    return profit.estimate(seed)
 
 
 # ---------------------------------------------------------------------------

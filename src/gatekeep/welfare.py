@@ -13,6 +13,7 @@ per-point solve.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .economy import (
@@ -145,11 +146,17 @@ class SweepRecord:
     rho: float
     eq: EquilibriumSolution | None
     agg: Aggregates | None
-    status: str
+    error: GatekeepError | None = None
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.error is None
+
+    @property
+    def status(self) -> str:
+        if self.error is None:
+            return "ok"
+        return f"failed: {type(self.error).__name__}: {self.error}"
 
 
 @dataclass(frozen=True)
@@ -176,11 +183,9 @@ def sweep_records(prim: Primitives, schedule: CostSchedule, rho_grid) -> list[Sw
             regime = Regime(rho, schedule)
             eq = solve_equilibrium(prim, regime)
             agg = compute_aggregates(prim, regime, eq)
-            records.append(SweepRecord(rho=rho, eq=eq, agg=agg, status="ok"))
+            records.append(SweepRecord(rho=rho, eq=eq, agg=agg))
         except GatekeepError as exc:
-            records.append(
-                SweepRecord(rho=rho, eq=None, agg=None, status=f"failed: {type(exc).__name__}: {exc}")
-            )
+            records.append(SweepRecord(rho=rho, eq=None, agg=None, error=exc))
     return records
 
 
@@ -298,12 +303,21 @@ def find_optimal_precision(
 
     Failure rows in the sweep are skipped deterministically. A grid-edge
     argmax is reported with boundary=True and not refined past the grid.
+    When no point solves, the error raised has the class the points failed
+    with (the first point's when classes differ) and counts them per class.
     """
     grid = list(grid)
     records = sweep_records(prim, schedule, grid)
     solved = [r for r in records if r.ok]
     if not solved:
-        raise BracketFailureError("no grid point admits an equilibrium")
+        if not records:
+            raise BracketFailureError("no grid point admits an equilibrium")
+        first = records[0].error
+        counts = Counter(type(r.error).__name__ for r in records)
+        detail = ", ".join(f"{name}: {count}" for name, count in counts.items())
+        raise type(first)(
+            f"no grid point admits an equilibrium; failed points by class: {detail}"
+        ) from first
     best = max(solved, key=lambda r: r.agg.welfare)
     if best.rho == grid[0] or best.rho == grid[-1]:
         return OptimalPrecision(rho_w=best.rho, welfare=best.agg.welfare, boundary=True)

@@ -193,7 +193,7 @@ def _python(args):
     )
 
 
-@pytest.mark.parametrize("mode", ["sweep", "limits"])
+@pytest.mark.parametrize("mode", ["sweep", "limits", "optimum", "pigouvian"])
 def test_tilt_overflow_is_a_solver_failure(mode, tmp_path):
     # sigma = 60 (k = 59) pushes the tilted profit moments past exp's range
     path = tmp_path / "overflow.cfg"
@@ -207,6 +207,17 @@ def test_tilt_overflow_is_a_solver_failure(mode, tmp_path):
         _, _, rows = _read(out)
         assert len(rows) == 4
         assert all(r[-1].startswith("failed: TiltOverflowError") for r in rows)
+    if mode == "optimum":
+        # every grid point failed with the overflow, so the optimum names it
+        assert "solver failure: TiltOverflowError:" in proc.stderr
+        assert "TiltOverflowError: 4" in proc.stderr
+    if mode == "pigouvian":
+        _, _, rows = _read(out)
+        assert len(rows) == 41
+        assert all(r[-1].startswith("failed: TiltOverflowError") for r in rows)
+        lines = proc.stderr.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"s={float(r[0])!r}" for r in rows]
+        assert all(": failed: TiltOverflowError: " in line for line in lines)
 
 
 COLD_IMPORT_SCRIPT = """

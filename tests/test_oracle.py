@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,16 +18,31 @@ from gatekeep import (
     tilted_upper_tail2,
 )
 from gatekeep.errors import DomainError
+from gatekeep.oracle import _BLOCK
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 
 
+def _concat(draws):
+    """All (p, t) pairs of a streamed draw, as two arrays."""
+    p, t = zip(*draws.blocks())
+    return np.concatenate(p), np.concatenate(t)
+
+
+def _one_shot(rho, n, seed):
+    """The unblocked construction: t the first n normals of the seed, z the next n."""
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(n)
+    z = rng.standard_normal(n)
+    return rho * t + math.sqrt(1.0 - rho * rho) * z, t
+
+
 def test_sample_correlation_and_marginals():
     n = 10**6
-    draws = sample_log_population(0.6, n, seed=42)
-    corr = float(np.corrcoef(draws.p, draws.t)[0, 1])
+    p, t = _concat(sample_log_population(0.6, n, seed=42))
+    corr = float(np.corrcoef(p, t)[0, 1])
     assert corr == pytest.approx(0.6, abs=0.005)
-    for arr in (draws.p, draws.t):
+    for arr in (p, t):
         se_mean = 1.0 / math.sqrt(n)
         assert abs(float(arr.mean())) <= 4.0 * se_mean
         se_var = math.sqrt(2.0 / (n - 1))
@@ -34,11 +50,66 @@ def test_sample_correlation_and_marginals():
 
 
 def test_sampling_deterministic_under_seed():
-    a = sample_log_population(0.5, 10**4, seed=7)
-    b = sample_log_population(0.5, 10**4, seed=7)
-    assert np.array_equal(a.p, b.p) and np.array_equal(a.t, b.t)
-    c = sample_log_population(0.5, 10**4, seed=8)
-    assert not np.array_equal(a.p, c.p)
+    a_p, a_t = _concat(sample_log_population(0.5, 10**4, seed=7))
+    b_p, b_t = _concat(sample_log_population(0.5, 10**4, seed=7))
+    assert np.array_equal(a_p, b_p) and np.array_equal(a_t, b_t)
+    c_p, _ = _concat(sample_log_population(0.5, 10**4, seed=8))
+    assert not np.array_equal(a_p, c_p)
+
+
+@pytest.mark.parametrize("n", [3 * _BLOCK + 17, 1000])
+def test_blocks_equal_one_shot_draw(n):
+    draws = sample_log_population(0.7, n, seed=11)
+    assert draws.n == n
+    assert all(p.size <= _BLOCK for p, _ in draws.blocks())
+    p, t = _concat(draws)
+    p0, t0 = _one_shot(0.7, n, seed=11)
+    assert np.array_equal(p, p0) and np.array_equal(t, t0)
+
+
+def _assert_matches(est, values):
+    n = values.size
+    assert est.n == n
+    assert est.mean == pytest.approx(float(values.mean()), rel=1e-12)
+    assert est.std_error == pytest.approx(float(values.std(ddof=1) / math.sqrt(n)), rel=1e-12)
+
+
+def test_streamed_estimates_match_one_shot_moments(solved):
+    regime, eq, _ = solved(0.5)
+    c, k, n = eq.cutoffs, PRIM.k, 3 * _BLOCK + 17
+    report = estimate_aggregates(sample_log_population(regime.rho, n, seed=21), PRIM, c)
+    p, t = _one_shot(regime.rho, n, seed=21)
+    pass_t = t >= c.t_star
+    pass_both = pass_t & (p >= c.p_star)
+    expected = {
+        "p_theta": pass_t.astype(float),
+        "p_phi": pass_both.astype(float),
+        "s_term": np.exp(k * p) * pass_both,
+        "pi_breve": PRIM.f * (np.exp(k * (p - c.p_star)) - 1.0) * pass_both,
+    }
+    for row in report.rows:
+        _assert_matches(row.estimate, expected[row.name])
+
+    est = estimate_profit_given_signal(1.0, PRIM, regime.rho, c.p_star, n, seed=22)
+    z = np.random.default_rng(22).standard_normal(n)
+    p = regime.rho * 1.0 + math.sqrt(1.0 - regime.rho**2) * z
+    _assert_matches(est, PRIM.f * (np.exp(k * (p - c.p_star)) - 1.0) * (p >= c.p_star))
+
+
+def test_estimate_memory_does_not_grow_with_n(solved):
+    regime, eq, _ = solved(0.5)
+
+    def peak(n):
+        draws = sample_log_population(regime.rho, n, seed=31)
+        tracemalloc.start()
+        try:
+            estimate_aggregates(draws, PRIM, eq.cutoffs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4 * 10**5), peak(4 * 10**6)
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_sampling_validation():
@@ -151,9 +222,9 @@ def test_tilted_moment_matches_mc_grid():
     # closed-form tilted truncated moments vs raw sample means
     n = 10**7
     for rho, seed in ((0.3, 100), (0.8, 101)):
-        draws = sample_log_population(rho, n, seed=seed)
+        p, t = _concat(sample_log_population(rho, n, seed=seed))
         for k, p_c, t_c in ((1.0, 0.2, -0.1), (1.5, -0.5, 0.6)):
-            values = np.exp(k * draws.p) * ((draws.p >= p_c) & (draws.t >= t_c))
+            values = np.exp(k * p) * ((p >= p_c) & (t >= t_c))
             mean = float(values.mean())
             se = float(values.std(ddof=1) / math.sqrt(n))
             closed = tilted_upper_tail2(k, p_c, t_c, rho)

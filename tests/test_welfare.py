@@ -18,7 +18,8 @@ from gatekeep import (
     welfare_curve,
     welfare_selection_burden,
 )
-from gatekeep.errors import DomainError, KinkError
+from gatekeep import welfare
+from gatekeep.errors import BracketFailureError, DomainError, KinkError, TiltOverflowError
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
@@ -133,6 +134,28 @@ def test_optimal_precision_hyperbolic_interior():
     result = find_optimal_precision(PRIM, HyperbolicCost(3.0), grid)
     assert not result.boundary
     assert grid[0] < result.rho_w < grid[-1]
+
+
+def test_optimal_precision_raises_the_class_the_points_failed_with():
+    bad_prim = Primitives(sigma=2.0, f=0.15, f_n=1e30, delta=0.1)
+    with pytest.raises(BracketFailureError, match="failed points by class: BracketFailureError: 2"):
+        find_optimal_precision(bad_prim, SCHED, [0.3, 0.6])
+
+
+def test_optimal_precision_mixed_failures_take_the_first_class(monkeypatch):
+    errors = [TiltOverflowError("a"), BracketFailureError("b"), TiltOverflowError("c")]
+    records = [
+        welfare.SweepRecord(rho=rho, eq=None, agg=None, error=exc)
+        for rho, exc in zip([0.3, 0.5, 0.7], errors)
+    ]
+    monkeypatch.setattr(welfare, "sweep_records", lambda prim, schedule, grid: records)
+    with pytest.raises(TiltOverflowError) as info:
+        find_optimal_precision(PRIM, SCHED, [0.3, 0.5, 0.7])
+    assert str(info.value).endswith("TiltOverflowError: 2, BracketFailureError: 1")
+    assert info.value.__cause__ is errors[0]
+    assert [r.status for r in records] == [
+        "failed: TiltOverflowError: a", "failed: BracketFailureError: b", "failed: TiltOverflowError: c",
+    ]
 
 
 def test_hyperbolic_welfare_vanishes_at_high_precision():
