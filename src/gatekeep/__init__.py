@@ -11,7 +11,6 @@ from .economy import (
     PowerBoundedCost,
     Primitives,
     Regime,
-    cost_at,
     expected_joint_profit,
     expected_profit_given_signal,
     flow_profit,
@@ -21,7 +20,6 @@ from .equilibrium import (
     EquilibriumSolution,
     MelitzLimit,
     ac_residual,
-    fe_locus_profile,
     fe_residual,
     melitz_limit_perfect,
     melitz_limit_zero,
@@ -62,13 +60,12 @@ from .welfare import (
     DeclineCertificate,
     LogWelfareDerivative,
     OptimalPrecision,
-    WelfareCurvePoint,
+    SweepRecord,
     bounded_decline_certificate,
     compute_aggregates,
     find_optimal_precision,
     log_welfare_derivative,
     sweep_records,
-    welfare_curve,
     welfare_selection_burden,
 )
 from .config import GridSpec, RunConfig, config_hash, format_config, parse_config

@@ -26,13 +26,7 @@ from .equilibrium import melitz_limit_perfect, melitz_limit_zero, solve_equilibr
 from .errors import GatekeepError, ParseError, ValidationError
 from .policy import pigouvian_welfare
 from .svgchart import line_chart_svg
-from .welfare import find_optimal_precision, sweep_records
-
-#: documented column schema for solve/sweep outputs
-SWEEP_COLUMNS = (
-    "rho", "t_star", "p_star", "a", "P_theta", "P_phi", "S", "B", "pi_breve",
-    "r_bar", "pi_bar", "M_e", "M", "phi_tilde", "W", "status",
-)
+from .welfare import SweepRecord, find_optimal_precision, sweep_records
 
 MC_Z_LIMIT = 4.0
 QUAD_DELTA_LIMIT = 1e-8
@@ -68,18 +62,6 @@ def _write_csv(config: RunConfig, columns, rows, path: str | None) -> None:
             fh.write(text)
 
 
-def _sweep_row(rec) -> list:
-    if rec.ok:
-        return [
-            rec.rho, rec.eq.cutoffs.t_star, rec.eq.cutoffs.p_star, rec.eq.cutoffs.a,
-            rec.agg.p_theta, rec.agg.p_phi, rec.agg.s_term, rec.agg.b_term,
-            rec.agg.pi_breve, rec.agg.r_bar, rec.agg.pi_bar, rec.agg.m_e,
-            rec.agg.m, rec.agg.phi_tilde, rec.agg.welfare, "ok",
-        ]
-    nan = math.nan
-    return [rec.rho] + [nan] * 14 + [rec.status]
-
-
 def _require(config: RunConfig, attr: str, mode: str):
     value = getattr(config, attr)
     if value is None:
@@ -90,7 +72,7 @@ def _require(config: RunConfig, attr: str, mode: str):
 def _run_solve(config: RunConfig, quiet: bool) -> int:
     rho = _require(config, "rho", "solve")
     records = sweep_records(config.primitives, config.schedule, [rho])
-    _write_csv(config, SWEEP_COLUMNS, [_sweep_row(r) for r in records], config.out)
+    _write_csv(config, SweepRecord.COLUMNS, [r.row() for r in records], config.out)
     rec = records[0]
     if not rec.ok:
         print(rec.status, file=sys.stderr)
@@ -127,7 +109,7 @@ def _render_sweep_svg(records, path: str) -> None:
 def _run_sweep(config: RunConfig, quiet: bool) -> int:
     grid = _require(config, "grid", "sweep")
     records = sweep_records(config.primitives, config.schedule, grid.points())
-    _write_csv(config, SWEEP_COLUMNS, [_sweep_row(r) for r in records], config.out)
+    _write_csv(config, SweepRecord.COLUMNS, [r.row() for r in records], config.out)
     if config.svg is not None:
         _render_sweep_svg(records, config.svg)
     failed = [r for r in records if not r.ok]
@@ -295,6 +277,9 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     except GatekeepError as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 def _build_parser() -> _Parser:
@@ -339,7 +324,11 @@ def main(argv=None) -> int:
         except (ValueError, ValidationError) as exc:
             print(f"--grid: {exc}", file=sys.stderr)
             return 1
-    config = replace(config, **overrides)
+    try:
+        config = replace(config, **overrides)
+    except ValidationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     return run(config, quiet=args.quiet)
 
 

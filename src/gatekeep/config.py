@@ -33,8 +33,7 @@ _SCHEDULE_KEYS = {
     "hyperbolic": ("f_b0",),
 }
 _RUN_KEYS = (
-    "mode", "rho", "grid", "seed", "out", "svg", "s_points",
-    "f_e0", "f_b_bar", "mc_n", "tol_root", "tol_residual",
+    "mode", "rho", "grid", "seed", "out", "svg", "s_points", "f_e0", "f_b_bar", "mc_n",
 )
 
 
@@ -85,8 +84,11 @@ class RunConfig:
     f_e0: float | None = None
     f_b_bar: float | None = None
     mc_n: int = 10_000_000
-    tol_root: float = 1e-12
-    tol_residual: float = 1e-10
+
+    def __post_init__(self):
+        # numpy's generators take no negative seed; a --seed override lands here too
+        if self.seed < 0:
+            raise ValidationError(f"run.seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass
@@ -265,12 +267,6 @@ def parse_config(text: str) -> RunConfig:
         if mc_n < 1:
             raise ValidationError(f"run.mc_n must be positive, got {mc_n!r}")
         kwargs["mc_n"] = mc_n
-    for key in ("tol_root", "tol_residual"):
-        if key in run_entries:
-            value = _as_float("run", key, run_entries[key])
-            if not value > 0.0:
-                raise ValidationError(f"run.{key} must be positive, got {value!r}")
-            kwargs[key] = value
     return RunConfig(primitives=primitives, schedule=schedule, **kwargs)
 
 
@@ -314,8 +310,6 @@ def format_config(config: RunConfig) -> str:
     if config.f_b_bar is not None:
         lines.append(f"f_b_bar = {config.f_b_bar!r}")
     lines.append(f"mc_n = {config.mc_n}")
-    lines.append(f"tol_root = {config.tol_root!r}")
-    lines.append(f"tol_residual = {config.tol_residual!r}")
     return "\n".join(lines) + "\n"
 
 

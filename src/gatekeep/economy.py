@@ -177,11 +177,6 @@ class HyperbolicCost(CostSchedule):
         return self.f_b0 / (1.0 - rho)
 
 
-def cost_at(schedule: CostSchedule, rho: float) -> float:
-    """Evaluate an activation-cost schedule at rho in (0, 1)."""
-    return schedule.cost(rho)
-
-
 @dataclass(frozen=True)
 class Regime:
     """A screening regime: precision rho plus its activation-cost schedule.

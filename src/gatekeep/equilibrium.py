@@ -4,8 +4,9 @@ The equilibrium cutoff pair solves a triangular system: the Activation
 Condition pins down the intercept ``a`` of the log-linear activation locus
 ``p* = rho t* + a`` through a strictly decreasing one-dimensional residual,
 and along that locus the Free-Entry residual ``J(t) = H(rho t + a, t)`` is
-strictly decreasing in ``t``, so each stage is a bracketed 1-D root find
-(geometric bracket expansion, then Brent).
+strictly decreasing in ``t``, so each stage is one call to
+``_root_decreasing``: a geometric bracket expansion from 0 whose endpoint
+residuals seed Brent, so no point is evaluated twice.
 
 The root finder is an in-house, pure-Python Brent's method (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4). It is a line-by-line
@@ -61,47 +62,6 @@ class EquilibriumSolution:
     iterations: tuple[int, int]
 
 
-def _bracket_decreasing(fn, start: float, bound: float, what: str):
-    """Bracket the root of a decreasing function by geometric expansion.
-
-    Returns (lo, hi) with fn(lo) > 0 > fn(hi); raises BracketFailureError if
-    no sign change is found within [-bound, bound].
-    """
-    f0 = fn(start)
-    if f0 == 0.0:
-        return start, start
-    step = 1.0
-    if f0 > 0.0:
-        lo = start
-        hi = start + step
-        while fn(hi) > 0.0:
-            lo = hi
-            step *= 2.0
-            hi = start + step
-            if hi > bound:
-                if fn(bound) > 0.0:
-                    raise BracketFailureError(
-                        f"{what}: no sign change up to +{bound} (no-entry pathology?)"
-                    )
-                hi = bound
-                break
-        return lo, hi
-    hi = start
-    lo = start - step
-    while fn(lo) < 0.0:
-        hi = lo
-        step *= 2.0
-        lo = start - step
-        if lo < -bound:
-            if fn(-bound) < 0.0:
-                raise BracketFailureError(
-                    f"{what}: no sign change down to -{bound} (no-entry pathology?)"
-                )
-            lo = -bound
-            break
-    return lo, hi
-
-
 def _brent_eval(fn, x: float) -> float:
     fx = fn(x)
     if math.isnan(fx):
@@ -109,23 +69,20 @@ def _brent_eval(fn, x: float) -> float:
     return fx
 
 
-def _brent_root(fn, lo: float, hi: float, xtol: float):
-    """Root of fn in [lo, hi] by Brent's method; returns (root, iterations).
+def _brent_root(fn, xpre: float, fpre: float, xcur: float, fcur: float, xtol: float):
+    """Root of fn between xpre and xcur by Brent's method; returns (root, iterations).
 
-    Converges when the bracket half-width falls below (xtol + 4 eps |x|) / 2.
+    fpre and fcur are fn's values at the two ends, already computed by the
+    caller. Converges when the bracket half-width falls below
+    (xtol + 4 eps |x|) / 2.
     """
-    if lo == hi:
-        return lo, 0
-    xpre, xcur = lo, hi
     xblk = fblk = spre = scur = 0.0
-    fpre = _brent_eval(fn, xpre)
-    fcur = _brent_eval(fn, xcur)
     if fpre == 0.0:
         return xpre, 0
     if fcur == 0.0:
         return xcur, 0
     if (fpre < 0.0) == (fcur < 0.0):
-        raise BracketFailureError(f"root finder: no sign change on [{lo!r}, {hi!r}]")
+        raise BracketFailureError(f"root finder: no sign change on [{xpre!r}, {xcur!r}]")
     for iterations in range(1, _BRENT_MAXITER + 1):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
@@ -164,6 +121,33 @@ def _brent_root(fn, lo: float, hi: float, xtol: float):
     )
 
 
+def _root_decreasing(fn, xtol: float, what: str):
+    """Root of a decreasing fn: grow a bracket out from 0, then Brent.
+
+    The bracket doubles from 0 towards the side where fn changes sign and
+    stops at +/-BRACKET_BOUND; Brent starts from the residuals the expansion
+    already computed, so no point is evaluated twice. Returns (root, iterations).
+    """
+    x, fx = 0.0, _brent_eval(fn, 0.0)
+    if fx == 0.0:
+        return x, 0
+    side = 1.0 if fx > 0.0 else -1.0
+    step = 1.0
+    while True:
+        y = side * min(step, BRACKET_BOUND)
+        fy = _brent_eval(fn, y)
+        if side * fy <= 0.0:
+            break
+        if step >= BRACKET_BOUND:
+            reach = f"up to +{BRACKET_BOUND}" if side > 0.0 else f"down to -{BRACKET_BOUND}"
+            raise BracketFailureError(f"{what}: no sign change {reach} (no-entry pathology?)")
+        x, fx = y, fy
+        step *= 2.0
+    if side > 0.0:
+        return _brent_root(fn, x, fx, y, fy, xtol)
+    return _brent_root(fn, y, fy, x, fx, xtol)
+
+
 def activation_residual(a: float, prim: Primitives, rho: float, activation_cost: float) -> float:
     """Expected-profit-over-f at activation index -a, minus delta*cost/f.
 
@@ -180,15 +164,11 @@ def ac_residual(a: float, prim: Primitives, regime: Regime) -> float:
     return activation_residual(a, prim, regime.rho, regime.f_b)
 
 
-def _solve_activation_intercept(
-    prim: Primitives, rho: float, activation_cost: float, bound: float = BRACKET_BOUND
-):
+def _solve_activation_intercept(prim: Primitives, rho: float, activation_cost: float):
     if not activation_cost > 0.0:
         raise DomainError(f"activation cost must be positive, got {activation_cost!r}")
     fn = lambda a: activation_residual(a, prim, rho, activation_cost)
-    lo, hi = _bracket_decreasing(fn, 0.0, bound, "activation intercept")
-    a, iters = _brent_root(fn, lo, hi, xtol=1e-15)
-    return a, iters
+    return _root_decreasing(fn, 1e-15, "activation intercept")
 
 
 def solve_ac_intercept(prim: Primitives, regime: Regime) -> float:
@@ -218,11 +198,6 @@ def fe_stationarity(
     return (up - down) / (2.0 * step)
 
 
-def fe_locus_profile(p_star, t_grid, prim: Primitives, regime: Regime):
-    """Free-entry residual H(p_star, t) along a signal-cutoff grid."""
-    return [fe_residual(p_star, t, prim, regime) for t in t_grid]
-
-
 def solve_equilibrium(
     prim: Primitives, regime: Regime, t_bracket: tuple[float, float] | None = None
 ) -> EquilibriumSolution:
@@ -238,14 +213,11 @@ def solve_equilibrium(
         return fe_residual(regime.rho * t + a, t, prim, regime)
 
     if t_bracket is None:
-        lo, hi = _bracket_decreasing(locus_residual, 0.0, BRACKET_BOUND, "free-entry cutoff")
+        t_star, fe_iters = _root_decreasing(locus_residual, 1e-12, "free-entry cutoff")
     else:
         lo, hi = t_bracket
-        if locus_residual(lo) * locus_residual(hi) > 0.0:
-            raise BracketFailureError(
-                f"free-entry cutoff: supplied bracket ({lo!r}, {hi!r}) does not straddle the root"
-            )
-    t_star, fe_iters = _brent_root(locus_residual, lo, hi, xtol=1e-12)
+        f_lo, f_hi = _brent_eval(locus_residual, lo), _brent_eval(locus_residual, hi)
+        t_star, fe_iters = _brent_root(locus_residual, lo, f_lo, hi, f_hi, 1e-12)
     p_star = regime.rho * t_star + a
 
     sol = EquilibriumSolution(
@@ -294,8 +266,7 @@ def _survivor_entry_residual(
 
 def _solve_limit(prim: Primitives, fixed_cost: float, entry_cost: float, variant: str) -> MelitzLimit:
     fn = lambda p: _survivor_entry_residual(p, prim, fixed_cost, entry_cost)
-    lo, hi = _bracket_decreasing(fn, 0.0, BRACKET_BOUND, f"{variant} limit cutoff")
-    p_star, _ = _brent_root(fn, lo, hi, xtol=1e-14)
+    p_star, _ = _root_decreasing(fn, 1e-14, f"{variant} limit cutoff")
     return MelitzLimit(
         p_star=p_star,
         variant=variant,

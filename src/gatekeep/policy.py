@@ -17,8 +17,8 @@ from .economy import Primitives, Regime, expected_profit_given_signal
 from .equilibrium import (
     BRACKET_BOUND,
     EquilibriumSolution,
-    _bracket_decreasing,
     _brent_root,
+    _root_decreasing,
     _solve_activation_intercept,
     fe_residual,
     solve_equilibrium,
@@ -74,9 +74,9 @@ def planner_cutoff(prim: Primitives, regime: Regime, eq: EquilibriumSolution) ->
     """
     p_star = eq.cutoffs.p_star
     kernel = lambda t: planner_kernel(prim, regime, p_star, t)
-    # The kernel increases in t; bracket its negation, which decreases.
-    lo, hi = _bracket_decreasing(lambda t: -kernel(t), 0.0, BRACKET_BOUND, "planner cutoff")
-    t_p, _ = _brent_root(kernel, lo, hi, xtol=1e-12)
+    # The kernel increases in t, so take the root of its negation, which
+    # decreases; Brent's steps are unchanged by negating the residual.
+    t_p, _ = _root_decreasing(lambda t: -kernel(t), 1e-12, "planner cutoff")
     if abs(t_p - eq.cutoffs.t_star) > _PLANNER_MARKET_TOL:
         raise InconsistentEquilibriumError(
             f"planner cutoff {t_p!r} deviates from market cutoff {eq.cutoffs.t_star!r}"
@@ -161,7 +161,7 @@ def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
             t_star = t_lo
             break
         if r_lo * r_hi < 0.0:
-            t_star, _ = _brent_root(locus_residual, t_lo, t_hi, xtol=1e-12)
+            t_star, _ = _brent_root(locus_residual, t_lo, r_lo, t_hi, r_hi, 1e-12)
             break
         t_lo, r_lo = t_hi, r_hi
     if t_star is None:

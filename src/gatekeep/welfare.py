@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .economy import (
     ConstantCost,
@@ -141,7 +142,16 @@ def compute_aggregates(prim: Primitives, regime: Regime, eq: EquilibriumSolution
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One precision grid point: solution and aggregates, or a failure marker."""
+    """One precision grid point: solution and aggregates, or a failure marker.
+
+    It owns the solve/sweep CSV schema: ``row()`` gives the cells named by
+    ``COLUMNS``, NaN in every numeric cell of a failed point.
+    """
+
+    COLUMNS: ClassVar[tuple[str, ...]] = (
+        "rho", "t_star", "p_star", "a", "P_theta", "P_phi", "S", "B", "pi_breve",
+        "r_bar", "pi_bar", "M_e", "M", "phi_tilde", "W", "status",
+    )
 
     rho: float
     eq: EquilibriumSolution | None
@@ -158,18 +168,14 @@ class SweepRecord:
             return "ok"
         return f"failed: {type(self.error).__name__}: {self.error}"
 
-
-@dataclass(frozen=True)
-class WelfareCurvePoint:
-    rho: float
-    welfare: float
-    m: float
-    phi_tilde: float
-    t_star: float
-    p_star: float
-    s_term: float
-    b_term: float
-    status: str
+    def row(self) -> list:
+        if not self.ok:
+            return [self.rho] + [math.nan] * (len(self.COLUMNS) - 2) + [self.status]
+        c, g = self.eq.cutoffs, self.agg
+        return [
+            self.rho, c.t_star, c.p_star, c.a, g.p_theta, g.p_phi, g.s_term, g.b_term,
+            g.pi_breve, g.r_bar, g.pi_bar, g.m_e, g.m, g.phi_tilde, g.welfare, self.status,
+        ]
 
 
 def sweep_records(prim: Primitives, schedule: CostSchedule, rho_grid) -> list[SweepRecord]:
@@ -187,35 +193,6 @@ def sweep_records(prim: Primitives, schedule: CostSchedule, rho_grid) -> list[Sw
         except GatekeepError as exc:
             records.append(SweepRecord(rho=rho, eq=None, agg=None, error=exc))
     return records
-
-
-def welfare_curve(prim: Primitives, schedule: CostSchedule, rho_grid) -> list[WelfareCurvePoint]:
-    """Welfare and its components along a precision grid (unnormalized)."""
-    points = []
-    for rec in sweep_records(prim, schedule, rho_grid):
-        if rec.ok:
-            points.append(
-                WelfareCurvePoint(
-                    rho=rec.rho,
-                    welfare=rec.agg.welfare,
-                    m=rec.agg.m,
-                    phi_tilde=rec.agg.phi_tilde,
-                    t_star=rec.eq.cutoffs.t_star,
-                    p_star=rec.eq.cutoffs.p_star,
-                    s_term=rec.agg.s_term,
-                    b_term=rec.agg.b_term,
-                    status="ok",
-                )
-            )
-        else:
-            nan = math.nan
-            points.append(
-                WelfareCurvePoint(
-                    rho=rec.rho, welfare=nan, m=nan, phi_tilde=nan, t_star=nan,
-                    p_star=nan, s_term=nan, b_term=nan, status=rec.status,
-                )
-            )
-    return points
 
 
 def _welfare_at(prim: Primitives, rho: float, schedule: CostSchedule) -> float:

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import gatekeep
-from gatekeep.cli import SWEEP_COLUMNS, main
+from gatekeep.cli import main
+from gatekeep.welfare import SweepRecord
 
 #: the directory that holds the gatekeep package, for child interpreters
 SRC = os.path.dirname(os.path.dirname(gatekeep.__file__))
@@ -53,7 +54,7 @@ def test_solve_writes_schema_row(cfg_path, tmp_path):
     provenance, header, rows = _read(out)
     assert provenance.startswith("# gatekeep ")
     assert "config_sha256=" in provenance and "seed=99" in provenance
-    assert tuple(header) == SWEEP_COLUMNS
+    assert tuple(header) == SweepRecord.COLUMNS
     assert len(rows) == 1
     assert rows[0][0] == "0.5"
     assert rows[0][-1] == "ok"
@@ -183,6 +184,41 @@ def test_config_errors_exit_one(tmp_path):
 
 def test_bad_grid_flag(cfg_path):
     assert main(["sweep", "--config", cfg_path, "--grid", "0.1:0.9"]) == 1
+
+
+def test_solve_row_matches_sweep_row(tmp_path):
+    # rho = 0.4 is the second point of the 0.2:0.8:0.2 grid
+    path = tmp_path / "row.cfg"
+    path.write_text(BASE.replace("rho = 0.5", "rho = 0.4"))
+    solve_out, sweep_out = tmp_path / "solve.csv", tmp_path / "sweep.csv"
+    assert main(["solve", "--config", str(path), "--out", str(solve_out), "--quiet"]) == 0
+    assert main(["sweep", "--config", str(path), "--out", str(sweep_out), "--quiet"]) == 0
+    solve_lines = solve_out.read_bytes().split(b"\r\n")
+    sweep_lines = sweep_out.read_bytes().split(b"\r\n")
+    assert solve_lines[1] == sweep_lines[1]
+    assert solve_lines[2].startswith(b"0.4,")
+    assert solve_lines[2] == sweep_lines[3]
+
+
+@pytest.mark.parametrize("mode, flag", [("solve", "--out"), ("sweep", "--svg")])
+def test_unwritable_output_exits_one(mode, flag, cfg_path, tmp_path):
+    target = str(tmp_path / "missing" / "out")
+    proc = _python(["-m", "gatekeep", mode, "--config", cfg_path, flag, target, "--quiet"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cannot write output: ")
+
+
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_negative_seed_is_a_config_error(route, tmp_path, capsys):
+    path = tmp_path / "seed.cfg"
+    text = BASE + "mc_n = 1000\n"
+    path.write_text(text.replace("seed = 99", "seed = -5") if route == "config" else text)
+    args = ["validate", "--config", str(path), "--quiet"]
+    if route == "flag":
+        args += ["--seed", "-5"]
+    assert main(args) == 1
+    assert "config error: run.seed must be non-negative, got -5" in capsys.readouterr().err
 
 
 def _python(args):

@@ -46,7 +46,7 @@ def test_round_trip():
 
 def test_round_trip_all_fields():
     text = FIG3_TEXT + "rho = 0.5\nout = a.csv\nsvg = b.svg\ns_points = 21\n" \
-        "f_e0 = 3.005\nf_b_bar = 3.0\nmc_n = 1000\ntol_root = 1e-13\ntol_residual = 1e-9\n"
+        "f_e0 = 3.005\nf_b_bar = 3.0\nmc_n = 1000\n"
     cfg = parse_config(text)
     assert parse_config(format_config(cfg)) == cfg
     assert config_hash(cfg) == config_hash(parse_config(format_config(cfg)))

@@ -12,7 +12,6 @@ from gatekeep import (
     PowerBoundedCost,
     Primitives,
     Regime,
-    cost_at,
     expected_joint_profit,
     expected_profit_given_signal,
     flow_profit,
@@ -67,7 +66,7 @@ def test_hyperbolic_divergence():
 )
 def test_schedules_weakly_increasing_and_positive(sched):
     grid = [0.01 * i for i in range(1, 100)]
-    vals = [cost_at(sched, rho) for rho in grid]
+    vals = [sched.cost(rho) for rho in grid]
     assert all(v > 0.0 for v in vals)
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 

@@ -11,7 +11,6 @@ from gatekeep import (
     ac_residual,
     expected_joint_profit,
     expected_profit_given_signal,
-    fe_locus_profile,
     fe_residual,
     melitz_limit_perfect,
     melitz_limit_zero,
@@ -21,8 +20,8 @@ from gatekeep import (
 from gatekeep.economy import LogCutoffs
 from gatekeep.equilibrium import (
     BRACKET_BOUND,
-    _bracket_decreasing,
     _brent_root,
+    _root_decreasing,
     _solve_activation_intercept,
     activation_residual,
 )
@@ -149,8 +148,37 @@ def test_locus_residual_strictly_decreasing(solved):
     assert all(b < a_ for a_, b in zip(vals, vals[1:]))
 
 
+def _reference_bracket(fn):
+    """(lo, hi) around the root of a decreasing fn: geometric expansion from 0,
+    clipped at +/-BRACKET_BOUND, written out independently of the solver."""
+    f0 = fn(0.0)
+    step = 1.0
+    if f0 > 0.0:
+        lo, hi = 0.0, step
+        while fn(hi) > 0.0:
+            lo = hi
+            step *= 2.0
+            hi = step
+            if hi > BRACKET_BOUND:
+                assert fn(BRACKET_BOUND) <= 0.0
+                hi = BRACKET_BOUND
+                break
+        return lo, hi
+    hi, lo = 0.0, -step
+    while fn(lo) < 0.0:
+        hi = lo
+        step *= 2.0
+        lo = -step
+        if lo < -BRACKET_BOUND:
+            assert fn(-BRACKET_BOUND) >= 0.0
+            lo = -BRACKET_BOUND
+            break
+    return lo, hi
+
+
 def _brent_cases():
-    """(fn, lo, hi) triples: seeded smooth functions, then the solver's own residuals."""
+    """(fn, lo, hi, solver) cases: seeded smooth functions, then the solver's
+    own decreasing residuals (solver=True), bracketed by the reference expansion."""
     rng = random.Random(20261017)
     shapes = (
         lambda c, a: lambda x: math.tanh(a * (x - c)),
@@ -164,15 +192,15 @@ def _brent_cases():
         lo, hi = c - rng.uniform(0.01, 20.0), c + rng.uniform(0.01, 20.0)
         if i % 2:
             lo, hi = hi, lo
-        yield shapes[i % len(shapes)](c, a), lo, hi
+        yield shapes[i % len(shapes)](c, a), lo, hi, False
     for sched in (SCHED, ConstantCost(2.0)):
         for rho in (0.05, 0.5, 0.89, 0.97):
             regime = Regime(rho, sched)
             ac = lambda x, r=regime: activation_residual(x, PRIM, r.rho, r.f_b)
-            yield (ac, *_bracket_decreasing(ac, 0.0, BRACKET_BOUND, "ac"))
+            yield (ac, *_reference_bracket(ac), True)
             a, _ = _solve_activation_intercept(PRIM, rho, regime.f_b)
             locus = lambda t, r=regime, a=a: fe_residual(r.rho * t + a, t, PRIM, r)
-            yield (locus, *_bracket_decreasing(locus, 0.0, BRACKET_BOUND, "fe"))
+            yield (locus, *_reference_bracket(locus), True)
 
 
 def test_brent_root_matches_scipy_brentq():
@@ -180,17 +208,23 @@ def test_brent_root_matches_scipy_brentq():
 
     cases = list(_brent_cases())
     assert len(cases) == 216
-    for fn, lo, hi in cases:
+    for fn, lo, hi, solver in cases:
         for xtol in (1e-12, 1e-14, 1e-15):
             want, info = brentq(fn, lo, hi, xtol=xtol, full_output=True)
-            root, iterations = _brent_root(fn, lo, hi, xtol)
+            root, iterations = _brent_root(fn, lo, fn(lo), hi, fn(hi), xtol)
             assert root == want
             assert iterations == info.iterations
+            if solver:
+                assert _root_decreasing(fn, xtol, "case") == (want, info.iterations)
 
 
 def test_brent_root_nan_residual_raises_domain_error():
+    # NaN at a bracket end, met while the bracket grows
     with pytest.raises(DomainError, match="NaN"):
-        _brent_root(lambda x: math.nan if x > 0.5 else 1.0 - x, 0.0, 2.0, 1e-12)
+        _root_decreasing(lambda x: math.nan if x > 0.5 else 1.0 - x, 1e-12, "nan")
+    # NaN at an interior point, met by the first bisection step (to x = 1)
+    with pytest.raises(DomainError, match="NaN"):
+        _brent_root(lambda x: math.nan if 0.5 < x < 1.5 else 1.0 - x, 0.0, 1.0, 2.0, -1.0, 1e-12)
     assert issubclass(DomainError, ValueError)  # what scipy's wrapper raised
 
 
@@ -199,12 +233,35 @@ def test_brent_root_iteration_cap_raises():
     # need about a thousand halvings to meet the tolerance
     step = lambda x: -1.0 if x > 0.0 else 1.0
     with pytest.raises(IterationCapError, match="100 iterations"):
-        _brent_root(step, -1.0, 1.0, 1e-300)
+        _brent_root(step, -1.0, 1.0, 1.0, -1.0, 1e-300)
 
 
 def test_brent_root_degenerate_bracket():
-    # an empty bracket is its own root and is never evaluated
-    assert _brent_root(lambda x: 1.0 / 0.0, 0.25, 0.25, 1e-12) == (0.25, 0)
+    # a root at a bracket end is returned as it is, and fn is never evaluated
+    assert _brent_root(lambda x: 1.0 / 0.0, 0.25, 0.0, 0.25, 0.0, 1e-12) == (0.25, 0)
+    # a root at the expansion's start is returned before any bracket is grown
+    assert _root_decreasing(lambda x: -x, 1e-12, "start") == (0.0, 0)
+
+
+@pytest.mark.parametrize("sched", [SCHED, ConstantCost(2.0)])
+@pytest.mark.parametrize("rho", [0.05, 0.5, 0.89, 0.97])
+def test_root_decreasing_evaluates_no_point_twice(rho, sched):
+    regime = Regime(rho, sched)
+    seen = []
+
+    def recorded(fn):
+        def wrapper(x):
+            seen.append(x)
+            return fn(x)
+        return wrapper
+
+    ac = lambda a: activation_residual(a, PRIM, regime.rho, regime.f_b)
+    a, _ = _root_decreasing(recorded(ac), 1e-15, "ac")
+    assert len(seen) == len(set(seen)) > 2
+    seen.clear()
+    locus = lambda t: fe_residual(regime.rho * t + a, t, PRIM, regime)
+    _root_decreasing(recorded(locus), 1e-12, "fe")
+    assert len(seen) == len(set(seen)) > 2
 
 
 def test_no_entry_pathology_reports_bracket_failure():
@@ -219,7 +276,7 @@ def test_fe_locus_single_peak(solved):
     p_star, a = eq.cutoffs.p_star, eq.cutoffs.a
     step = 0.05
     grid = [eq.cutoffs.t_star + step * (i - 60) for i in range(121)]
-    values = fe_locus_profile(p_star, grid, PRIM, regime)
+    values = [fe_residual(p_star, t, PRIM, regime) for t in grid]
     diffs = [b - a_ for a_, b in zip(values, values[1:])]
     signs = [d > 0 for d in diffs]
     switches = sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
@@ -232,7 +289,7 @@ def test_fe_locus_three_point_peak(solved):
     regime, eq, _ = solved(0.5)
     p_star = eq.cutoffs.p_star
     t_hat = (p_star - eq.cutoffs.a) / regime.rho
-    lo, mid, hi = fe_locus_profile(p_star, [t_hat - 0.3, t_hat, t_hat + 0.3], PRIM, regime)
+    lo, mid, hi = [fe_residual(p_star, t, PRIM, regime) for t in (t_hat - 0.3, t_hat, t_hat + 0.3)]
     assert mid > lo and mid > hi
 
 

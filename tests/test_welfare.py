@@ -15,7 +15,6 @@ from gatekeep import (
     log_welfare_derivative,
     solve_equilibrium,
     sweep_records,
-    welfare_curve,
     welfare_selection_burden,
 )
 from gatekeep import welfare
@@ -60,22 +59,29 @@ def test_labor_market_clears(rho, solved):
     assert labor == pytest.approx(PRIM.L, rel=1e-8)
 
 
-def test_welfare_curve_rows_and_failure_marker():
-    points = welfare_curve(PRIM, SCHED, [0.2, 0.5, 0.8])
-    assert [p.rho for p in points] == [0.2, 0.5, 0.8]
-    assert all(p.status == "ok" for p in points)
-    assert all(math.isfinite(p.welfare) for p in points)
+_W = welfare.SweepRecord.COLUMNS.index("W")
+
+
+def _rows(prim, grid):
+    return [rec.row() for rec in sweep_records(prim, SCHED, grid)]
+
+
+def test_sweep_rows_and_failure_marker():
+    rows = _rows(PRIM, [0.2, 0.5, 0.8])
+    assert [row[0] for row in rows] == [0.2, 0.5, 0.8]
+    assert all(row[-1] == "ok" for row in rows)
+    assert all(math.isfinite(row[_W]) for row in rows)
 
     bad_prim = Primitives(sigma=2.0, f=0.15, f_n=1e30, delta=0.1)
-    failed = welfare_curve(bad_prim, SCHED, [0.3, 0.6])
+    failed = _rows(bad_prim, [0.3, 0.6])
     assert len(failed) == 2
-    assert all(p.status.startswith("failed: BracketFailureError") for p in failed)
-    assert all(math.isnan(p.welfare) for p in failed)
+    assert all(row[-1].startswith("failed: BracketFailureError") for row in failed)
+    assert all(math.isnan(row[_W]) for row in failed)
 
 
-def test_welfare_curve_requires_sorted_grid():
+def test_sweep_records_requires_sorted_grid():
     with pytest.raises(DomainError):
-        welfare_curve(PRIM, SCHED, [0.5, 0.2])
+        sweep_records(PRIM, SCHED, [0.5, 0.2])
 
 
 def test_coarse_argmax_near_benchmark():
@@ -193,14 +199,14 @@ def test_bounded_decline_validates_inputs():
 
 def test_welfare_continuity_under_grid_refinement():
     # refining the grid by 10x must shrink the largest welfare jump, region by region
-    def max_jump(points):
-        ws = [p.welfare for p in points]
+    def max_jump(rows):
+        ws = [row[_W] for row in rows]
         return max(abs(b - a) for a, b in zip(ws, ws[1:]))
 
     regions = [(0.05, 0.36), (0.36, 0.67), (0.67, 0.98)]
     for lo, hi in regions:
-        coarse = welfare_curve(PRIM, SCHED, _grid(lo, hi, 0.02))
-        fine = welfare_curve(PRIM, SCHED, _grid(lo, hi, 0.002))
+        coarse = _rows(PRIM, _grid(lo, hi, 0.02))
+        fine = _rows(PRIM, _grid(lo, hi, 0.002))
         assert max_jump(fine) < 5.0 * max_jump(coarse)
 
 
