@@ -186,6 +186,7 @@ def _run_limits(config: RunConfig, quiet: bool) -> int:
 def _run_validate(config: RunConfig, quiet: bool) -> int:
     # numpy and scipy load here, on the one mode that needs them
     from .oracle import (
+        _z_score,
         estimate_aggregates,
         estimate_profit_given_signal,
         quadrature_reference,
@@ -235,7 +236,7 @@ def _run_validate(config: RunConfig, quiet: bool) -> int:
     est = estimate_profit_given_signal(
         t_probe, prim, regime.rho, cutoffs.p_star, config.mc_n, config.seed + 1
     )
-    z = (closed - est.mean) / est.std_error if est.std_error > 0 else 0.0
+    z = _z_score(closed, est)
     q = quadrature_reference(
         "pi_tilde", {"prim": prim, "rho": regime.rho, "p_star": cutoffs.p_star, "t": t_probe}
     )

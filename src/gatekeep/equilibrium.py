@@ -6,7 +6,9 @@ Condition pins down the intercept ``a`` of the log-linear activation locus
 and along that locus the Free-Entry residual ``J(t) = H(rho t + a, t)`` is
 strictly decreasing in ``t``, so each stage is one call to
 ``_root_decreasing``: a geometric bracket expansion from 0 whose endpoint
-residuals seed Brent, so no point is evaluated twice.
+residuals seed Brent, so no point is evaluated twice. Each stage's residual
+is cached on its argument, so the residual reported at a root is the value
+Brent already computed there, not a second evaluation.
 
 The root finder is an in-house, pure-Python Brent's method (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4). It is a line-by-line
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .economy import LogCutoffs, Primitives, Regime, expected_joint_profit, expected_profit_given_signal
 from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError, IterationCapError
@@ -164,11 +167,15 @@ def ac_residual(a: float, prim: Primitives, regime: Regime) -> float:
     return activation_residual(a, prim, regime.rho, regime.f_b)
 
 
-def _solve_activation_intercept(prim: Primitives, rho: float, activation_cost: float):
+def _activation_fn(prim: Primitives, rho: float, activation_cost: float):
+    """The activation residual as a function of a alone, cached on a."""
     if not activation_cost > 0.0:
         raise DomainError(f"activation cost must be positive, got {activation_cost!r}")
-    fn = lambda a: activation_residual(a, prim, rho, activation_cost)
-    return _root_decreasing(fn, 1e-15, "activation intercept")
+    return cache(lambda a: activation_residual(a, prim, rho, activation_cost))
+
+
+def _solve_activation_intercept(prim: Primitives, rho: float, activation_cost: float):
+    return _root_decreasing(_activation_fn(prim, rho, activation_cost), 1e-15, "activation intercept")
 
 
 def solve_ac_intercept(prim: Primitives, regime: Regime) -> float:
@@ -207,8 +214,12 @@ def solve_equilibrium(
     endpoints must straddle the root); used to probe uniqueness from
     dispersed starts.
     """
-    a, ac_iters = _solve_activation_intercept(prim, regime.rho, regime.f_b)
+    # Both residuals are cached on their argument: Brent has evaluated each
+    # stage at its root, which need not be the last point it tried.
+    ac_fn = _activation_fn(prim, regime.rho, regime.f_b)
+    a, ac_iters = _root_decreasing(ac_fn, 1e-15, "activation intercept")
 
+    @cache
     def locus_residual(t: float) -> float:
         return fe_residual(regime.rho * t + a, t, prim, regime)
 
@@ -222,8 +233,8 @@ def solve_equilibrium(
 
     sol = EquilibriumSolution(
         cutoffs=LogCutoffs(t_star=t_star, p_star=p_star, a=a),
-        ac_residual=ac_residual(a, prim, regime),
-        fe_residual=fe_residual(p_star, t_star, prim, regime),
+        ac_residual=ac_fn(a),
+        fe_residual=locus_residual(t_star),
         fe_stationarity=fe_stationarity(p_star, t_star, prim, regime),
         iterations=(ac_iters, fe_iters),
     )
@@ -265,7 +276,8 @@ def _survivor_entry_residual(
 
 
 def _solve_limit(prim: Primitives, fixed_cost: float, entry_cost: float, variant: str) -> MelitzLimit:
-    fn = lambda p: _survivor_entry_residual(p, prim, fixed_cost, entry_cost)
+    # cached, so the residual reported at the root is the one Brent computed
+    fn = cache(lambda p: _survivor_entry_residual(p, prim, fixed_cost, entry_cost))
     p_star, _ = _root_decreasing(fn, 1e-14, f"{variant} limit cutoff")
     return MelitzLimit(
         p_star=p_star,

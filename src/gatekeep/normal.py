@@ -10,7 +10,12 @@ Everything the closed-form economy layer needs reduces to four primitives:
 The bivariate CDF is a double-precision port of the Drezner-Wesolowsky
 scheme as refined by Genz (Gauss-Legendre quadrature on the arcsine
 transformation, with a separate expansion branch for ``|rho| >= 0.925``).
-Absolute accuracy is on the order of 5e-15 for ``|rho| <= 0.99``.
+Absolute accuracy is on the order of 5e-15 for ``|rho| <= 0.99``. The
+quadrature nodes depend on the correlation alone, so ``bvn_cdf`` builds them
+once per ``rho`` and keeps the last few in a bounded table; each node is the
+same float expression as in the uncached rule, so results are identical to
+it bit for bit. All kernels here are pure functions: the table changes how
+fast a value is computed, never the value.
 
 Tilted moments are combined in log space before exponentiation, so they are
 total on their mathematical domain and raise ``TiltOverflowError`` only when
@@ -21,10 +26,12 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 
 from .errors import DomainError, NearSingularCorrelationError, TiltOverflowError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
@@ -53,7 +60,7 @@ def std_normal_pdf(x: float) -> float:
 
 def std_normal_cdf(x: float) -> float:
     """CDF of N(0, 1); accepts +/-inf and is accurate in both tails."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def log_std_normal_cdf(x: float) -> float:
@@ -78,21 +85,53 @@ def _check_correlation(rho: float) -> None:
         )
 
 
+#: correlations whose quadrature nodes are kept; a solve uses one rho throughout
+_NODE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_NODE_CACHE_SIZE)
+def _arcsine_nodes(r: float):
+    """asin(r) and the (w, sn, 1 - sn^2) nodes of the |r| < 0.925 rule."""
+    asr = math.asin(r)
+    nodes = []
+    for xi, wi in zip(_GL20_X, _GL20_W):
+        for pm in (-1.0, 1.0):
+            sn = math.sin(asr * (1.0 + pm * xi) / 2.0)
+            nodes.append((wi, sn, 1.0 - sn * sn))
+    return asr, tuple(nodes)
+
+
+@lru_cache(maxsize=_NODE_CACHE_SIZE)
+def _expansion_nodes(r: float):
+    """(1 - r)(1 + r), its root a, and the nodes of the |r| >= 0.925 expansion.
+
+    Each node is (a w / 2, xs, rs, 1 - rs, 2 (1 + rs)).
+    """
+    a_sq = (1.0 - r) * (1.0 + r)
+    a = math.sqrt(a_sq)
+    half = a / 2.0
+    nodes = []
+    for xi, wi in zip(_GL20_X, _GL20_W):
+        for pm in (-1.0, 1.0):
+            xs = (half * (pm * xi + 1.0)) ** 2
+            rs = math.sqrt(1.0 - xs)
+            nodes.append((half * wi, xs, rs, 1.0 - rs, 2.0 * (1.0 + rs)))
+    return a_sq, a, tuple(nodes)
+
+
 def _bvn_upper(h: float, k: float, r: float) -> float:
     """P(X > h, Y > k) for standard bivariate normal with correlation r.
 
     Double-precision Drezner-Wesolowsky/Genz algorithm, 20-point
-    Gauss-Legendre rule throughout.
+    Gauss-Legendre rule throughout; the nodes come from the per-r tables.
     """
     hk = h * k
     bvn = 0.0
     if abs(r) < 0.925:
         hs = 0.5 * (h * h + k * k)
-        asr = math.asin(r)
-        for xi, wi in zip(_GL20_X, _GL20_W):
-            for pm in (-1.0, 1.0):
-                sn = math.sin(asr * (1.0 + pm * xi) / 2.0)
-                bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+        asr, nodes = _arcsine_nodes(r)
+        for wi, sn, den in nodes:
+            bvn += wi * math.exp((sn * hk - hs) / den)
         bvn = bvn * asr / (4.0 * math.pi) + std_normal_cdf(-h) * std_normal_cdf(-k)
         return bvn
     # High-correlation branch: expand about |r| = 1 (|r| < 1 is guaranteed
@@ -100,8 +139,7 @@ def _bvn_upper(h: float, k: float, r: float) -> float:
     if r < 0.0:
         k = -k
         hk = -hk
-    a_sq = (1.0 - r) * (1.0 + r)
-    a = math.sqrt(a_sq)
+    a_sq, a, nodes = _expansion_nodes(r)
     bs = (h - k) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
@@ -115,16 +153,12 @@ def _bvn_upper(h: float, k: float, r: float) -> float:
         b = math.sqrt(bs)
         sp = SQRT_2PI * std_normal_cdf(-b / a)
         bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
-    a /= 2.0
-    for xi, wi in zip(_GL20_X, _GL20_W):
-        for pm in (-1.0, 1.0):
-            xs = (a * (pm * xi + 1.0)) ** 2
-            rs = math.sqrt(1.0 - xs)
-            asr1 = -(bs / xs + hk) / 2.0
-            if asr1 > -100.0:
-                sp = 1.0 + c * xs * (1.0 + d * xs)
-                ep = math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-                bvn += a * wi * math.exp(asr1) * (ep - sp)
+    for awi, xs, rs, one_minus_rs, two_one_plus_rs in nodes:
+        asr1 = -(bs / xs + hk) / 2.0
+        if asr1 > -100.0:
+            sp = 1.0 + c * xs * (1.0 + d * xs)
+            ep = math.exp(-hk * one_minus_rs / two_one_plus_rs) / rs
+            bvn += awi * math.exp(asr1) * (ep - sp)
     bvn = -bvn / (2.0 * math.pi)
     if r > 0.0:
         bvn += std_normal_cdf(-max(h, k))

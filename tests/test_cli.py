@@ -159,6 +159,21 @@ def test_validate_mode_passes(cfg_path, tmp_path):
         assert abs(float(row[6])) <= 1e-8  # quadrature delta column
 
 
+def test_validate_zero_standard_error_is_not_a_match(tmp_path):
+    # one draw has no spread: pi_tilde's z-score follows the aggregate rows'
+    # rule and reads inf when the estimate misses, never a perfect 0
+    path = tmp_path / "one.cfg"
+    path.write_text(BASE + "mc_n = 1\n")
+    out = str(tmp_path / "one.csv")
+    assert main(["validate", "--config", str(path), "--out", out, "--quiet"]) == 3
+    _, header, rows = _read(out)
+    row = dict(zip(header, rows[-1]))
+    assert row["quantity"] == "pi_tilde"
+    assert float(row["mc_std_error"]) == 0.0
+    assert float(row["mc_mean"]) != float(row["closed_form"])
+    assert row["z_score"] == "inf"
+
+
 def test_solver_failure_exit_code(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(BASE.replace("f_n = 0.005", "f_n = 1e30"))

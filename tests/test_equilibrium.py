@@ -18,11 +18,13 @@ from gatekeep import (
     solve_equilibrium,
 )
 from gatekeep.economy import LogCutoffs
+from gatekeep import equilibrium
 from gatekeep.equilibrium import (
     BRACKET_BOUND,
     _brent_root,
     _root_decreasing,
     _solve_activation_intercept,
+    _survivor_entry_residual,
     activation_residual,
 )
 from gatekeep.errors import BracketFailureError, DomainError, IterationCapError
@@ -262,6 +264,63 @@ def test_root_decreasing_evaluates_no_point_twice(rho, sched):
     locus = lambda t: fe_residual(regime.rho * t + a, t, PRIM, regime)
     _root_decreasing(recorded(locus), 1e-12, "fe")
     assert len(seen) == len(set(seen)) > 2
+
+
+def _counted(monkeypatch, name):
+    """Count the calls the solver makes to equilibrium.<name>."""
+    fn, calls = getattr(equilibrium, name), []
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return fn(*args)
+
+    monkeypatch.setattr(equilibrium, name, wrapper)
+    return calls
+
+
+def _root_evaluations(fn, xtol):
+    seen = []
+    _root_decreasing(lambda x: seen.append(x) or fn(x), xtol, "count")
+    return len(seen)
+
+
+@pytest.mark.parametrize("sched", [SCHED, ConstantCost(2.0)])
+@pytest.mark.parametrize("rho", [0.05, 0.5, 0.89, 0.97])
+def test_solve_evaluates_each_residual_only_in_its_root_find(rho, sched, monkeypatch):
+    regime = Regime(rho, sched)
+    ac = lambda a: activation_residual(a, PRIM, regime.rho, regime.f_b)
+    a, _ = _root_decreasing(ac, 1e-15, "ac")
+    locus = lambda t: fe_residual(regime.rho * t + a, t, PRIM, regime)
+    ac_root_calls, fe_root_calls = _root_evaluations(ac, 1e-15), _root_evaluations(locus, 1e-12)
+
+    ac_calls = _counted(monkeypatch, "activation_residual")
+    fe_calls = _counted(monkeypatch, "fe_residual")
+    sol = solve_equilibrium(PRIM, regime)
+    monkeypatch.undo()
+    # the bracket-plus-Brent evaluations, and for free entry the two
+    # stationarity probes; no stage evaluates its root a second time
+    assert len(ac_calls) == ac_root_calls
+    assert len(fe_calls) == fe_root_calls + 2
+    c = sol.cutoffs
+    assert sol.ac_residual == activation_residual(c.a, PRIM, regime.rho, regime.f_b)
+    assert sol.ac_residual == ac_residual(c.a, PRIM, regime)
+    assert sol.fe_residual == fe_residual(c.p_star, c.t_star, PRIM, regime)
+
+
+@pytest.mark.parametrize("variant", ["zero_precision", "perfect_info"])
+def test_limit_residual_is_the_one_at_its_root(variant, monkeypatch):
+    if variant == "zero_precision":
+        solve, arg, fixed_cost, entry_cost = melitz_limit_zero, 3.0, PRIM.f, 3.0
+    else:
+        solve, arg = melitz_limit_perfect, 3.0
+        fixed_cost, entry_cost = PRIM.f + PRIM.delta * 3.0, PRIM.f_n
+    fn = lambda p: _survivor_entry_residual(p, PRIM, fixed_cost, entry_cost)
+    root_calls = _root_evaluations(fn, 1e-14)
+    calls = _counted(monkeypatch, "_survivor_entry_residual")
+    lim = solve(PRIM, arg)
+    monkeypatch.undo()
+    assert len(calls) == root_calls
+    assert lim.fe_residual == _survivor_entry_residual(lim.p_star, PRIM, fixed_cost, entry_cost)
 
 
 def test_no_entry_pathology_reports_bracket_failure():

@@ -1,11 +1,16 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatekeep.errors import DomainError, NearSingularCorrelationError, TiltOverflowError
+from gatekeep import normal
 from gatekeep.normal import (
+    _GL20_W,
+    _GL20_X,
+    SQRT_2PI,
     bvn_cdf,
     log_std_normal_cdf,
     std_normal_cdf,
@@ -143,6 +148,128 @@ def test_bvn_nan_rejected():
         bvn_cdf(math.nan, 0.0, 0.5)
     with pytest.raises(DomainError):
         bvn_cdf(0.0, 0.0, math.nan)
+
+
+def _reference_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _reference_bvn_upper(h, k, r):
+    # the Genz rule as it stood before the per-correlation node tables,
+    # nodes recomputed on every call
+    hk = h * k
+    bvn = 0.0
+    if abs(r) < 0.925:
+        hs = 0.5 * (h * h + k * k)
+        asr = math.asin(r)
+        for xi, wi in zip(_GL20_X, _GL20_W):
+            for pm in (-1.0, 1.0):
+                sn = math.sin(asr * (1.0 + pm * xi) / 2.0)
+                bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+        bvn = bvn * asr / (4.0 * math.pi) + _reference_cdf(-h) * _reference_cdf(-k)
+        return bvn
+    if r < 0.0:
+        k = -k
+        hk = -hk
+    a_sq = (1.0 - r) * (1.0 + r)
+    a = math.sqrt(a_sq)
+    bs = (h - k) ** 2
+    c = (4.0 - hk) / 8.0
+    d = (12.0 - hk) / 16.0
+    asr = -(bs / a_sq + hk) / 2.0
+    if asr > -100.0:
+        bvn = a * math.exp(asr) * (
+            1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
+            + c * d * a_sq * a_sq / 5.0
+        )
+    if -hk < 100.0:
+        b = math.sqrt(bs)
+        sp = SQRT_2PI * _reference_cdf(-b / a)
+        bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
+    a /= 2.0
+    for xi, wi in zip(_GL20_X, _GL20_W):
+        for pm in (-1.0, 1.0):
+            xs = (a * (pm * xi + 1.0)) ** 2
+            rs = math.sqrt(1.0 - xs)
+            asr1 = -(bs / xs + hk) / 2.0
+            if asr1 > -100.0:
+                sp = 1.0 + c * xs * (1.0 + d * xs)
+                ep = math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+                bvn += a * wi * math.exp(asr1) * (ep - sp)
+    bvn = -bvn / (2.0 * math.pi)
+    if r > 0.0:
+        bvn += _reference_cdf(-max(h, k))
+    else:
+        bvn = -bvn
+        if k > h:
+            bvn += _reference_cdf(k) - _reference_cdf(h)
+    return bvn
+
+
+def _reference_bvn_cdf(x, y, rho):
+    if math.isinf(x) or math.isinf(y):
+        if x == -math.inf or y == -math.inf:
+            return 0.0
+        if x == math.inf and y == math.inf:
+            return 1.0
+        return _reference_cdf(y) if x == math.inf else _reference_cdf(x)
+    return min(1.0, max(0.0, _reference_bvn_upper(-x, -y, rho)))
+
+
+def _assert_bit_exact(x, y, rho):
+    got, want = bvn_cdf(x, y, rho), _reference_bvn_cdf(x, y, rho)
+    assert got == want, (x, y, rho, got, want)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want), (x, y, rho)
+
+
+_BRANCH_EDGE = (
+    math.nextafter(0.925, 0.0), 0.925, math.nextafter(0.925, 1.0),
+    -math.nextafter(0.925, 0.0), -0.925, -math.nextafter(0.925, 1.0),
+)
+
+
+def test_bvn_node_tables_bit_exact_in_both_branches():
+    rng = random.Random(20261018)
+    rhos = (
+        [rng.uniform(-0.999, 0.999) for _ in range(60)]
+        + [s * rng.uniform(0.925, 1.0 - 1e-12) for s in (1.0, -1.0) for _ in range(20)]
+        + list(_BRANCH_EDGE)
+        + [0.0, -0.0, 0.5, -0.5, 0.99, -0.99, 1.0 - 1e-12, -(1.0 - 1e-12)]
+    )
+    for rho in rhos:
+        for _ in range(25):
+            _assert_bit_exact(rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0), rho)
+        for x, y in ((0.0, 0.0), (40.0, -40.0), (-40.0, 40.0), (37.0, 0.3), (-0.3, -9.0)):
+            _assert_bit_exact(x, y, rho)
+
+
+def test_bvn_node_tables_bit_exact_at_infinite_arguments():
+    for rho in (0.0, -0.0, 0.5, -0.97, *_BRANCH_EDGE):
+        for inf in (math.inf, -math.inf):
+            for other in (inf, -inf, -1.3, 0.0, 2.4):
+                _assert_bit_exact(inf, other, rho)
+                _assert_bit_exact(other, inf, rho)
+
+
+def test_bvn_node_tables_bit_exact_under_eviction():
+    # more distinct correlations than the tables hold, visited round-robin,
+    # so every call in the second and third rounds rebuilds evicted nodes
+    rng = random.Random(7)
+    rhos = [rng.uniform(-0.999, 0.999) for _ in range(3 * normal._NODE_CACHE_SIZE)]
+    rhos += [s * rng.uniform(0.93, 0.999) for s in (1.0, -1.0) for _ in range(normal._NODE_CACHE_SIZE)]
+    points = [(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(3)]
+    for _ in range(3):
+        for rho in rhos:
+            for x, y in points:
+                _assert_bit_exact(x, y, rho)
+
+
+def test_bvn_node_tables_stay_bounded():
+    for i in range(1000):
+        rho = -0.999 + 1.998 * i / 999
+        bvn_cdf(0.3, -0.2, rho)
+    for table in (normal._arcsine_nodes, normal._expansion_nodes):
+        assert 0 < table.cache_info().currsize <= normal._NODE_CACHE_SIZE
 
 
 def test_tilted_reduces_to_tail_probability():
