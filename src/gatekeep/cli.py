@@ -299,36 +299,22 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {"mode": args.command}
+    for key in ("out", "svg", "seed"):
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     try:
+        if args.grid is not None:
+            overrides["grid"] = GridSpec.parse(args.grid)
         with open(args.config, encoding="utf-8") as fh:
-            config = parse_config(fh.read())
-    except OSError as exc:
+            config = replace(parse_config(fh.read()), **overrides)
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    overrides: dict = {"mode": args.command}
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.svg is not None:
-        overrides["svg"] = args.svg
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.grid is not None:
-        parts = args.grid.split(":")
-        if len(parts) != 3:
-            print(f"--grid must be start:stop:step, got {args.grid!r}", file=sys.stderr)
-            return 1
-        try:
-            overrides["grid"] = GridSpec(*(float(p) for p in parts))
-        except (ValueError, ValidationError) as exc:
-            print(f"--grid: {exc}", file=sys.stderr)
-            return 1
-    try:
-        config = replace(config, **overrides)
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # a --grid that did not parse is named; every other error names its key
+        flag = "--grid: " if args.grid is not None and "grid" not in overrides else ""
+        print(f"config error: {flag}{exc}", file=sys.stderr)
         return 1
     return run(config, quiet=args.quiet)
 

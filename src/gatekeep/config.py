@@ -3,15 +3,21 @@
 Grammar: INI-like sections ``[primitives]``, ``[schedule]``, ``[run]`` whose
 bodies are ``key = value`` lines; blank lines and lines starting with ``#``
 or ``;`` are ignored. Unknown sections or keys are rejected with their
-position; value constraints are reported as ValidationError naming the
-violated invariant. ``format_config`` renders a canonical text that parses
-back to an equal RunConfig.
+position. The keys of ``[primitives]`` and of each schedule kind are the
+fields of the dataclass they build; ``[run]`` keys are the rows of one
+ordered table that both parsing and ``format_config`` walk.
+
+Every ``[run]`` invariant is checked when a ``RunConfig`` is built, so a
+parsed config, a flag override applied with ``dataclasses.replace`` and a
+config built in Python all fail the same way, with a ValidationError naming
+the violated ``run.<key>``. ``format_config`` renders a canonical text that
+parses back to an equal RunConfig.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .economy import (
     ConstantCost,
@@ -25,16 +31,13 @@ from .errors import DomainError, ParseError, ValidationError
 
 MODES = ("solve", "sweep", "optimum", "pigouvian", "limits", "validate")
 
-_PRIMITIVE_KEYS = ("sigma", "f", "f_n", "delta", "L")
-_SCHEDULE_KEYS = {
-    "constant": ("f_b",),
-    "power_bounded": ("f_b0", "kappa", "alpha"),
-    "piecewise_linear": ("rho_low", "rho_high", "f_low", "f_high"),
-    "hyperbolic": ("f_b0",),
+#: schedule kind -> the dataclass it builds; its fields are the kind's keys
+_SCHEDULES = {
+    "constant": ConstantCost,
+    "power_bounded": PowerBoundedCost,
+    "piecewise_linear": PiecewiseLinearCost,
+    "hyperbolic": HyperbolicCost,
 }
-_RUN_KEYS = (
-    "mode", "rho", "grid", "seed", "out", "svg", "s_points", "f_e0", "f_b_bar", "mc_n",
-)
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,20 @@ class GridSpec:
             )
         if not self.step > 0.0:
             raise ValidationError(f"grid step must be positive, got {self.step!r}")
+
+    @classmethod
+    def parse(cls, text: str, line: int | None = None, column: int | None = None) -> GridSpec:
+        """A grid from its ``start:stop:step`` text; line and column locate errors."""
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ParseError(f"grid must be start:stop:step, got {text!r}", line, column)
+        try:
+            start, stop, step = (float(p) for p in parts)
+        except ValueError:
+            raise ParseError(
+                f"grid components must be numbers, got {text!r}", line, column
+            ) from None
+        return cls(start, stop, step)
 
     def points(self) -> list[float]:
         out = []
@@ -86,9 +103,26 @@ class RunConfig:
     mc_n: int = 10_000_000
 
     def __post_init__(self):
-        # numpy's generators take no negative seed; a --seed override lands here too
+        # format_config, and so the provenance hash, can write only these kinds
+        if type(self.schedule) not in _SCHEDULES.values():
+            raise ValidationError(
+                f"schedule must be one of {sorted(_SCHEDULES)}, got {type(self.schedule).__name__}"
+            )
+        if self.mode not in MODES:
+            raise ValidationError(f"run.mode must be one of {list(MODES)}, got {self.mode!r}")
+        if self.rho is not None and not 0.0 < self.rho < 1.0:
+            raise ValidationError(f"run.rho must lie in (0, 1), got {self.rho!r}")
+        # numpy's generators take no negative seed
         if self.seed < 0:
             raise ValidationError(f"run.seed must be non-negative, got {self.seed!r}")
+        if self.s_points < 3:
+            raise ValidationError(f"run.s_points must be at least 3, got {self.s_points!r}")
+        for key in ("f_e0", "f_b_bar"):
+            value = getattr(self, key)
+            if value is not None and not value > 0.0:
+                raise ValidationError(f"run.{key} must be positive, got {value!r}")
+        if self.mc_n < 1:
+            raise ValidationError(f"run.mc_n must be positive, got {self.mc_n!r}")
 
 
 @dataclass
@@ -142,174 +176,91 @@ def _reject_unknown(section: str, entries: dict[str, _RawEntry], allowed) -> Non
             raise ParseError(f"unknown key '{key}' in [{section}]", entry.line, entry.column)
 
 
-def _required(section: str, entries: dict[str, _RawEntry], key: str) -> _RawEntry:
-    if key not in entries:
-        raise ValidationError(f"{section}.{key} is required")
-    return entries[key]
-
-
-def _as_float(section: str, key: str, entry: _RawEntry) -> float:
+def _convert(section: str, key: str, entry: _RawEntry, kind):
+    """The value of one entry as the type kind: str, int, float or GridSpec."""
+    if kind is str:
+        return entry.value
+    if kind is GridSpec:
+        return GridSpec.parse(entry.value, entry.line, entry.column)
     try:
-        return float(entry.value)
+        return kind(entry.value)
     except ValueError:
+        noun = "an integer" if kind is int else "a number"
         raise ParseError(
-            f"{section}.{key}: expected a number, got {entry.value!r}", entry.line, entry.column
+            f"{section}.{key}: expected {noun}, got {entry.value!r}", entry.line, entry.column
         ) from None
 
 
-def _as_int(section: str, key: str, entry: _RawEntry) -> int:
+#: [run] key -> type, in the order ``format_config`` writes the keys
+_RUN_KEYS = {
+    "mode": str,
+    "seed": int,
+    "rho": float,
+    "grid": GridSpec,
+    "out": str,
+    "svg": str,
+    "s_points": int,
+    "f_e0": float,
+    "f_b_bar": float,
+    "mc_n": int,
+}
+
+
+def _build(section: str, entries: dict[str, _RawEntry], cls, allowed=()):
+    """An instance of the dataclass cls from a section of numeric keys, one per field."""
+    names = [fld.name for fld in fields(cls)]
+    _reject_unknown(section, entries, (*allowed, *names))
+    values = {}
+    for fld in fields(cls):
+        if fld.name in entries:
+            values[fld.name] = _convert(section, fld.name, entries[fld.name], float)
+        elif fld.default is MISSING:
+            raise ValidationError(f"{section}.{fld.name} is required")
     try:
-        return int(entry.value)
-    except ValueError:
-        raise ParseError(
-            f"{section}.{key}: expected an integer, got {entry.value!r}", entry.line, entry.column
-        ) from None
-
-
-def _parse_grid(entry: _RawEntry) -> GridSpec:
-    parts = entry.value.split(":")
-    if len(parts) != 3:
-        raise ParseError(
-            f"grid must be start:stop:step, got {entry.value!r}", entry.line, entry.column
-        )
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ParseError(
-            f"grid components must be numbers, got {entry.value!r}", entry.line, entry.column
-        ) from None
-    return GridSpec(start, stop, step)
-
-
-def _build_schedule(entries: dict[str, _RawEntry]) -> CostSchedule:
-    kind_entry = _required("schedule", entries, "kind")
-    kind = kind_entry.value
-    if kind not in _SCHEDULE_KEYS:
-        raise ValidationError(
-            f"schedule.kind must be one of {sorted(_SCHEDULE_KEYS)}, got {kind!r}"
-        )
-    _reject_unknown("schedule", entries, ("kind",) + _SCHEDULE_KEYS[kind])
-    values = {
-        key: _as_float("schedule", key, _required("schedule", entries, key))
-        for key in _SCHEDULE_KEYS[kind]
-    }
-    try:
-        if kind == "constant":
-            return ConstantCost(values["f_b"])
-        if kind == "power_bounded":
-            return PowerBoundedCost(values["f_b0"], values["kappa"], values["alpha"])
-        if kind == "piecewise_linear":
-            return PiecewiseLinearCost(
-                values["rho_low"], values["rho_high"], values["f_low"], values["f_high"]
-            )
-        return HyperbolicCost(values["f_b0"])
+        return cls(**values)
     except DomainError as exc:
         raise ValidationError(str(exc)) from None
+
+
+def _section(sections, name: str) -> dict[str, _RawEntry]:
+    if name not in sections:
+        raise ValidationError(f"section [{name}] is required")
+    return sections[name]
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a configuration text."""
     sections = _scan(text)
+    primitives = _build("primitives", _section(sections, "primitives"), Primitives)
 
-    prim_entries = sections.get("primitives")
-    if prim_entries is None:
-        raise ValidationError("section [primitives] is required")
-    _reject_unknown("primitives", prim_entries, _PRIMITIVE_KEYS)
-    prim_values = {
-        key: _as_float("primitives", key, _required("primitives", prim_entries, key))
-        for key in ("sigma", "f", "f_n", "delta")
-    }
-    if "L" in prim_entries:
-        prim_values["L"] = _as_float("primitives", "L", prim_entries["L"])
-    try:
-        primitives = Primitives(**prim_values)
-    except DomainError as exc:
-        raise ValidationError(str(exc)) from None
-
-    sched_entries = sections.get("schedule")
-    if sched_entries is None:
-        raise ValidationError("section [schedule] is required")
-    schedule = _build_schedule(sched_entries)
+    sched_entries = _section(sections, "schedule")
+    if "kind" not in sched_entries:
+        raise ValidationError("schedule.kind is required")
+    kind = sched_entries["kind"].value
+    if kind not in _SCHEDULES:
+        raise ValidationError(f"schedule.kind must be one of {sorted(_SCHEDULES)}, got {kind!r}")
+    schedule = _build("schedule", sched_entries, _SCHEDULES[kind], allowed=("kind",))
 
     run_entries = sections.get("run", {})
     _reject_unknown("run", run_entries, _RUN_KEYS)
-    kwargs: dict = {}
-    if "mode" in run_entries:
-        mode = run_entries["mode"].value
-        if mode not in MODES:
-            raise ValidationError(f"run.mode must be one of {list(MODES)}, got {mode!r}")
-        kwargs["mode"] = mode
-    if "rho" in run_entries:
-        rho = _as_float("run", "rho", run_entries["rho"])
-        if not 0.0 < rho < 1.0:
-            raise ValidationError(f"run.rho must lie in (0, 1), got {rho!r}")
-        kwargs["rho"] = rho
-    if "grid" in run_entries:
-        kwargs["grid"] = _parse_grid(run_entries["grid"])
-    if "seed" in run_entries:
-        kwargs["seed"] = _as_int("run", "seed", run_entries["seed"])
-    for key in ("out", "svg"):
-        if key in run_entries:
-            kwargs[key] = run_entries[key].value
-    if "s_points" in run_entries:
-        s_points = _as_int("run", "s_points", run_entries["s_points"])
-        if s_points < 3:
-            raise ValidationError(f"run.s_points must be at least 3, got {s_points!r}")
-        kwargs["s_points"] = s_points
-    for key in ("f_e0", "f_b_bar"):
-        if key in run_entries:
-            value = _as_float("run", key, run_entries[key])
-            if not value > 0.0:
-                raise ValidationError(f"run.{key} must be positive, got {value!r}")
-            kwargs[key] = value
-    if "mc_n" in run_entries:
-        mc_n = _as_int("run", "mc_n", run_entries["mc_n"])
-        if mc_n < 1:
-            raise ValidationError(f"run.mc_n must be positive, got {mc_n!r}")
-        kwargs["mc_n"] = mc_n
-    return RunConfig(primitives=primitives, schedule=schedule, **kwargs)
-
-
-_SCHEDULE_KINDS = {
-    ConstantCost: "constant",
-    PowerBoundedCost: "power_bounded",
-    PiecewiseLinearCost: "piecewise_linear",
-    HyperbolicCost: "hyperbolic",
-}
+    run = {key: _convert("run", key, run_entries[key], kind)
+           for key, kind in _RUN_KEYS.items() if key in run_entries}
+    return RunConfig(primitives=primitives, schedule=schedule, **run)
 
 
 def format_config(config: RunConfig) -> str:
     """Render a config as canonical text; parse_config(format_config(c)) == c."""
-    prim = config.primitives
-    lines = [
-        "[primitives]",
-        f"sigma = {prim.sigma!r}",
-        f"f = {prim.f!r}",
-        f"f_n = {prim.f_n!r}",
-        f"delta = {prim.delta!r}",
-        f"L = {prim.L!r}",
-        "",
-        "[schedule]",
-    ]
-    kind = _SCHEDULE_KINDS[type(config.schedule)]
-    lines.append(f"kind = {kind}")
-    for key in _SCHEDULE_KEYS[kind]:
-        lines.append(f"{key} = {getattr(config.schedule, key)!r}")
-    lines += ["", "[run]", f"mode = {config.mode}", f"seed = {config.seed}"]
-    if config.rho is not None:
-        lines.append(f"rho = {config.rho!r}")
-    if config.grid is not None:
-        lines.append(f"grid = {config.grid}")
-    for key in ("out", "svg"):
+    prim, schedule = config.primitives, config.schedule
+    kind = next(k for k, cls in _SCHEDULES.items() if type(schedule) is cls)
+    lines = ["[primitives]"]
+    lines += [f"{fld.name} = {getattr(prim, fld.name)!r}" for fld in fields(prim)]
+    lines += ["", "[schedule]", f"kind = {kind}"]
+    lines += [f"{fld.name} = {getattr(schedule, fld.name)!r}" for fld in fields(schedule)]
+    lines += ["", "[run]"]
+    for key in _RUN_KEYS:
         value = getattr(config, key)
         if value is not None:
             lines.append(f"{key} = {value}")
-    lines.append(f"s_points = {config.s_points}")
-    if config.f_e0 is not None:
-        lines.append(f"f_e0 = {config.f_e0!r}")
-    if config.f_b_bar is not None:
-        lines.append(f"f_b_bar = {config.f_b_bar!r}")
-    lines.append(f"mc_n = {config.mc_n}")
     return "\n".join(lines) + "\n"
 
 

@@ -196,6 +196,11 @@ def fe_residual(p_star: float, t_star: float, prim: Primitives, regime: Regime) 
     return pi_breve_over_f - gate - prim.delta * prim.f_n / prim.f
 
 
+def _locus_fn(prim: Primitives, regime: Regime, a: float):
+    """The free-entry residual on the locus p* = rho t + a, as a function of t."""
+    return lambda t: fe_residual(regime.rho * t + a, t, prim, regime)
+
+
 def fe_stationarity(
     p_star: float, t_star: float, prim: Primitives, regime: Regime, step: float = _STATIONARITY_STEP
 ) -> float:
@@ -218,11 +223,7 @@ def solve_equilibrium(
     # stage at its root, which need not be the last point it tried.
     ac_fn = _activation_fn(prim, regime.rho, regime.f_b)
     a, ac_iters = _root_decreasing(ac_fn, 1e-15, "activation intercept")
-
-    @cache
-    def locus_residual(t: float) -> float:
-        return fe_residual(regime.rho * t + a, t, prim, regime)
-
+    locus_residual = cache(_locus_fn(prim, regime, a))
     if t_bracket is None:
         t_star, fe_iters = _root_decreasing(locus_residual, 1e-12, "free-entry cutoff")
     else:

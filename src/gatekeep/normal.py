@@ -25,7 +25,6 @@ the *result* exceeds the double exponent range.
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 
 from .errors import DomainError, NearSingularCorrelationError, TiltOverflowError
@@ -33,7 +32,6 @@ from .errors import DomainError, NearSingularCorrelationError, TiltOverflowError
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 #: correlations with |rho| above this are rejected as numerically singular
 NEAR_SINGULAR_RHO = 1.0 - 1e-12
@@ -193,16 +191,18 @@ def exp_tilt(log_val: float, what: str) -> float:
     """exp(log_val) of a moment held in log space; 0.0 at -inf.
 
     Raises ``TiltOverflowError`` naming ``what`` when the result exceeds the
-    double range, where ``math.exp`` would raise a bare ``OverflowError``.
+    double range: where ``math.exp`` would raise a bare ``OverflowError``, and
+    at a log value of +inf, where it would return inf.
     """
     if log_val == -math.inf:
         return 0.0
     try:
-        return math.exp(log_val)
+        value = math.exp(log_val)
     except OverflowError:
-        raise TiltOverflowError(
-            f"{what} exceeds the double exponent range (log value {log_val!r})"
-        ) from None
+        value = math.inf
+    if value == math.inf:
+        raise TiltOverflowError(f"{what} exceeds the double exponent range (log value {log_val!r})")
+    return value
 
 
 def log_tilted_upper_tail(k: float, c: float) -> float:
@@ -218,14 +218,7 @@ def tilted_upper_tail(k: float, c: float) -> float:
     Raises ``TiltOverflowError`` when the result exceeds the double range;
     never silently saturates.
     """
-    log_val = log_tilted_upper_tail(k, c)
-    if log_val == -math.inf:
-        return 0.0
-    if log_val > _LOG_DBL_MAX:
-        raise TiltOverflowError(
-            f"tilted_upper_tail(k={k!r}, c={c!r}) exceeds the double exponent range"
-        )
-    return math.exp(log_val)
+    return exp_tilt(log_tilted_upper_tail(k, c), f"tilted_upper_tail(k={k!r}, c={c!r})")
 
 
 def log_tilted_upper_tail2(k: float, p_c: float, t_c: float, rho: float) -> float:
@@ -246,12 +239,7 @@ def tilted_upper_tail2(k: float, p_c: float, t_c: float, rho: float) -> float:
 
     (P, T) is standard bivariate normal with correlation rho.
     """
-    log_val = log_tilted_upper_tail2(k, p_c, t_c, rho)
-    if log_val == -math.inf:
-        return 0.0
-    if log_val > _LOG_DBL_MAX:
-        raise TiltOverflowError(
-            f"tilted_upper_tail2(k={k!r}, p_c={p_c!r}, t_c={t_c!r}, rho={rho!r}) "
-            "exceeds the double exponent range"
-        )
-    return math.exp(log_val)
+    return exp_tilt(
+        log_tilted_upper_tail2(k, p_c, t_c, rho),
+        f"tilted_upper_tail2(k={k!r}, p_c={p_c!r}, t_c={t_c!r}, rho={rho!r})",
+    )

@@ -18,9 +18,9 @@ from .equilibrium import (
     BRACKET_BOUND,
     EquilibriumSolution,
     _brent_root,
+    _locus_fn,
     _root_decreasing,
     _solve_activation_intercept,
-    fe_residual,
     solve_equilibrium,
 )
 from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError
@@ -144,9 +144,7 @@ def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
         return welfare_selection_burden(prim, agg.s_term, agg.b_term)
     rho = regime.rho
     a_s, _ = _solve_activation_intercept(prim, rho, f_b - s)
-
-    def locus_residual(t: float) -> float:
-        return fe_residual(rho * t + a_s, t, prim, regime)
+    locus_residual = _locus_fn(prim, regime, a_s)
 
     # Off s=0 the locus residual is not provably monotone: scan for the
     # first sign change before handing a bracket to Brent.

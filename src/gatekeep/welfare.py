@@ -186,19 +186,17 @@ def sweep_records(prim: Primitives, schedule: CostSchedule, rho_grid) -> list[Sw
     records = []
     for rho in rho_grid:
         try:
-            regime = Regime(rho, schedule)
-            eq = solve_equilibrium(prim, regime)
-            agg = compute_aggregates(prim, regime, eq)
-            records.append(SweepRecord(rho=rho, eq=eq, agg=agg))
+            records.append(_solve_point(prim, schedule, rho))
         except GatekeepError as exc:
             records.append(SweepRecord(rho=rho, eq=None, agg=None, error=exc))
     return records
 
 
-def _welfare_at(prim: Primitives, rho: float, schedule: CostSchedule) -> float:
+def _solve_point(prim: Primitives, schedule: CostSchedule, rho: float) -> SweepRecord:
+    """Solution and aggregates at one precision; a failure raises."""
     regime = Regime(rho, schedule)
     eq = solve_equilibrium(prim, regime)
-    return compute_aggregates(prim, regime, eq).welfare
+    return SweepRecord(rho=rho, eq=eq, agg=compute_aggregates(prim, regime, eq))
 
 
 @dataclass(frozen=True)
@@ -228,12 +226,7 @@ def log_welfare_derivative(prim: Primitives, regime: Regime, h: float = 1e-4) ->
             )
     if not (0.0 < rho - h and rho + h < 1.0):
         raise DomainError(f"rho +/- h must stay inside (0, 1), got rho={rho!r}, h={h!r}")
-
-    def _solve(r):
-        reg = Regime(r, schedule)
-        return compute_aggregates(prim, reg, solve_equilibrium(prim, reg))
-
-    up, down = _solve(rho + h), _solve(rho - h)
+    up, down = (_solve_point(prim, schedule, r).agg for r in (rho + h, rho - h))
     scale = 1.0 / (2.0 * h)
     return LogWelfareDerivative(
         dlogW=(math.log(up.welfare) - math.log(down.welfare)) * scale,
@@ -301,7 +294,8 @@ def find_optimal_precision(
     idx = next(i for i, r in enumerate(solved) if r.rho == best.rho)
     lo = solved[idx - 1].rho if idx > 0 else grid[0]
     hi = solved[idx + 1].rho if idx + 1 < len(solved) else grid[-1]
-    rho_w, w = _golden_section_max(lambda r: _welfare_at(prim, r, schedule), lo, hi, refine_tol)
+    welfare_at = lambda r: _solve_point(prim, schedule, r).agg.welfare
+    rho_w, w = _golden_section_max(welfare_at, lo, hi, refine_tol)
     return OptimalPrecision(rho_w=rho_w, welfare=w, boundary=False)
 
 
@@ -331,11 +325,11 @@ def bounded_decline_certificate(
         raise DomainError(f"need 0 < rho_low < rho_high < 1, got ({rho_low!r}, {rho_high!r})")
     if not f_low > 0.0:
         raise DomainError(f"f_low must be positive, got {f_low!r}")
-    w_low = _welfare_at(prim, rho_low, ConstantCost(f_low))
+    w_low = _solve_point(prim, ConstantCost(f_low), rho_low).agg.welfare
     f_high = f_low
     path = []
     for _ in range(max_doublings + 1):
-        w_high = _welfare_at(prim, rho_high, ConstantCost(f_high))
+        w_high = _solve_point(prim, ConstantCost(f_high), rho_high).agg.welfare
         path.append((f_high, w_high))
         if w_high < w_low:
             return DeclineCertificate(

@@ -201,6 +201,24 @@ def test_bad_grid_flag(cfg_path):
     assert main(["sweep", "--config", cfg_path, "--grid", "0.1:0.9"]) == 1
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0.1:0.9", "grid must be start:stop:step, got '0.1:0.9'"),
+    ("0.9:0.1:0.1", "grid must satisfy 0 < start < stop < 1, got 0.9:0.1:0.1"),
+])
+def test_bad_grid_flag_is_a_config_error(grid, message, cfg_path):
+    proc = _python(["-m", "gatekeep", "sweep", "--config", cfg_path, "--grid", grid, "--quiet"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"config error: --grid: {message}\n"
+
+
+def test_undecodable_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"[primitives]\nsigma = \xff\n")
+    assert main(["solve", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("cannot read config: 'utf-8' codec can't decode")
+
+
 def test_solve_row_matches_sweep_row(tmp_path):
     # rho = 0.4 is the second point of the 0.2:0.8:0.2 grid
     path = tmp_path / "row.cfg"

@@ -1,6 +1,9 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from gatekeep import GridSpec, PowerBoundedCost, parse_config
+from gatekeep import CostSchedule, GridSpec, PowerBoundedCost, Primitives, RunConfig, parse_config
 from gatekeep.config import config_hash, format_config
 from gatekeep.errors import ParseError, ValidationError
 
@@ -141,3 +144,123 @@ def test_grid_points_include_endpoints():
     assert len(pts) == 94
     assert pts[0] == pytest.approx(0.05)
     assert pts[-1] == pytest.approx(0.98)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mode", "bogus"),
+    ("rho", 1.5),
+    ("rho", 0.0),
+    ("rho", float("nan")),
+    ("seed", -1),
+    ("s_points", 2),
+    ("f_e0", 0.0),
+    ("f_b_bar", -1.0),
+    ("mc_n", 0),
+])
+def test_hand_built_config_is_checked(key, value):
+    prim, sched = Primitives(2.0, 0.15, 0.005, 0.1), PowerBoundedCost(3.0, 2.0, 8.0)
+    with pytest.raises(ValidationError, match=rf"^run\.{key} "):
+        RunConfig(prim, sched, **{key: value})
+
+
+def test_hand_built_schedule_must_have_a_config_kind():
+    # format_config cannot write any other schedule, so the run would have no provenance hash
+    class Flat(CostSchedule):
+        def cost(self, rho):
+            return 2.0
+
+    with pytest.raises(ValidationError, match="schedule must be one of .*, got Flat"):
+        RunConfig(Primitives(2.0, 0.15, 0.005, 0.1), Flat())
+
+
+def test_override_is_checked():
+    # a pigouvian run with one transfer point used to divide by zero
+    with pytest.raises(ValidationError, match="run.s_points must be at least 3, got 1"):
+        replace(parse_config(FIG3_TEXT), mode="pigouvian", rho=0.5, s_points=1)
+
+
+def test_run_errors_name_their_key_in_config_text():
+    for line, message in (
+        ("rho = 1.5", "run.rho must lie in (0, 1), got 1.5"),
+        ("mc_n = 0", "run.mc_n must be positive, got 0"),
+        ("f_b_bar = -1.0", "run.f_b_bar must be positive, got -1.0"),
+        ("s_points = 2", "run.s_points must be at least 3, got 2"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            parse_config(FIG3_TEXT + line + "\n")
+        assert str(err.value) == message
+
+
+def test_grid_parse_locates_its_errors():
+    with pytest.raises(ParseError) as err:
+        GridSpec.parse("0.1:0.9", line=4, column=2)
+    assert str(err.value) == "line 4, column 2: grid must be start:stop:step, got '0.1:0.9'"
+    with pytest.raises(ParseError, match="^grid components must be numbers"):
+        GridSpec.parse("0.1:x:0.1")
+    assert GridSpec.parse("0.05:0.98:0.01") == GridSpec(0.05, 0.98, 0.01)
+
+
+BENCHMARK_CANONICAL = """\
+[primitives]
+sigma = 2.0
+f = 0.15
+f_n = 0.005
+delta = 0.1
+L = 1.0
+
+[schedule]
+kind = power_bounded
+f_b0 = 3.0
+kappa = 2.0
+alpha = 8.0
+
+[run]
+mode = sweep
+seed = 20260809
+rho = 0.89
+grid = 0.05:0.98:0.01
+s_points = 41
+mc_n = 10000000
+"""
+
+
+def test_benchmark_config_canonical_text():
+    with open(Path(__file__).parents[1] / "benchmark.cfg", encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    assert format_config(cfg) == BENCHMARK_CANONICAL
+    assert config_hash(cfg) == "b50e0f2edb546aa2"
+    # the hash a solve run writes in its provenance line
+    assert config_hash(replace(cfg, mode="solve")) == "ba127f199622218b"
+
+
+FULL_RUN = """\
+[run]
+mode = pigouvian
+seed = 7
+rho = 0.5
+grid = 0.05:0.98:0.01
+out = a.csv
+svg = b.svg
+s_points = 21
+f_e0 = 3.005
+f_b_bar = 3.0
+mc_n = 1000
+"""
+
+
+@pytest.mark.parametrize("schedule, digest", [
+    ("kind = constant\nf_b = 2.0\n", "ca5b43f42139d503"),
+    ("kind = power_bounded\nf_b0 = 3.0\nkappa = 2.0\nalpha = 8.0\n", "7d559d88e5486aa6"),
+    ("kind = piecewise_linear\nrho_low = 0.3\nrho_high = 0.9\nf_low = 1.0\nf_high = 5.0\n",
+     "bdfc23eb8715babf"),
+    ("kind = hyperbolic\nf_b0 = 1.5\n", "60399c9197ec319c"),
+])
+def test_every_run_key_canonical_text(schedule, digest):
+    prim = "[primitives]\nsigma = 2.0\nf = 0.15\nf_n = 0.005\ndelta = 0.1\n"
+    # the run keys are given out of their canonical order
+    run = "[run]\nmc_n = 1000\nsvg = b.svg\nf_b_bar = 3.0\nout = a.csv\ngrid = 0.05:0.98:0.01\n" \
+        "s_points = 21\nrho = 0.5\nf_e0 = 3.005\nseed = 7\nmode = pigouvian\n"
+    cfg = parse_config(prim + "[schedule]\n" + schedule + run)
+    canonical = prim + "L = 1.0\n\n[schedule]\n" + schedule + "\n" + FULL_RUN
+    assert format_config(cfg) == canonical
+    assert config_hash(cfg) == digest

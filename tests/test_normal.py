@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from gatekeep.normal import (
     _GL20_X,
     SQRT_2PI,
     bvn_cdf,
+    exp_tilt,
     log_std_normal_cdf,
     std_normal_cdf,
     std_normal_pdf,
@@ -296,6 +299,29 @@ def test_tilted_overflow_signals():
         tilted_upper_tail(60.0, 0.0)
     # deep truncation keeps the value representable even when exp(k^2/2) is not
     assert tilted_upper_tail(40.0, 100.0) < 1e-250
+
+
+@pytest.mark.parametrize("k", [math.inf, 1e200])
+def test_tilted_overflow_at_infinite_log_value(k):
+    # k*k/2 is inf here; math.exp(inf) returns inf without an OverflowError
+    with pytest.raises(TiltOverflowError, match=re.escape(f"tilted_upper_tail(k={k!r}, c=0.0)")):
+        tilted_upper_tail(k, 0.0)
+
+
+def test_tilted2_overflow_names_its_arguments():
+    what = "tilted_upper_tail2(k=60.0, p_c=0.0, t_c=0.0, rho=0.5)"
+    with pytest.raises(TiltOverflowError, match=re.escape(what)):
+        tilted_upper_tail2(60.0, 0.0, 0.0, 0.5)
+
+
+def test_exp_tilt_range_edge():
+    top = math.log(sys.float_info.max)
+    assert exp_tilt(top, "edge") <= sys.float_info.max
+    for past in (math.nextafter(top, math.inf), math.inf):
+        with pytest.raises(TiltOverflowError, match="edge exceeds the double exponent range"):
+            exp_tilt(past, "edge")
+    assert exp_tilt(-math.inf, "edge") == 0.0
+    assert math.isnan(exp_tilt(math.nan, "edge"))
 
 
 def test_tilted2_reduces_to_joint_tail():
