@@ -1,13 +1,15 @@
 """Command-line front door.
 
 Subcommands: solve, sweep, optimum, pigouvian, limits, validate. Each reads
-a plain-text config, applies flag overrides, runs, and writes an RFC-4180
-style CSV whose first line is a provenance comment
-(``# gatekeep <version> config_sha256=<hash> seed=<seed>``); given identical
-config and seed the remaining bytes are identical across runs.
+a plain-text config and applies flag overrides; the mode then returns one
+table, and ``run`` alone writes and reports it: an RFC-4180 style CSV whose
+first line is a provenance comment
+(``# gatekeep <version> config_sha256=<hash> seed=<seed>``), the sweep chart,
+the summary line, and one stderr line per failed point. Given identical
+config and seed the CSV bytes after the first line are identical across runs.
 
-Exit codes: 0 success, 1 configuration error, 2 solver failure,
-3 validation failure (oracle mismatch).
+Exit codes: 0 success, 1 configuration error, 2 solver failure or a failed
+point, 3 validation failure (oracle mismatch).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .config import GridSpec, MODES, RunConfig, config_hash, parse_config
@@ -26,7 +28,7 @@ from .equilibrium import melitz_limit_perfect, melitz_limit_zero, solve_equilibr
 from .errors import GatekeepError, ParseError, ValidationError
 from .policy import pigouvian_welfare
 from .svgchart import line_chart_svg
-from .welfare import SweepRecord, find_optimal_precision, sweep_records
+from .welfare import SweepRecord, failure_status, find_optimal_precision, sweep_records
 
 MC_Z_LIMIT = 4.0
 QUAD_DELTA_LIMIT = 1e-8
@@ -69,26 +71,35 @@ def _require(config: RunConfig, attr: str, mode: str):
     return value
 
 
-def _run_solve(config: RunConfig, quiet: bool) -> int:
+@dataclass(frozen=True)
+class _Table:
+    """What one mode produced; ``run`` writes and reports it.
+
+    code is the exit code when no point failed; failures holds one stderr
+    line per failed point, and svg the chart text to write to ``config.svg``.
+    """
+
+    columns: tuple[str, ...]
+    rows: list
+    summary: str | None = None
+    failures: tuple[str, ...] = ()
+    svg: str | None = None
+    code: int = 0
+
+
+def _run_solve(config: RunConfig) -> _Table:
     rho = _require(config, "rho", "solve")
-    records = sweep_records(config.primitives, config.schedule, [rho])
-    _write_csv(config, SweepRecord.COLUMNS, [r.row() for r in records], config.out)
-    rec = records[0]
+    rec, = sweep_records(config.primitives, config.schedule, [rho])
     if not rec.ok:
-        print(rec.status, file=sys.stderr)
-        return 2
-    if not quiet:
-        print(
-            f"rho={rho!r} t_star={rec.eq.cutoffs.t_star!r} "
-            f"p_star={rec.eq.cutoffs.p_star!r} W={rec.agg.welfare!r}"
-        )
-    return 0
+        return _Table(SweepRecord.COLUMNS, [rec.row()], failures=(rec.status,))
+    summary = (
+        f"rho={rho!r} t_star={rec.eq.cutoffs.t_star!r} "
+        f"p_star={rec.eq.cutoffs.p_star!r} W={rec.agg.welfare!r}"
+    )
+    return _Table(SweepRecord.COLUMNS, [rec.row()], summary)
 
 
-def _render_sweep_svg(records, path: str) -> None:
-    ok = [r for r in records if r.ok]
-    if not ok:
-        return
+def _sweep_svg(ok) -> str:
     rhos = [r.rho for r in ok]
     series = []
     for name, values in (
@@ -98,44 +109,38 @@ def _render_sweep_svg(records, path: str) -> None:
     ):
         top = max(values)
         series.append((name, rhos, [v / top for v in values]))
-    svg = line_chart_svg(
+    return line_chart_svg(
         series, x_label="verification precision", y_label="series / own max",
         title="welfare, variety, and selection vs precision",
     )
-    with open(path, "w") as fh:
-        fh.write(svg)
 
 
-def _run_sweep(config: RunConfig, quiet: bool) -> int:
+def _run_sweep(config: RunConfig) -> _Table:
     grid = _require(config, "grid", "sweep")
     records = sweep_records(config.primitives, config.schedule, grid.points())
-    _write_csv(config, SweepRecord.COLUMNS, [r.row() for r in records], config.out)
-    if config.svg is not None:
-        _render_sweep_svg(records, config.svg)
-    failed = [r for r in records if not r.ok]
     ok = [r for r in records if r.ok]
-    if ok and not quiet:
+    summary = svg = None
+    if ok:
         best = max(ok, key=lambda r: r.agg.welfare)
-        print(f"{len(ok)}/{len(records)} points solved; welfare argmax at rho={best.rho!r}")
-    for rec in failed:
-        print(f"rho={rec.rho!r}: {rec.status}", file=sys.stderr)
-    return 2 if failed else 0
+        summary = f"{len(ok)}/{len(records)} points solved; welfare argmax at rho={best.rho!r}"
+        if config.svg is not None:
+            svg = _sweep_svg(ok)
+    failures = tuple(f"rho={r.rho!r}: {r.status}" for r in records if not r.ok)
+    return _Table(SweepRecord.COLUMNS, [r.row() for r in records], summary, failures, svg)
 
 
-def _run_optimum(config: RunConfig, quiet: bool) -> int:
+def _run_optimum(config: RunConfig) -> _Table:
     grid = _require(config, "grid", "optimum")
     result = find_optimal_precision(config.primitives, config.schedule, grid.points())
-    _write_csv(
-        config, ("rho_w", "W", "boundary"),
-        [[result.rho_w, result.welfare, str(result.boundary).lower()]], config.out,
+    edge = " (grid boundary)" if result.boundary else ""
+    return _Table(
+        ("rho_w", "W", "boundary"),
+        [[result.rho_w, result.welfare, str(result.boundary).lower()]],
+        f"welfare-maximizing precision rho_w={result.rho_w!r}{edge}",
     )
-    if not quiet:
-        edge = " (grid boundary)" if result.boundary else ""
-        print(f"welfare-maximizing precision rho_w={result.rho_w!r}{edge}")
-    return 0
 
 
-def _run_pigouvian(config: RunConfig, quiet: bool) -> int:
+def _run_pigouvian(config: RunConfig) -> _Table:
     rho = _require(config, "rho", "pigouvian")
     regime = Regime(rho, config.schedule)
     half = regime.f_b / 2.0
@@ -145,45 +150,37 @@ def _run_pigouvian(config: RunConfig, quiet: bool) -> int:
         # symmetric form so the midpoint of an odd grid is exactly s = 0
         s = half * (2 * i - (n - 1)) / (n - 1)
         try:
-            w = pigouvian_welfare(config.primitives, regime, s)
-            rows.append([s, w, "ok"])
+            rows.append([s, pigouvian_welfare(config.primitives, regime, s), "ok"])
         except GatekeepError as exc:
-            rows.append([s, math.nan, f"failed: {type(exc).__name__}: {exc}"])
-    _write_csv(config, ("s", "W", "status"), rows, config.out)
+            rows.append([s, math.nan, failure_status(exc)])
     solved = [(s, w) for s, w, status in rows if status == "ok"]
-    if solved and not quiet:
-        best = max(solved, key=lambda r: r[1])
-        print(f"welfare argmax over transfers at s={best[0]!r}")
-    failed = [(s, status) for s, _, status in rows if status != "ok"]
-    for s, status in failed:
-        print(f"s={s!r}: {status}", file=sys.stderr)
-    return 2 if failed else 0
+    summary = None
+    if solved:
+        best_s = max(solved, key=lambda r: r[1])[0]
+        summary = f"welfare argmax over transfers at s={best_s!r}"
+    failures = tuple(f"s={s!r}: {status}" for s, _, status in rows if status != "ok")
+    return _Table(("s", "W", "status"), rows, summary, failures)
 
 
-def _run_limits(config: RunConfig, quiet: bool) -> int:
+def _run_limits(config: RunConfig) -> _Table:
     prim = config.primitives
     f_low = config.f_b_bar if config.f_b_bar is not None else config.schedule.cost(1e-6)
     f_e0 = config.f_e0 if config.f_e0 is not None else prim.f_n + f_low
     zero = melitz_limit_zero(prim, f_e0)
     perfect = melitz_limit_perfect(prim, f_low)
-    rows = [
-        [lim.variant, lim.p_star, lim.effective_entry_cost, lim.effective_fixed_cost, lim.fe_residual]
-        for lim in (zero, perfect)
-    ]
-    _write_csv(
-        config,
+    return _Table(
         ("variant", "p_star", "effective_entry_cost", "effective_fixed_cost", "fe_residual"),
-        rows, config.out,
+        [
+            [lim.variant, lim.p_star, lim.effective_entry_cost, lim.effective_fixed_cost,
+             lim.fe_residual]
+            for lim in (zero, perfect)
+        ],
+        f"zero-precision p*={zero.p_star!r}, perfect-information p*={perfect.p_star!r} "
+        f"(selection gap {perfect.p_star - zero.p_star!r})",
     )
-    if not quiet:
-        print(
-            f"zero-precision p*={zero.p_star!r}, perfect-information p*={perfect.p_star!r} "
-            f"(selection gap {perfect.p_star - zero.p_star!r})"
-        )
-    return 0
 
 
-def _run_validate(config: RunConfig, quiet: bool) -> int:
+def _run_validate(config: RunConfig) -> _Table:
     # numpy and scipy load here, on the one mode that needs them
     from .oracle import (
         _z_score,
@@ -196,11 +193,12 @@ def _run_validate(config: RunConfig, quiet: bool) -> int:
     prim = config.primitives
     rho = _require(config, "rho", "validate")
     regime = Regime(rho, config.schedule)
-    eq = solve_equilibrium(prim, regime)
-    cutoffs = eq.cutoffs
+    cutoffs = solve_equilibrium(prim, regime).cutoffs
     draws = sample_log_population(regime.rho, config.mc_n, config.seed)
     report = estimate_aggregates(draws, prim, cutoffs)
-
+    # expected profit at one representative signal, against its own MC
+    t_probe = cutoffs.t_star + 0.5
+    at_cutoffs = {"rho": regime.rho, "p_star": cutoffs.p_star, "t_star": cutoffs.t_star}
     quad = {
         "p_theta": quadrature_reference(
             "bvn", {"x": -cutoffs.t_star, "y": math.inf, "rho": regime.rho}
@@ -208,54 +206,33 @@ def _run_validate(config: RunConfig, quiet: bool) -> int:
         "p_phi": quadrature_reference(
             "bvn", {"x": -cutoffs.p_star, "y": -cutoffs.t_star, "rho": regime.rho}
         ),
-        "s_term": quadrature_reference(
-            "S",
-            {"k": prim.k, "rho": regime.rho, "p_star": cutoffs.p_star, "t_star": cutoffs.t_star},
-        ),
-        "pi_breve": quadrature_reference(
-            "pi_breve",
-            {"prim": prim, "rho": regime.rho, "p_star": cutoffs.p_star, "t_star": cutoffs.t_star},
+        "s_term": quadrature_reference("S", {"k": prim.k, **at_cutoffs}),
+        "pi_breve": quadrature_reference("pi_breve", {"prim": prim, **at_cutoffs}),
+        "pi_tilde": quadrature_reference(
+            "pi_tilde", {"prim": prim, "rho": regime.rho, "p_star": cutoffs.p_star, "t": t_probe}
         ),
     }
-    rows = []
-    worst_z = 0.0
-    worst_delta = 0.0
-    for row in report.rows:
-        q = quad.get(row.name)
-        delta = math.nan if q is None else row.closed_form - q
-        rows.append([
-            row.name, row.closed_form, row.estimate.mean, row.estimate.std_error,
-            row.z_score, math.nan if q is None else q, delta,
-        ])
-        worst_z = max(worst_z, abs(row.z_score))
-        if q is not None:
-            worst_delta = max(worst_delta, abs(delta))
-    # expected profit at one representative signal, against its own MC
-    t_probe = cutoffs.t_star + 0.5
     closed = expected_profit_given_signal(prim, regime.rho, cutoffs.p_star, t_probe)
     est = estimate_profit_given_signal(
         t_probe, prim, regime.rho, cutoffs.p_star, config.mc_n, config.seed + 1
     )
-    z = _z_score(closed, est)
-    q = quadrature_reference(
-        "pi_tilde", {"prim": prim, "rho": regime.rho, "p_star": cutoffs.p_star, "t": t_probe}
-    )
-    rows.append(["pi_tilde", closed, est.mean, est.std_error, z, q, closed - q])
-    worst_z = max(worst_z, abs(z))
-    worst_delta = max(worst_delta, abs(closed - q))
-
-    _write_csv(
-        config,
-        ("quantity", "closed_form", "mc_mean", "mc_std_error", "z_score", "quad_value", "quad_delta"),
-        rows, config.out,
-    )
+    checks = [(r.name, r.closed_form, r.estimate, r.z_score) for r in report.rows]
+    checks.append(("pi_tilde", closed, est, _z_score(closed, est)))
+    rows = [
+        [name, value, mc.mean, mc.std_error, z, quad[name], value - quad[name]]
+        for name, value, mc, z in checks
+    ]
+    # a running max from 0.0, so a NaN cell never becomes the worst value
+    worst_z = max(0.0, *(abs(row[4]) for row in rows))
+    worst_delta = max(0.0, *(abs(row[6]) for row in rows))
     passed = worst_z <= MC_Z_LIMIT and worst_delta <= QUAD_DELTA_LIMIT
-    if not quiet:
-        print(
-            f"validation at rho={regime.rho!r}, n={config.mc_n}: max |z| = {worst_z:.3f}, "
-            f"max quadrature delta = {worst_delta:.3e} -> {'ok' if passed else 'MISMATCH'}"
-        )
-    return 0 if passed else 3
+    return _Table(
+        ("quantity", "closed_form", "mc_mean", "mc_std_error", "z_score", "quad_value", "quad_delta"),
+        rows,
+        f"validation at rho={regime.rho!r}, n={config.mc_n}: max |z| = {worst_z:.3f}, "
+        f"max quadrature delta = {worst_delta:.3e} -> {'ok' if passed else 'MISMATCH'}",
+        code=0 if passed else 3,
+    )
 
 
 _RUNNERS = {
@@ -269,9 +246,18 @@ _RUNNERS = {
 
 
 def run(config: RunConfig, quiet: bool = False) -> int:
-    """Execute a validated config; returns the process exit code."""
+    """Execute a validated config; writes the CSV, then the chart, the summary
+    (unless quiet) and the failure lines, and returns the process exit code."""
     try:
-        return _RUNNERS[config.mode](config, quiet)
+        table = _RUNNERS[config.mode](config)
+        _write_csv(config, table.columns, table.rows, config.out)
+        if table.svg is not None:
+            with open(config.svg, "w") as fh:
+                fh.write(table.svg)
+        if table.summary is not None and not quiet:
+            print(table.summary)
+        for line in table.failures:
+            print(line, file=sys.stderr)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -281,6 +267,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
+    return 2 if table.failures else table.code
 
 
 def _build_parser() -> _Parser:

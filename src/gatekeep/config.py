@@ -85,6 +85,21 @@ class GridSpec:
         return f"{self.start!r}:{self.stop!r}:{self.step!r}"
 
 
+#: [run] key -> type, in the order ``format_config`` writes the keys
+_RUN_KEYS = {
+    "mode": str,
+    "seed": int,
+    "rho": float,
+    "grid": GridSpec,
+    "out": str,
+    "svg": str,
+    "s_points": int,
+    "f_e0": float,
+    "f_b_bar": float,
+    "mc_n": int,
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A fully validated run: economy, schedule, and execution parameters."""
@@ -103,6 +118,15 @@ class RunConfig:
     mc_n: int = 10_000_000
 
     def __post_init__(self):
+        if not isinstance(self.primitives, Primitives):
+            raise ValidationError(
+                f"primitives must be a Primitives, got {type(self.primitives).__name__}"
+            )
+        for key, kind in _RUN_KEYS.items():
+            value = getattr(self, key)
+            allowed = (int, float) if kind is float else kind
+            if value is not None and (isinstance(value, bool) or not isinstance(value, allowed)):
+                raise ValidationError(f"run.{key} must be of type {kind.__name__}, got {value!r}")
         # format_config, and so the provenance hash, can write only these kinds
         if type(self.schedule) not in _SCHEDULES.values():
             raise ValidationError(
@@ -190,20 +214,6 @@ def _convert(section: str, key: str, entry: _RawEntry, kind):
             f"{section}.{key}: expected {noun}, got {entry.value!r}", entry.line, entry.column
         ) from None
 
-
-#: [run] key -> type, in the order ``format_config`` writes the keys
-_RUN_KEYS = {
-    "mode": str,
-    "seed": int,
-    "rho": float,
-    "grid": GridSpec,
-    "out": str,
-    "svg": str,
-    "s_points": int,
-    "f_e0": float,
-    "f_b_bar": float,
-    "mc_n": int,
-}
 
 
 def _build(section: str, entries: dict[str, _RawEntry], cls, allowed=()):

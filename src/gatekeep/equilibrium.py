@@ -201,13 +201,11 @@ def _locus_fn(prim: Primitives, regime: Regime, a: float):
     return lambda t: fe_residual(regime.rho * t + a, t, prim, regime)
 
 
-def fe_stationarity(
-    p_star: float, t_star: float, prim: Primitives, regime: Regime, step: float = _STATIONARITY_STEP
-) -> float:
+def fe_stationarity(p_star: float, t_star: float, prim: Primitives, regime: Regime) -> float:
     """Central-difference dH/dt at fixed p_star (zero at the locus peak)."""
-    up = fe_residual(p_star, t_star + step, prim, regime)
-    down = fe_residual(p_star, t_star - step, prim, regime)
-    return (up - down) / (2.0 * step)
+    up = fe_residual(p_star, t_star + _STATIONARITY_STEP, prim, regime)
+    down = fe_residual(p_star, t_star - _STATIONARITY_STEP, prim, regime)
+    return (up - down) / (2.0 * _STATIONARITY_STEP)
 
 
 def solve_equilibrium(

@@ -32,6 +32,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TAIL = 40.0
 #: draws per Monte Carlo block: bounds the memory of every estimate
 _BLOCK = 1 << 16
+#: absolute error every quadrature reference is held to
+_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -224,19 +226,19 @@ def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def _quad(fn, lo: float, hi: float, tol: float, what: str) -> float:
+def _quad(fn, lo: float, hi: float, what: str) -> float:
     # Inner integrals of iterated 2-D quadratures can be huge in magnitude;
     # their error budget is relative, while the caller's final result is
     # held to the absolute tolerance.
-    value, abserr = integrate.quad(fn, lo, hi, epsabs=0.1 * tol, epsrel=1e-12, limit=200)
-    if abserr > max(tol, 1e-11 * abs(value)):
+    value, abserr = integrate.quad(fn, lo, hi, epsabs=0.1 * _QUAD_TOL, epsrel=1e-12, limit=200)
+    if abserr > max(_QUAD_TOL, 1e-11 * abs(value)):
         raise ToleranceNotMetError(
-            f"{what}: quadrature error estimate {abserr!r} exceeds {tol!r}"
+            f"{what}: quadrature error estimate {abserr!r} exceeds {_QUAD_TOL!r}"
         )
     return value
 
 
-def _quad_bvn(x: float, y: float, rho: float, tol: float) -> float:
+def _quad_bvn(x: float, y: float, rho: float) -> float:
     if x == -math.inf or y == -math.inf:
         return 0.0
     sd = math.sqrt(1.0 - rho * rho)
@@ -247,10 +249,10 @@ def _quad_bvn(x: float, y: float, rho: float, tol: float) -> float:
     def integrand(u: float) -> float:
         return _norm_pdf(u) * float(ndtr((y - rho * u) / sd))
 
-    return _quad(integrand, -_TAIL, hi, tol, "bvn")
+    return _quad(integrand, -_TAIL, hi, "bvn")
 
 
-def _profit_inner(prim: Primitives, rho: float, p_star: float, t: float, tol: float) -> float:
+def _profit_inner(prim: Primitives, rho: float, p_star: float, t: float) -> float:
     # E[f (e^{k(p - p*)} - 1) 1{p >= p*} | t] with p | t ~ N(rho t, 1 - rho^2)
     k = prim.k
     s2 = 1.0 - rho * rho
@@ -263,10 +265,10 @@ def _profit_inner(prim: Primitives, rho: float, p_star: float, t: float, tol: fl
     def integrand(p: float) -> float:
         return prim.f * (math.exp(k * (p - p_star)) - 1.0) * _norm_pdf((p - mean) / sd) / sd
 
-    return _quad(integrand, p_star, hi, tol, "pi_tilde")
+    return _quad(integrand, p_star, hi, "pi_tilde")
 
 
-def _tilt_inner(k: float, rho: float, p_star: float, t: float, tol: float) -> float:
+def _tilt_inner(k: float, rho: float, p_star: float, t: float) -> float:
     # E[e^{k p} 1{p >= p*} | t]
     s2 = 1.0 - rho * rho
     sd = math.sqrt(s2)
@@ -278,21 +280,21 @@ def _tilt_inner(k: float, rho: float, p_star: float, t: float, tol: float) -> fl
     def integrand(p: float) -> float:
         return math.exp(k * p) * _norm_pdf((p - mean) / sd) / sd
 
-    return _quad(integrand, max(p_star, mean - _TAIL * sd), hi, tol, "S inner")
+    return _quad(integrand, max(p_star, mean - _TAIL * sd), hi, "S inner")
 
 
-def quadrature_reference(quantity: str, params: dict, tol: float = 1e-10) -> float:
+def quadrature_reference(quantity: str, params: dict) -> float:
     """Adaptive-quadrature value of a closed-form quantity.
 
     quantity is one of {"pi_tilde", "pi_breve", "S", "bvn"}; params carries
     the quantity's arguments (documented per branch below). Raises
-    ToleranceNotMetError if the requested absolute tolerance is not reached.
+    ToleranceNotMetError if the absolute tolerance ``_QUAD_TOL`` is not reached.
     """
     if quantity == "bvn":
-        return _quad_bvn(params["x"], params["y"], params["rho"], tol)
+        return _quad_bvn(params["x"], params["y"], params["rho"])
     if quantity == "pi_tilde":
         prim = params["prim"]
-        return _profit_inner(prim, params["rho"], params["p_star"], params["t"], tol)
+        return _profit_inner(prim, params["rho"], params["p_star"], params["t"])
     if quantity == "pi_breve":
         prim = params["prim"]
         rho, p_star, t_star = params["rho"], params["p_star"], params["t_star"]
@@ -301,9 +303,9 @@ def quadrature_reference(quantity: str, params: dict, tol: float = 1e-10) -> flo
         hi = max(t_star, k * rho) + _TAIL
 
         def integrand(t: float) -> float:
-            return _profit_inner(prim, rho, p_star, t, tol) * _norm_pdf(t)
+            return _profit_inner(prim, rho, p_star, t) * _norm_pdf(t)
 
-        return _quad(integrand, lo, hi, tol, "pi_breve")
+        return _quad(integrand, lo, hi, "pi_breve")
     if quantity == "S":
         k, rho = params["k"], params["rho"]
         p_star, t_star = params["p_star"], params["t_star"]
@@ -311,9 +313,9 @@ def quadrature_reference(quantity: str, params: dict, tol: float = 1e-10) -> flo
         hi = max(t_star, k * rho) + _TAIL
 
         def integrand(t: float) -> float:
-            return _tilt_inner(k, rho, p_star, t, tol) * _norm_pdf(t)
+            return _tilt_inner(k, rho, p_star, t) * _norm_pdf(t)
 
-        return _quad(integrand, lo, hi, tol, "S")
+        return _quad(integrand, lo, hi, "S")
     raise DomainError(
         f"unknown quadrature quantity {quantity!r}; "
         "expected one of pi_tilde, pi_breve, S, bvn"

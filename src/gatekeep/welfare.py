@@ -36,6 +36,10 @@ from .errors import (
 from .normal import bvn_cdf, exp_tilt, log_tilted_upper_tail2, std_normal_cdf
 
 _IDENTITY_RTOL = 1e-8
+#: width of the golden-section bracket at which the optimum search stops
+_REFINE_TOL = 1e-5
+#: cost doublings the decline construction tries before it reports a bug
+_MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,11 @@ def compute_aggregates(prim: Primitives, regime: Regime, eq: EquilibriumSolution
     return aggregates_from_cutoffs(prim, regime, eq.cutoffs.t_star, eq.cutoffs.p_star)
 
 
+def failure_status(exc: GatekeepError) -> str:
+    """The status cell, and stderr text, of a point that failed with exc."""
+    return f"failed: {type(exc).__name__}: {exc}"
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     """One precision grid point: solution and aggregates, or a failure marker.
@@ -164,9 +173,7 @@ class SweepRecord:
 
     @property
     def status(self) -> str:
-        if self.error is None:
-            return "ok"
-        return f"failed: {type(self.error).__name__}: {self.error}"
+        return "ok" if self.error is None else failure_status(self.error)
 
     def row(self) -> list:
         if not self.ok:
@@ -266,9 +273,7 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float):
     return x, max(yc, yd)
 
 
-def find_optimal_precision(
-    prim: Primitives, schedule: CostSchedule, grid, refine_tol: float = 1e-5
-) -> OptimalPrecision:
+def find_optimal_precision(prim: Primitives, schedule: CostSchedule, grid) -> OptimalPrecision:
     """Welfare-maximizing precision: coarse grid argmax, golden-section refined.
 
     Failure rows in the sweep are skipped deterministically. A grid-edge
@@ -295,7 +300,7 @@ def find_optimal_precision(
     lo = solved[idx - 1].rho if idx > 0 else grid[0]
     hi = solved[idx + 1].rho if idx + 1 < len(solved) else grid[-1]
     welfare_at = lambda r: _solve_point(prim, schedule, r).agg.welfare
-    rho_w, w = _golden_section_max(welfare_at, lo, hi, refine_tol)
+    rho_w, w = _golden_section_max(welfare_at, lo, hi, _REFINE_TOL)
     return OptimalPrecision(rho_w=rho_w, welfare=w, boundary=False)
 
 
@@ -313,7 +318,7 @@ class DeclineCertificate:
 
 
 def bounded_decline_certificate(
-    prim: Primitives, rho_low: float, rho_high: float, f_low: float, max_doublings: int = 60
+    prim: Primitives, rho_low: float, rho_high: float, f_low: float
 ) -> DeclineCertificate:
     """Construct a bounded, weakly increasing cost schedule with W(rho_high) < W(rho_low).
 
@@ -328,7 +333,7 @@ def bounded_decline_certificate(
     w_low = _solve_point(prim, ConstantCost(f_low), rho_low).agg.welfare
     f_high = f_low
     path = []
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         w_high = _solve_point(prim, ConstantCost(f_high), rho_high).agg.welfare
         path.append((f_high, w_high))
         if w_high < w_low:
@@ -341,5 +346,5 @@ def bounded_decline_certificate(
         f_high *= 2.0
     raise IterationCapError(
         f"welfare at rho_high={rho_high!r} did not drop below {w_low!r} after "
-        f"{max_doublings} doublings; this indicates a bug"
+        f"{_MAX_DOUBLINGS} doublings; this indicates a bug"
     )

@@ -163,6 +163,28 @@ def test_hand_built_config_is_checked(key, value):
         RunConfig(prim, sched, **{key: value})
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("s_points", 3.5, "int"),
+    ("mc_n", 1000.5, "int"),
+    ("grid", "0.1:0.9:0.1", "GridSpec"),
+    ("seed", "5", "int"),
+    ("rho", "0.5", "float"),
+])
+def test_hand_built_config_types_are_checked(key, value, kind):
+    # each of these used to pass construction and fail inside cli.run with a raw error
+    prim, sched = Primitives(2.0, 0.15, 0.005, 0.1), PowerBoundedCost(3.0, 2.0, 8.0)
+    with pytest.raises(ValidationError) as err:
+        RunConfig(prim, sched, **{key: value})
+    assert str(err.value) == f"run.{key} must be of type {kind}, got {value!r}"
+
+
+def test_hand_built_config_takes_an_int_as_a_float_and_checks_primitives():
+    sched = PowerBoundedCost(3.0, 2.0, 8.0)
+    assert RunConfig(Primitives(2.0, 0.15, 0.005, 0.1), sched, f_e0=2).f_e0 == 2
+    with pytest.raises(ValidationError, match="^primitives must be a Primitives, got dict$"):
+        RunConfig({"sigma": 2.0}, sched)
+
+
 def test_hand_built_schedule_must_have_a_config_kind():
     # format_config cannot write any other schedule, so the run would have no provenance hash
     class Flat(CostSchedule):
