@@ -11,7 +11,8 @@ Every ``[run]`` invariant is checked when a ``RunConfig`` is built, so a
 parsed config, a flag override applied with ``dataclasses.replace`` and a
 config built in Python all fail the same way, with a ValidationError naming
 the violated ``run.<key>``. ``format_config`` renders a canonical text that
-parses back to an equal RunConfig.
+parses back to an equal RunConfig; it writes every number a config file
+gives as a float as a float, so an int and the equal float hash alike.
 """
 
 from __future__ import annotations
@@ -127,6 +128,9 @@ class RunConfig:
             allowed = (int, float) if kind is float else kind
             if value is not None and (isinstance(value, bool) or not isinstance(value, allowed)):
                 raise ValidationError(f"run.{key} must be of type {kind.__name__}, got {value!r}")
+            if kind is float and value is not None:
+                # stored as a float, so an int and its float write the same text
+                object.__setattr__(self, key, float(value))
         # format_config, and so the provenance hash, can write only these kinds
         if type(self.schedule) not in _SCHEDULES.values():
             raise ValidationError(
@@ -263,9 +267,9 @@ def format_config(config: RunConfig) -> str:
     prim, schedule = config.primitives, config.schedule
     kind = next(k for k, cls in _SCHEDULES.items() if type(schedule) is cls)
     lines = ["[primitives]"]
-    lines += [f"{fld.name} = {getattr(prim, fld.name)!r}" for fld in fields(prim)]
+    lines += [f"{fld.name} = {float(getattr(prim, fld.name))!r}" for fld in fields(prim)]
     lines += ["", "[schedule]", f"kind = {kind}"]
-    lines += [f"{fld.name} = {getattr(schedule, fld.name)!r}" for fld in fields(schedule)]
+    lines += [f"{fld.name} = {float(getattr(schedule, fld.name))!r}" for fld in fields(schedule)]
     lines += ["", "[run]"]
     for key in _RUN_KEYS:
         value = getattr(config, key)

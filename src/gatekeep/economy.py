@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, NearSingularCorrelationError
 from .normal import (
     NEAR_SINGULAR_RHO,
-    bvn_cdf,
     exp_tilt,
+    joint_tail_masses,
     log_std_normal_cdf,
-    log_tilted_upper_tail2,
     std_normal_cdf,
 )
 
@@ -181,7 +181,8 @@ class HyperbolicCost(CostSchedule):
 class Regime:
     """A screening regime: precision rho plus its activation-cost schedule.
 
-    rho is clamped into [RHO_MIN, RHO_MAX] at construction.
+    rho is clamped into [RHO_MIN, RHO_MAX] at construction; f_b is
+    evaluated once per regime.
     """
 
     rho: float
@@ -190,7 +191,7 @@ class Regime:
     def __post_init__(self):
         object.__setattr__(self, "rho", clamp_rho(self.rho))
 
-    @property
+    @cached_property
     def f_b(self) -> float:
         return self.schedule.cost(self.rho)
 
@@ -253,18 +254,22 @@ def expected_profit_given_signal(
     return prim.f * (lead - tail)
 
 
-def expected_joint_profit(prim: Primitives, rho: float, cutoffs: LogCutoffs) -> float:
-    """Expected flow profit integrated over activated signals.
+def joint_profit(prim: Primitives, rho: float, p_star: float, t_star: float) -> float:
+    """Expected flow profit integrated over activated signals, at (p_star, t_star).
 
     Equals the integral of ``expected_profit_given_signal`` against the
     signal density above t_star; evaluated via the tilted bivariate moment
     S = E[exp(k p) 1{p >= p_star, t >= t_star}] as
-    f * (exp(-k p_star) * S - P(p >= p_star, t >= t_star)).
+    f * (exp(-k p_star) * S - P(p >= p_star, t >= t_star)), with both masses
+    from one ``joint_tail_masses`` pass.
     """
     _check_interior_rho(rho)
     k = prim.k
-    t_star, p_star = cutoffs.t_star, cutoffs.p_star
-    log_s = log_tilted_upper_tail2(k, p_star, t_star, rho)
+    log_s, p_phi = joint_tail_masses(k, p_star, t_star, rho)
     lead = exp_tilt(log_s - k * p_star, "expected joint profit")
-    p_phi = bvn_cdf(-p_star, -t_star, rho)
     return prim.f * (lead - p_phi)
+
+
+def expected_joint_profit(prim: Primitives, rho: float, cutoffs: LogCutoffs) -> float:
+    """``joint_profit`` at a cutoff pair."""
+    return joint_profit(prim, rho, cutoffs.p_star, cutoffs.t_star)

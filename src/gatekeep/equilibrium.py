@@ -8,7 +8,10 @@ strictly decreasing in ``t``, so each stage is one call to
 ``_root_decreasing``: a geometric bracket expansion from 0 whose endpoint
 residuals seed Brent, so no point is evaluated twice. Each stage's residual
 is cached on its argument, so the residual reported at a root is the value
-Brent already computed there, not a second evaluation.
+Brent already computed there, not a second evaluation. Each free-entry
+residual takes both of its Genz masses from one ``normal.joint_tail_masses``
+pass, whose bounded table still holds the root's pair when the aggregates
+ask for it.
 
 The root finder is an in-house, pure-Python Brent's method (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4). It is a line-by-line
@@ -29,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 
-from .economy import LogCutoffs, Primitives, Regime, expected_joint_profit, expected_profit_given_signal
+from .economy import LogCutoffs, Primitives, Regime, expected_profit_given_signal, joint_profit
 from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError, IterationCapError
 from .normal import exp_tilt, log_std_normal_cdf, std_normal_cdf
 
@@ -190,8 +193,7 @@ def fe_residual(p_star: float, t_star: float, prim: Primitives, regime: Regime) 
     Expected lifetime profit per experimenter (in units of f) net of the
     expected activation outlay and the experimentation cost.
     """
-    cutoffs = LogCutoffs(t_star=t_star, p_star=p_star, a=p_star - regime.rho * t_star)
-    pi_breve_over_f = expected_joint_profit(prim, regime.rho, cutoffs) / prim.f
+    pi_breve_over_f = joint_profit(prim, regime.rho, p_star, t_star) / prim.f
     gate = (prim.delta * regime.f_b / prim.f) * std_normal_cdf(-t_star)
     return pi_breve_over_f - gate - prim.delta * prim.f_n / prim.f
 

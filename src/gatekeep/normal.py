@@ -14,8 +14,11 @@ Absolute accuracy is on the order of 5e-15 for ``|rho| <= 0.99``. The
 quadrature nodes depend on the correlation alone, so ``bvn_cdf`` builds them
 once per ``rho`` and keeps the last few in a bounded table; each node is the
 same float expression as in the uncached rule, so results are identical to
-it bit for bit. All kernels here are pure functions: the table changes how
-fast a value is computed, never the value.
+it bit for bit. ``joint_tail_masses`` gives the two masses of a free-entry
+residual, the tilted mass and the joint tail at one rho, from one pass over
+those nodes, and keeps the last ``_PAIR_CACHE_SIZE`` pairs in a bounded
+table. All kernels here are pure functions: the tables change how fast a
+value is computed, never the value.
 
 Tilted moments are combined in log space before exponentiation, so they are
 total on their mathematical domain and raise ``TiltOverflowError`` only when
@@ -138,6 +141,19 @@ def _bvn_upper(h: float, k: float, r: float) -> float:
         k = -k
         hk = -hk
     a_sq, a, nodes = _expansion_nodes(r)
+    bs, c, d, bvn = _expansion_head(h, k, hk, a_sq, a)
+    for awi, xs, rs, one_minus_rs, two_one_plus_rs in nodes:
+        asr1 = -(bs / xs + hk) / 2.0
+        if asr1 > -100.0:
+            sp = 1.0 + c * xs * (1.0 + d * xs)
+            ep = math.exp(-hk * one_minus_rs / two_one_plus_rs) / rs
+            bvn += awi * math.exp(asr1) * (ep - sp)
+    return _expansion_tail(bvn, h, k, r)
+
+
+def _expansion_head(h: float, k: float, hk: float, a_sq: float, a: float):
+    """(bs, c, d) of the |r| >= 0.925 expansion and its sum before the nodes."""
+    bvn = 0.0
     bs = (h - k) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
@@ -151,12 +167,11 @@ def _bvn_upper(h: float, k: float, r: float) -> float:
         b = math.sqrt(bs)
         sp = SQRT_2PI * std_normal_cdf(-b / a)
         bvn -= math.exp(-hk / 2.0) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
-    for awi, xs, rs, one_minus_rs, two_one_plus_rs in nodes:
-        asr1 = -(bs / xs + hk) / 2.0
-        if asr1 > -100.0:
-            sp = 1.0 + c * xs * (1.0 + d * xs)
-            ep = math.exp(-hk * one_minus_rs / two_one_plus_rs) / rs
-            bvn += awi * math.exp(asr1) * (ep - sp)
+    return bs, c, d, bvn
+
+
+def _expansion_tail(bvn: float, h: float, k: float, r: float) -> float:
+    """The upper tail from the expansion's sum (k already reflected for r < 0)."""
     bvn = -bvn / (2.0 * math.pi)
     if r > 0.0:
         bvn += std_normal_cdf(-max(h, k))
@@ -165,6 +180,46 @@ def _bvn_upper(h: float, k: float, r: float) -> float:
         if k > h:
             bvn += std_normal_cdf(k) - std_normal_cdf(h)
     return bvn
+
+
+def _bvn_upper_pair(h1: float, k1: float, h2: float, k2: float, r: float):
+    """(_bvn_upper(h1, k1, r), _bvn_upper(h2, k2, r)) from one pass over the nodes.
+
+    Each of the two sums keeps ``_bvn_upper``'s float expressions and
+    summation order, so each value equals it bit for bit.
+    """
+    exp = math.exp
+    hk1 = h1 * k1
+    hk2 = h2 * k2
+    if abs(r) < 0.925:
+        hs1 = 0.5 * (h1 * h1 + k1 * k1)
+        hs2 = 0.5 * (h2 * h2 + k2 * k2)
+        asr, nodes = _arcsine_nodes(r)
+        bvn1 = bvn2 = 0.0
+        for wi, sn, den in nodes:
+            bvn1 += wi * exp((sn * hk1 - hs1) / den)
+            bvn2 += wi * exp((sn * hk2 - hs2) / den)
+        return (
+            bvn1 * asr / (4.0 * math.pi) + std_normal_cdf(-h1) * std_normal_cdf(-k1),
+            bvn2 * asr / (4.0 * math.pi) + std_normal_cdf(-h2) * std_normal_cdf(-k2),
+        )
+    if r < 0.0:
+        k1, hk1, k2, hk2 = -k1, -hk1, -k2, -hk2
+    a_sq, a, nodes = _expansion_nodes(r)
+    bs1, c1, d1, bvn1 = _expansion_head(h1, k1, hk1, a_sq, a)
+    bs2, c2, d2, bvn2 = _expansion_head(h2, k2, hk2, a_sq, a)
+    for awi, xs, rs, one_minus_rs, two_one_plus_rs in nodes:
+        asr1 = -(bs1 / xs + hk1) / 2.0
+        if asr1 > -100.0:
+            sp = 1.0 + c1 * xs * (1.0 + d1 * xs)
+            ep = exp(-hk1 * one_minus_rs / two_one_plus_rs) / rs
+            bvn1 += awi * exp(asr1) * (ep - sp)
+        asr2 = -(bs2 / xs + hk2) / 2.0
+        if asr2 > -100.0:
+            sp = 1.0 + c2 * xs * (1.0 + d2 * xs)
+            ep = exp(-hk2 * one_minus_rs / two_one_plus_rs) / rs
+            bvn2 += awi * exp(asr2) * (ep - sp)
+    return _expansion_tail(bvn1, h1, k1, r), _expansion_tail(bvn2, h2, k2, r)
 
 
 def bvn_cdf(x: float, y: float, rho: float) -> float:
@@ -243,3 +298,31 @@ def tilted_upper_tail2(k: float, p_c: float, t_c: float, rho: float) -> float:
         log_tilted_upper_tail2(k, p_c, t_c, rho),
         f"tilted_upper_tail2(k={k!r}, p_c={p_c!r}, t_c={t_c!r}, rho={rho!r})",
     )
+
+
+#: cutoff pairs whose masses are kept: more than the 110 free-entry residuals
+#: one solve can evaluate (8 bracket points, 100 Brent steps, 2 stationarity
+#: probes), so the pair at a solved root is still there for its aggregates
+_PAIR_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_PAIR_CACHE_SIZE)
+def joint_tail_masses(k: float, p_c: float, t_c: float, rho: float) -> tuple[float, float]:
+    """(log S, P_phi) of one cutoff pair, from one pass over the Genz nodes.
+
+    S = E[exp(k P) 1{P >= p_c, T >= t_c}] and P_phi = P(P >= p_c, T >= t_c):
+    the pair equals ``(log_tilted_upper_tail2(k, p_c, t_c, rho),
+    bvn_cdf(-p_c, -t_c, rho))`` float for float, because both masses are
+    Genz rules at the same rho (Genz 2004, Statistics and Computing 14:251)
+    and ``_bvn_upper_pair`` keeps each rule's expressions. Infinite or NaN
+    arguments go through those two calls, with their guards and errors.
+    The last ``_PAIR_CACHE_SIZE`` pairs are cached.
+    """
+    x, y = -p_c + k, -t_c + rho * k
+    if not all(map(math.isfinite, (k, p_c, t_c, rho, x, y))):
+        return log_tilted_upper_tail2(k, p_c, t_c, rho), bvn_cdf(-p_c, -t_c, rho)
+    _check_correlation(rho)
+    s_mass, p_phi = _bvn_upper_pair(-x, -y, p_c, t_c, rho)
+    s_mass = min(1.0, max(0.0, s_mass))
+    log_s = -math.inf if s_mass == 0.0 else 0.5 * k * k + math.log(s_mass)
+    return log_s, min(1.0, max(0.0, p_phi))

@@ -3,7 +3,9 @@
 Welfare is computed three algebraically equivalent ways (variety x quality,
 the master formula in the experimentation margin, and the selection-over-
 burden ratio) and cross-checked at every solved point; disagreement signals
-solver drift and raises.
+solver drift and raises. The aggregates read ``log S`` and ``P_phi`` from
+``normal.joint_tail_masses``, so at solved cutoffs they reuse the pair the
+solve's residual at its root cached in that bounded table.
 
 The precision sweep, the local log-derivative identity, the interior-optimum
 search, and the bounded-cost decline construction all build on the same
@@ -33,7 +35,7 @@ from .errors import (
     IterationCapError,
     KinkError,
 )
-from .normal import bvn_cdf, exp_tilt, log_tilted_upper_tail2, std_normal_cdf
+from .normal import exp_tilt, joint_tail_masses, std_normal_cdf
 
 _IDENTITY_RTOL = 1e-8
 #: width of the golden-section bracket at which the optimum search stops
@@ -93,8 +95,8 @@ def aggregates_from_cutoffs(
     k = prim.k
     rho = regime.rho
     p_theta = std_normal_cdf(-t_star)
-    p_phi = bvn_cdf(-p_star, -t_star, rho)
-    log_s = log_tilted_upper_tail2(k, p_star, t_star, rho)
+    # at solved cutoffs, the pair the solve's residual at its root cached
+    log_s, p_phi = joint_tail_masses(k, p_star, t_star, rho)
     s_term = exp_tilt(log_s, "selection term S")
     if p_phi <= 0.0 or s_term <= 0.0:
         raise InconsistentEquilibriumError(

@@ -1,5 +1,6 @@
 import pytest
 
+from gatekeep import normal
 from gatekeep import PowerBoundedCost, Primitives, Regime, compute_aggregates, solve_equilibrium
 
 
@@ -27,3 +28,18 @@ def solved(fig3_primitives, fig3_schedule):
         return cache[rho]
 
     return get
+
+
+@pytest.fixture
+def genz_passes(monkeypatch):
+    """Counts of single-point and fused Genz passes, from an empty pair table."""
+    counts = {"single": 0, "pair": 0}
+    for name, key in (("_bvn_upper", "single"), ("_bvn_upper_pair", "pair")):
+        def counted(*args, fn=getattr(normal, name), key=key):
+            counts[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(normal, name, counted)
+    normal.joint_tail_masses.cache_clear()
+    yield counts
+    normal.joint_tail_masses.cache_clear()

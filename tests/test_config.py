@@ -255,6 +255,22 @@ def test_benchmark_config_canonical_text():
     assert config_hash(replace(cfg, mode="solve")) == "ba127f199622218b"
 
 
+def test_an_int_and_its_float_hash_alike():
+    with open(Path(__file__).parents[1] / "benchmark.cfg", encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = parse_config(text + "f_e0 = 2.0\n")
+    override = replace(cfg, f_e0=2)
+    assert type(override.f_e0) is float
+    assert config_hash(override) == config_hash(cfg) == "af5a65acb1997bf2"
+    plain = parse_config(text)
+    prim = Primitives(sigma=2, f=0.15, f_n=0.005, delta=0.1, L=1)
+    sched = PowerBoundedCost(f_b0=3, kappa=2, alpha=8)
+    assert (prim, sched) == (plain.primitives, plain.schedule)
+    hand_built = replace(plain, primitives=prim, schedule=sched)
+    assert format_config(hand_built) == format_config(plain) == BENCHMARK_CANONICAL
+    assert config_hash(hand_built) == "b50e0f2edb546aa2"
+
+
 FULL_RUN = """\
 [run]
 mode = pigouvian

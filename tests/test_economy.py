@@ -218,3 +218,17 @@ def test_exponential_tilting_cancellation(k, x0):
     # exp(k^2/2 + k x0) * phi(x0 + k) = phi(x0), the cancellation behind dH/dp*
     lhs = math.exp(0.5 * k * k + k * x0) * std_normal_pdf(x0 + k)
     assert lhs == pytest.approx(std_normal_pdf(x0), rel=1e-11)
+
+
+def test_regime_evaluates_its_cost_once():
+    calls = []
+
+    class Counted(ConstantCost):
+        def cost(self, rho):
+            calls.append(rho)
+            return super().cost(rho)
+
+    regime = Regime(0.5, Counted(2.0))
+    assert [regime.f_b for _ in range(3)] == [2.0, 2.0, 2.0]
+    assert calls == [0.5]
+

@@ -9,6 +9,7 @@ from gatekeep import (
     Primitives,
     Regime,
     ac_residual,
+    compute_aggregates,
     expected_joint_profit,
     expected_profit_given_signal,
     fe_residual,
@@ -305,6 +306,19 @@ def test_solve_evaluates_each_residual_only_in_its_root_find(rho, sched, monkeyp
     assert sol.ac_residual == activation_residual(c.a, PRIM, regime.rho, regime.f_b)
     assert sol.ac_residual == ac_residual(c.a, PRIM, regime)
     assert sol.fe_residual == fe_residual(c.p_star, c.t_star, PRIM, regime)
+
+
+@pytest.mark.parametrize("sched", [SCHED, ConstantCost(2.0)])
+@pytest.mark.parametrize("rho", [0.05, 0.5, 0.89, 0.97])
+def test_solve_makes_one_genz_pass_per_free_entry_residual(rho, sched, monkeypatch, genz_passes):
+    # one fused pass gives both Genz masses of a residual, and the aggregates
+    # at the solved cutoffs reuse the pair the root's residual cached
+    regime = Regime(rho, sched)
+    fe_calls = _counted(monkeypatch, "fe_residual")
+    sol = solve_equilibrium(PRIM, regime)
+    assert genz_passes == {"single": 0, "pair": len(fe_calls)}
+    compute_aggregates(PRIM, regime, sol)
+    assert genz_passes == {"single": 0, "pair": len(fe_calls)}
 
 
 @pytest.mark.parametrize("variant", ["zero_precision", "perfect_info"])

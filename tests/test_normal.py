@@ -15,7 +15,9 @@ from gatekeep.normal import (
     SQRT_2PI,
     bvn_cdf,
     exp_tilt,
+    joint_tail_masses,
     log_std_normal_cdf,
+    log_tilted_upper_tail2,
     std_normal_cdf,
     std_normal_pdf,
     tilted_upper_tail,
@@ -273,6 +275,96 @@ def test_bvn_node_tables_stay_bounded():
         bvn_cdf(0.3, -0.2, rho)
     for table in (normal._arcsine_nodes, normal._expansion_nodes):
         assert 0 < table.cache_info().currsize <= normal._NODE_CACHE_SIZE
+
+
+def _pair_outcome(fn):
+    """fn()'s value, or the class of the error it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc)
+
+
+def _assert_pair_exact(k, p, t, rho):
+    got = _pair_outcome(lambda: joint_tail_masses(k, p, t, rho))
+    want = _pair_outcome(lambda: (log_tilted_upper_tail2(k, p, t, rho), bvn_cdf(-p, -t, rho)))
+    assert got == want, (k, p, t, rho, got, want)
+    if isinstance(want, tuple):
+        signs = [math.copysign(1.0, v) for v in got + want]
+        assert signs[:2] == signs[2:], (k, p, t, rho, got, want)
+
+
+def test_joint_tail_masses_bit_exact_in_both_branches():
+    rng = random.Random(20261019)
+    rhos = (
+        [rng.uniform(-0.999, 0.999) for _ in range(60)]
+        + [s * rng.uniform(0.925, 1.0 - 1e-12) for s in (1.0, -1.0) for _ in range(20)]
+        + list(_BRANCH_EDGE)
+        + [0.0, -0.0, 0.5, -0.5, 0.99, -0.99, 1.0 - 1e-12, -(1.0 - 1e-12)]
+    )
+    normal.joint_tail_masses.cache_clear()
+    for rho in rhos:
+        for _ in range(25):
+            _assert_pair_exact(rng.uniform(0.0, 6.0), rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0), rho)
+        for k, p, t in ((1.0, 0.0, 0.0), (0.0, 0.3, -0.2), (-1.5, 0.4, 1.1), (2.0, 40.0, -40.0),
+                        (2.0, -40.0, 40.0), (1.0, 37.0, 0.3), (3.0, -0.3, -9.0), (1.0, 1.0, rho)):
+            _assert_pair_exact(k, p, t, rho)
+
+
+def test_joint_tail_masses_bit_exact_where_the_expansion_nodes_show():
+    # at |r| >= 0.925 the node sum is a small correction to closed-form
+    # terms, so its last bits reach the result mostly at rho near -0.93 with
+    # cutoffs of opposite sign far out in the tails
+    rng = random.Random(20261020)
+    normal.joint_tail_masses.cache_clear()
+    for _ in range(600):
+        side = rng.choice((1.0, -1.0))
+        p, t = side * rng.uniform(7.0, 10.0), -side * rng.uniform(7.0, 10.0)
+        _assert_pair_exact(rng.uniform(0.0, 1.0), p, t, -rng.uniform(0.925, 0.94))
+
+
+def test_joint_tail_masses_bit_exact_at_infinite_and_huge_arguments():
+    inf = math.inf
+    for rho in (0.0, -0.0, 0.5, -0.97, *_BRANCH_EDGE):
+        for k in (0.0, 1.0, inf, -inf):
+            for p, t in ((inf, 0.3), (-inf, 0.3), (0.3, inf), (-0.3, -inf), (inf, -inf), (-inf, -inf)):
+                _assert_pair_exact(k, p, t, rho)
+        # finite arguments whose shifted point overflows to infinity
+        _assert_pair_exact(1e308, -1e308, 0.5, rho)
+        _assert_pair_exact(1e308, 0.5, -1e308, rho)
+
+
+def test_joint_tail_masses_raise_the_single_calls_errors():
+    nan = math.nan
+    for k, p, t, rho in ((nan, 0.1, 0.2, 0.5), (1.0, nan, 0.2, 0.5), (1.0, 0.1, nan, 0.5),
+                         (1.0, 0.1, 0.2, nan), (1.0, 0.1, 0.2, 1.0), (1.0, 0.1, 0.2, -1.0),
+                         (1.0, 0.1, 0.2, 1.0 - 1e-13), (1.0, 0.1, 0.2, 2.0), (1.0, 0.1, 0.2, -math.inf)):
+        want = _pair_outcome(lambda: (log_tilted_upper_tail2(k, p, t, rho), bvn_cdf(-p, -t, rho)))
+        assert want in (DomainError, NearSingularCorrelationError)
+        with pytest.raises(want):
+            joint_tail_masses(k, p, t, rho)
+
+
+def test_joint_tail_masses_signed_zero_keys_share_values():
+    # 0.0 == -0.0, so the table answers a signed-zero key with the other
+    # zero's entry; the values must not depend on the sign
+    for rho in (0.3, -0.6, 0.95, -0.99, 0.0):
+        for k in (1.0, 0.0):
+            normal.joint_tail_masses.cache_clear()
+            first = joint_tail_masses(k, 0.0, 0.0, rho)
+            for p, t, r in ((-0.0, 0.0, rho), (0.0, -0.0, rho), (-0.0, -0.0, -rho if rho == 0.0 else rho)):
+                assert normal.joint_tail_masses.cache_info().currsize == 1
+                _assert_pair_exact(k, p, t, r)
+                assert joint_tail_masses(k, p, t, r) is first
+
+
+def test_joint_tail_masses_table_stays_bounded():
+    normal.joint_tail_masses.cache_clear()
+    for i in range(3 * normal._PAIR_CACHE_SIZE):
+        joint_tail_masses(1.0, 0.001 * i, -0.2, 0.5 if i % 2 else 0.97)
+    info = normal.joint_tail_masses.cache_info()
+    assert info.currsize == normal._PAIR_CACHE_SIZE == info.maxsize
+    assert info.misses == 3 * normal._PAIR_CACHE_SIZE
 
 
 def test_tilted_reduces_to_tail_probability():

@@ -17,6 +17,7 @@ from gatekeep import (
     solve_equilibrium,
     welfare_selection_burden,
 )
+from gatekeep import equilibrium
 from gatekeep.errors import DomainError
 from gatekeep.normal import std_normal_cdf
 
@@ -173,3 +174,13 @@ def test_decentralization_fixed_point(solved):
     w = pigouvian_welfare(PRIM, regime, bundle.s)
     baseline = welfare_selection_burden(PRIM, agg.s_term, agg.b_term)
     assert w == pytest.approx(baseline, rel=1e-8)
+
+
+@pytest.mark.parametrize("s_frac", [-0.5, 0.0, 0.3])
+@pytest.mark.parametrize("rho", [0.5, 0.97])
+def test_pigouvian_aggregates_reuse_the_roots_genz_pass(rho, s_frac, monkeypatch, genz_passes):
+    regime = Regime(rho, SCHED)
+    fe, calls = equilibrium.fe_residual, []
+    monkeypatch.setattr(equilibrium, "fe_residual", lambda *args: calls.append(args) or fe(*args))
+    pigouvian_welfare(PRIM, regime, s_frac * regime.f_b)
+    assert calls and genz_passes == {"single": 0, "pair": len(calls)}
