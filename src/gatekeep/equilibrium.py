@@ -6,12 +6,12 @@ Condition pins down the intercept ``a`` of the log-linear activation locus
 and along that locus the Free-Entry residual ``J(t) = H(rho t + a, t)`` is
 strictly decreasing in ``t``, so each stage is one call to
 ``_root_decreasing``: a geometric bracket expansion from 0 whose endpoint
-residuals seed Brent, so no point is evaluated twice. Each stage's residual
-is cached on its argument, so the residual reported at a root is the value
-Brent already computed there, not a second evaluation. Each free-entry
-residual takes both of its Genz masses from one ``normal.joint_tail_masses``
-pass, whose bounded table still holds the root's pair when the aggregates
-ask for it.
+residuals seed Brent, so no point is evaluated twice. Both root finders
+return the residual Brent holds at the root along with the root, so the
+residual reported at a solution is the value computed there, not a second
+evaluation. Each free-entry residual takes both of its Genz masses from one
+``normal.joint_tail_masses`` pass, whose bounded table still holds the
+root's pair when the aggregates ask for it.
 
 The root finder is an in-house, pure-Python Brent's method (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4). It is a line-by-line
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
 
 from .economy import LogCutoffs, Primitives, Regime, expected_profit_given_signal, joint_profit
 from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError, IterationCapError
@@ -76,17 +75,18 @@ def _brent_eval(fn, x: float) -> float:
 
 
 def _brent_root(fn, xpre: float, fpre: float, xcur: float, fcur: float, xtol: float):
-    """Root of fn between xpre and xcur by Brent's method; returns (root, iterations).
+    """Root of fn between xpre and xcur by Brent's method.
 
     fpre and fcur are fn's values at the two ends, already computed by the
     caller. Converges when the bracket half-width falls below
-    (xtol + 4 eps |x|) / 2.
+    (xtol + 4 eps |x|) / 2. Returns (root, iterations, fn(root)), the last
+    being the value Brent already holds, sign of zero included.
     """
     xblk = fblk = spre = scur = 0.0
     if fpre == 0.0:
-        return xpre, 0
+        return xpre, 0, fpre
     if fcur == 0.0:
-        return xcur, 0
+        return xcur, 0, fcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise BracketFailureError(f"root finder: no sign change on [{xpre!r}, {xcur!r}]")
     for iterations in range(1, _BRENT_MAXITER + 1):
@@ -99,7 +99,7 @@ def _brent_root(fn, xpre: float, fpre: float, xcur: float, fcur: float, xtol: fl
         delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, iterations
+            return xcur, iterations, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # secant step
@@ -132,11 +132,12 @@ def _root_decreasing(fn, xtol: float, what: str):
 
     The bracket doubles from 0 towards the side where fn changes sign and
     stops at +/-BRACKET_BOUND; Brent starts from the residuals the expansion
-    already computed, so no point is evaluated twice. Returns (root, iterations).
+    already computed, so no point is evaluated twice. Returns (root,
+    iterations, fn(root)) as ``_brent_root`` does.
     """
     x, fx = 0.0, _brent_eval(fn, 0.0)
     if fx == 0.0:
-        return x, 0
+        return x, 0, fx
     side = 1.0 if fx > 0.0 else -1.0
     step = 1.0
     while True:
@@ -170,21 +171,17 @@ def ac_residual(a: float, prim: Primitives, regime: Regime) -> float:
     return activation_residual(a, prim, regime.rho, regime.f_b)
 
 
-def _activation_fn(prim: Primitives, rho: float, activation_cost: float):
-    """The activation residual as a function of a alone, cached on a."""
+def _solve_activation_intercept(prim: Primitives, rho: float, activation_cost: float):
+    """The activation stage: (a, iterations, activation residual at a)."""
     if not activation_cost > 0.0:
         raise DomainError(f"activation cost must be positive, got {activation_cost!r}")
-    return cache(lambda a: activation_residual(a, prim, rho, activation_cost))
-
-
-def _solve_activation_intercept(prim: Primitives, rho: float, activation_cost: float):
-    return _root_decreasing(_activation_fn(prim, rho, activation_cost), 1e-15, "activation intercept")
+    fn = lambda a: activation_residual(a, prim, rho, activation_cost)
+    return _root_decreasing(fn, 1e-15, "activation intercept")
 
 
 def solve_ac_intercept(prim: Primitives, regime: Regime) -> float:
     """Unique intercept a(rho) of the activation locus p* = rho t* + a."""
-    a, _ = _solve_activation_intercept(prim, regime.rho, regime.f_b)
-    return a
+    return _solve_activation_intercept(prim, regime.rho, regime.f_b)[0]
 
 
 def fe_residual(p_star: float, t_star: float, prim: Primitives, regime: Regime) -> float:
@@ -210,32 +207,16 @@ def fe_stationarity(p_star: float, t_star: float, prim: Primitives, regime: Regi
     return (up - down) / (2.0 * _STATIONARITY_STEP)
 
 
-def solve_equilibrium(
-    prim: Primitives, regime: Regime, t_bracket: tuple[float, float] | None = None
-) -> EquilibriumSolution:
-    """Solve for the unique cutoff pair (t*, p*).
-
-    t_bracket optionally overrides the initial free-entry bracket (both
-    endpoints must straddle the root); used to probe uniqueness from
-    dispersed starts.
-    """
-    # Both residuals are cached on their argument: Brent has evaluated each
-    # stage at its root, which need not be the last point it tried.
-    ac_fn = _activation_fn(prim, regime.rho, regime.f_b)
-    a, ac_iters = _root_decreasing(ac_fn, 1e-15, "activation intercept")
-    locus_residual = cache(_locus_fn(prim, regime, a))
-    if t_bracket is None:
-        t_star, fe_iters = _root_decreasing(locus_residual, 1e-12, "free-entry cutoff")
-    else:
-        lo, hi = t_bracket
-        f_lo, f_hi = _brent_eval(locus_residual, lo), _brent_eval(locus_residual, hi)
-        t_star, fe_iters = _brent_root(locus_residual, lo, f_lo, hi, f_hi, 1e-12)
+def solve_equilibrium(prim: Primitives, regime: Regime) -> EquilibriumSolution:
+    """Solve for the unique cutoff pair (t*, p*)."""
+    a, ac_iters, ac_res = _solve_activation_intercept(prim, regime.rho, regime.f_b)
+    t_star, fe_iters, fe_res = _root_decreasing(_locus_fn(prim, regime, a), 1e-12, "free-entry cutoff")
     p_star = regime.rho * t_star + a
 
     sol = EquilibriumSolution(
         cutoffs=LogCutoffs(t_star=t_star, p_star=p_star, a=a),
-        ac_residual=ac_fn(a),
-        fe_residual=locus_residual(t_star),
+        ac_residual=ac_res,
+        fe_residual=fe_res,
         fe_stationarity=fe_stationarity(p_star, t_star, prim, regime),
         iterations=(ac_iters, fe_iters),
     )
@@ -277,15 +258,14 @@ def _survivor_entry_residual(
 
 
 def _solve_limit(prim: Primitives, fixed_cost: float, entry_cost: float, variant: str) -> MelitzLimit:
-    # cached, so the residual reported at the root is the one Brent computed
-    fn = cache(lambda p: _survivor_entry_residual(p, prim, fixed_cost, entry_cost))
-    p_star, _ = _root_decreasing(fn, 1e-14, f"{variant} limit cutoff")
+    fn = lambda p: _survivor_entry_residual(p, prim, fixed_cost, entry_cost)
+    p_star, _, residual = _root_decreasing(fn, 1e-14, f"{variant} limit cutoff")
     return MelitzLimit(
         p_star=p_star,
         variant=variant,
         effective_entry_cost=entry_cost,
         effective_fixed_cost=fixed_cost,
-        fe_residual=fn(p_star),
+        fe_residual=residual,
     )
 
 

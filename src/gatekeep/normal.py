@@ -39,6 +39,14 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 #: correlations with |rho| above this are rejected as numerically singular
 NEAR_SINGULAR_RHO = 1.0 - 1e-12
 
+#: ``bvn_cdf`` treats a finite argument at or beyond +/- this bound as +/-inf.
+#: Phi(-x) underflows to 0 from x = 38.5 on, so the reduction is exact there,
+#: while the Genz rules lose every digit far out (NaN past about 1e52, an
+#: ``OverflowError`` past 6.7e153). The bound sits far above every point the
+#: solver evaluates: its cutoffs stay within a few ``BRACKET_BOUND``s, and a
+#: tilt k = sigma - 1 above about 3e4 overflows the activation stage first.
+_FAR_ARGUMENT = 1e6
+
 # Gauss-Legendre abscissae/weights on (0, 1), order 20 (positive half).
 _GL20_X = (
     0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
@@ -225,19 +233,20 @@ def _bvn_upper_pair(h1: float, k1: float, h2: float, k2: float, r: float):
 def bvn_cdf(x: float, y: float, rho: float) -> float:
     """P(X <= x, Y <= y) for standard bivariate normal with correlation rho.
 
-    Accepts +/-inf in either coordinate (reduced analytically before
-    quadrature). Raises ``NearSingularCorrelationError`` when
-    ``|rho| > 1 - 1e-12``.
+    Accepts +/-inf in either coordinate, and reduces it, like any argument
+    at or beyond +/-``_FAR_ARGUMENT``, analytically before quadrature.
+    Raises ``NearSingularCorrelationError`` when ``|rho| > 1 - 1e-12``.
     """
     _check_correlation(rho)
     if math.isnan(x) or math.isnan(y):
         raise DomainError("bvn_cdf arguments must not be NaN")
-    if math.isinf(x) or math.isinf(y):
-        if x == -math.inf or y == -math.inf:
+    far = _FAR_ARGUMENT
+    if abs(x) >= far or abs(y) >= far:
+        if x <= -far or y <= -far:
             return 0.0
-        if x == math.inf and y == math.inf:
+        if x >= far and y >= far:
             return 1.0
-        return std_normal_cdf(y) if x == math.inf else std_normal_cdf(x)
+        return std_normal_cdf(y) if x >= far else std_normal_cdf(x)
     p = _bvn_upper(-x, -y, rho)
     return min(1.0, max(0.0, p))
 
@@ -314,12 +323,15 @@ def joint_tail_masses(k: float, p_c: float, t_c: float, rho: float) -> tuple[flo
     the pair equals ``(log_tilted_upper_tail2(k, p_c, t_c, rho),
     bvn_cdf(-p_c, -t_c, rho))`` float for float, because both masses are
     Genz rules at the same rho (Genz 2004, Statistics and Computing 14:251)
-    and ``_bvn_upper_pair`` keeps each rule's expressions. Infinite or NaN
-    arguments go through those two calls, with their guards and errors.
-    The last ``_PAIR_CACHE_SIZE`` pairs are cached.
+    and ``_bvn_upper_pair`` keeps each rule's expressions. NaN arguments,
+    and points ``bvn_cdf`` reduces (infinite or beyond ``_FAR_ARGUMENT``),
+    go through those two calls, with their guards and errors. The last
+    ``_PAIR_CACHE_SIZE`` pairs are cached.
     """
     x, y = -p_c + k, -t_c + rho * k
-    if not all(map(math.isfinite, (k, p_c, t_c, rho, x, y))):
+    far = _FAR_ARGUMENT
+    if not (abs(x) < far and abs(y) < far and abs(p_c) < far and abs(t_c) < far
+            and math.isfinite(rho)):
         return log_tilted_upper_tail2(k, p_c, t_c, rho), bvn_cdf(-p_c, -t_c, rho)
     _check_correlation(rho)
     s_mass, p_phi = _bvn_upper_pair(-x, -y, p_c, t_c, rho)

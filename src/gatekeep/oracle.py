@@ -283,6 +283,13 @@ def _tilt_inner(k: float, rho: float, p_star: float, t: float) -> float:
     return _quad(integrand, max(p_star, mean - _TAIL * sd), hi, "S inner")
 
 
+def _over_signals(inner, k: float, rho: float, t_star: float, what: str) -> float:
+    # integral of inner(t) phi(t) over the activated signals t >= t_star
+    lo = max(t_star, -_TAIL)
+    hi = max(t_star, k * rho) + _TAIL
+    return _quad(lambda t: inner(t) * _norm_pdf(t), lo, hi, what)
+
+
 def quadrature_reference(quantity: str, params: dict) -> float:
     """Adaptive-quadrature value of a closed-form quantity.
 
@@ -296,26 +303,13 @@ def quadrature_reference(quantity: str, params: dict) -> float:
         prim = params["prim"]
         return _profit_inner(prim, params["rho"], params["p_star"], params["t"])
     if quantity == "pi_breve":
-        prim = params["prim"]
-        rho, p_star, t_star = params["rho"], params["p_star"], params["t_star"]
-        k = prim.k
-        lo = max(t_star, -_TAIL)
-        hi = max(t_star, k * rho) + _TAIL
-
-        def integrand(t: float) -> float:
-            return _profit_inner(prim, rho, p_star, t) * _norm_pdf(t)
-
-        return _quad(integrand, lo, hi, "pi_breve")
+        prim, rho, p_star = params["prim"], params["rho"], params["p_star"]
+        inner = lambda t: _profit_inner(prim, rho, p_star, t)
+        return _over_signals(inner, prim.k, rho, params["t_star"], "pi_breve")
     if quantity == "S":
-        k, rho = params["k"], params["rho"]
-        p_star, t_star = params["p_star"], params["t_star"]
-        lo = max(t_star, -_TAIL)
-        hi = max(t_star, k * rho) + _TAIL
-
-        def integrand(t: float) -> float:
-            return _tilt_inner(k, rho, p_star, t) * _norm_pdf(t)
-
-        return _quad(integrand, lo, hi, "S")
+        k, rho, p_star = params["k"], params["rho"], params["p_star"]
+        inner = lambda t: _tilt_inner(k, rho, p_star, t)
+        return _over_signals(inner, k, rho, params["t_star"], "S")
     raise DomainError(
         f"unknown quadrature quantity {quantity!r}; "
         "expected one of pi_tilde, pi_breve, S, bvn"

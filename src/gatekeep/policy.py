@@ -76,7 +76,7 @@ def planner_cutoff(prim: Primitives, regime: Regime, eq: EquilibriumSolution) ->
     kernel = lambda t: planner_kernel(prim, regime, p_star, t)
     # The kernel increases in t, so take the root of its negation, which
     # decreases; Brent's steps are unchanged by negating the residual.
-    t_p, _ = _root_decreasing(lambda t: -kernel(t), 1e-12, "planner cutoff")
+    t_p, _, _ = _root_decreasing(lambda t: -kernel(t), 1e-12, "planner cutoff")
     if abs(t_p - eq.cutoffs.t_star) > _PLANNER_MARKET_TOL:
         raise InconsistentEquilibriumError(
             f"planner cutoff {t_p!r} deviates from market cutoff {eq.cutoffs.t_star!r}"
@@ -143,7 +143,7 @@ def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
         agg = compute_aggregates(prim, regime, eq)
         return welfare_selection_burden(prim, agg.s_term, agg.b_term)
     rho = regime.rho
-    a_s, _ = _solve_activation_intercept(prim, rho, f_b - s)
+    a_s, _, _ = _solve_activation_intercept(prim, rho, f_b - s)
     locus_residual = _locus_fn(prim, regime, a_s)
 
     # Off s=0 the locus residual is not provably monotone: scan for the
@@ -159,7 +159,7 @@ def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
             t_star = t_lo
             break
         if r_lo * r_hi < 0.0:
-            t_star, _ = _brent_root(locus_residual, t_lo, r_lo, t_hi, r_hi, 1e-12)
+            t_star, _, _ = _brent_root(locus_residual, t_lo, r_lo, t_hi, r_hi, 1e-12)
             break
         t_lo, r_lo = t_hi, r_hi
     if t_star is None:

@@ -1,10 +1,10 @@
 """Regenerate tests/golden_values.py.
 
 Golden equilibrium values are the solver's output at the benchmark
-calibration, frozen after cross-validation against the independent
-quadrature and Monte Carlo oracles (see test_oracle.py for the live
-versions of those checks). The pi_tilde example value is computed directly
-by adaptive quadrature, not by the closed form it tests.
+calibration, frozen as they are: this script checks nothing. The checks of
+the solver against the independent quadrature and Monte Carlo oracles run
+live in test_oracle.py and test_acceptance.py. The pi_tilde example value is
+computed directly by adaptive quadrature, not by the closed form it tests.
 
 Run from the repository root:  python tests/oracles/generate_goldens.py
 """

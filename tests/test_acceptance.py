@@ -41,6 +41,13 @@ from gatekeep import (
     tilted_upper_tail2,
     welfare_selection_burden,
 )
+from gatekeep.equilibrium import (
+    FE_RESIDUAL_TOL,
+    STATIONARITY_TOL,
+    _brent_root,
+    _locus_fn,
+    fe_stationarity,
+)
 
 FIG3 = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1, L=1.0)
 SCHED = PowerBoundedCost(f_b0=3.0, kappa=2.0, alpha=8.0)
@@ -123,7 +130,11 @@ def test_criterion_2_equilibrium_quality(fig3_sweep, oracle_solutions):
             )
             regime = Regime(rng.uniform(0.1, 0.95), ConstantCost(rng.uniform(0.5, 5.0)))
             base = solve_equilibrium(prim, regime)
-            t = base.cutoffs.t_star
+            t, a = base.cutoffs.t_star, base.cutoffs.a
+            # Brent on the free-entry locus at the solved intercept, from
+            # dispersed brackets, with the checks solve_equilibrium runs
+            locus = _locus_fn(prim, regime, a)
+            scale = max(1.0, prim.delta * regime.f_b / prim.f)
             brackets = [
                 (-50.0, 50.0),
                 (t - 20.0, t + 30.0),
@@ -131,10 +142,13 @@ def test_criterion_2_equilibrium_quality(fig3_sweep, oracle_solutions):
                 (-45.0, t + 1e-3),
                 (t - 30.0, t + 0.7),
             ]
-            for bracket in brackets:
-                alt = solve_equilibrium(prim, regime, t_bracket=bracket)
-                assert abs(alt.cutoffs.t_star - t) <= 1e-8
-                assert abs(alt.cutoffs.p_star - base.cutoffs.p_star) <= 1e-8
+            for lo, hi in brackets:
+                t_alt, _, residual = _brent_root(locus, lo, locus(lo), hi, locus(hi), 1e-12)
+                p_alt = regime.rho * t_alt + a
+                assert abs(t_alt - t) <= 1e-8
+                assert abs(p_alt - base.cutoffs.p_star) <= 1e-8
+                assert abs(residual) <= FE_RESIDUAL_TOL * scale
+                assert abs(fe_stationarity(p_alt, t_alt, prim, regime)) <= STATIONARITY_TOL * scale
 
 
 def test_criterion_3_oracle_equivalence(oracle_solutions):

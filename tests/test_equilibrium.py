@@ -22,11 +22,15 @@ from gatekeep.economy import LogCutoffs
 from gatekeep import equilibrium
 from gatekeep.equilibrium import (
     BRACKET_BOUND,
+    FE_RESIDUAL_TOL,
+    STATIONARITY_TOL,
     _brent_root,
+    _locus_fn,
     _root_decreasing,
     _solve_activation_intercept,
     _survivor_entry_residual,
     activation_residual,
+    fe_stationarity,
 )
 from gatekeep.errors import BracketFailureError, DomainError, IterationCapError
 from gatekeep.normal import std_normal_cdf
@@ -127,20 +131,29 @@ def test_multi_start_agreement():
         )
         regime = Regime(rng.uniform(0.1, 0.95), ConstantCost(rng.uniform(0.5, 5.0)))
         base = solve_equilibrium(prim, regime)
-        t = base.cutoffs.t_star
+        t, a = base.cutoffs.t_star, base.cutoffs.a
+        # Brent on the free-entry locus at the solved intercept, started from
+        # each bracket, and the checks solve_equilibrium runs at its root
+        locus = _locus_fn(prim, regime, a)
+        scale = max(1.0, prim.delta * regime.f_b / prim.f)
         brackets = [(-50.0, 50.0), (t - 20.0, t + 30.0), (t - 0.5, t + 40.0), (-45.0, t + 1e-3)]
-        for bracket in brackets:
-            alt = solve_equilibrium(prim, regime, t_bracket=bracket)
-            assert abs(alt.cutoffs.t_star - t) <= 1e-8
-            assert abs(alt.cutoffs.p_star - base.cutoffs.p_star) <= 1e-8
+        for lo, hi in brackets:
+            t_alt, _, residual = _brent_root(locus, lo, locus(lo), hi, locus(hi), 1e-12)
+            p_alt = regime.rho * t_alt + a
+            assert abs(t_alt - t) <= 1e-8
+            assert abs(p_alt - base.cutoffs.p_star) <= 1e-8
+            assert abs(residual) <= FE_RESIDUAL_TOL * scale
+            assert abs(fe_stationarity(p_alt, t_alt, prim, regime)) <= STATIONARITY_TOL * scale
 
 
 def test_invalid_bracket_rejected():
     regime = Regime(0.5, SCHED)
     eq = solve_equilibrium(PRIM, regime)
     t = eq.cutoffs.t_star
+    locus = _locus_fn(PRIM, regime, eq.cutoffs.a)
+    lo, hi = t + 1.0, t + 5.0
     with pytest.raises(BracketFailureError):
-        solve_equilibrium(PRIM, regime, t_bracket=(t + 1.0, t + 5.0))
+        _brent_root(locus, lo, locus(lo), hi, locus(hi), 1e-12)
 
 
 def test_locus_residual_strictly_decreasing(solved):
@@ -201,7 +214,7 @@ def _brent_cases():
             regime = Regime(rho, sched)
             ac = lambda x, r=regime: activation_residual(x, PRIM, r.rho, r.f_b)
             yield (ac, *_reference_bracket(ac), True)
-            a, _ = _solve_activation_intercept(PRIM, rho, regime.f_b)
+            a, _, _ = _solve_activation_intercept(PRIM, rho, regime.f_b)
             locus = lambda t, r=regime, a=a: fe_residual(r.rho * t + a, t, PRIM, r)
             yield (locus, *_reference_bracket(locus), True)
 
@@ -214,11 +227,12 @@ def test_brent_root_matches_scipy_brentq():
     for fn, lo, hi, solver in cases:
         for xtol in (1e-12, 1e-14, 1e-15):
             want, info = brentq(fn, lo, hi, xtol=xtol, full_output=True)
-            root, iterations = _brent_root(fn, lo, fn(lo), hi, fn(hi), xtol)
+            root, iterations, residual = _brent_root(fn, lo, fn(lo), hi, fn(hi), xtol)
             assert root == want
             assert iterations == info.iterations
+            assert residual == fn(root)
             if solver:
-                assert _root_decreasing(fn, xtol, "case") == (want, info.iterations)
+                assert _root_decreasing(fn, xtol, "case") == (want, info.iterations, fn(want))
 
 
 def test_brent_root_nan_residual_raises_domain_error():
@@ -239,11 +253,24 @@ def test_brent_root_iteration_cap_raises():
         _brent_root(step, -1.0, 1.0, 1.0, -1.0, 1e-300)
 
 
+def _sign(x):
+    return math.copysign(1.0, x)
+
+
 def test_brent_root_degenerate_bracket():
-    # a root at a bracket end is returned as it is, and fn is never evaluated
-    assert _brent_root(lambda x: 1.0 / 0.0, 0.25, 0.0, 0.25, 0.0, 1e-12) == (0.25, 0)
-    # a root at the expansion's start is returned before any bracket is grown
-    assert _root_decreasing(lambda x: -x, 1e-12, "start") == (0.0, 0)
+    # a root at a bracket end is returned as it is, with the residual given
+    # for that end (sign of zero included), and fn is never evaluated
+    never = lambda x: 1.0 / 0.0
+    root = _brent_root(never, 0.25, 0.0, 0.25, 0.0, 1e-12)
+    assert root == (0.25, 0, 0.0) and _sign(root[2]) == 1.0
+    root = _brent_root(never, 0.25, -0.0, 0.5, 1.0, 1e-12)
+    assert root == (0.25, 0, 0.0) and _sign(root[2]) == -1.0
+    root = _brent_root(never, 0.25, 1.0, 0.5, -0.0, 1e-12)
+    assert root == (0.5, 0, 0.0) and _sign(root[2]) == -1.0
+    # a root at the expansion's start is returned before any bracket is
+    # grown, with the residual computed there: -0.0 for -x at 0
+    root = _root_decreasing(lambda x: -x, 1e-12, "start")
+    assert root == (0.0, 0, 0.0) and _sign(root[2]) == -1.0
 
 
 @pytest.mark.parametrize("sched", [SCHED, ConstantCost(2.0)])
@@ -259,7 +286,7 @@ def test_root_decreasing_evaluates_no_point_twice(rho, sched):
         return wrapper
 
     ac = lambda a: activation_residual(a, PRIM, regime.rho, regime.f_b)
-    a, _ = _root_decreasing(recorded(ac), 1e-15, "ac")
+    a, _, _ = _root_decreasing(recorded(ac), 1e-15, "ac")
     assert len(seen) == len(set(seen)) > 2
     seen.clear()
     locus = lambda t: fe_residual(regime.rho * t + a, t, PRIM, regime)
@@ -290,7 +317,7 @@ def _root_evaluations(fn, xtol):
 def test_solve_evaluates_each_residual_only_in_its_root_find(rho, sched, monkeypatch):
     regime = Regime(rho, sched)
     ac = lambda a: activation_residual(a, PRIM, regime.rho, regime.f_b)
-    a, _ = _root_decreasing(ac, 1e-15, "ac")
+    a, _, _ = _root_decreasing(ac, 1e-15, "ac")
     locus = lambda t: fe_residual(regime.rho * t + a, t, PRIM, regime)
     ac_root_calls, fe_root_calls = _root_evaluations(ac, 1e-15), _root_evaluations(locus, 1e-12)
 
@@ -333,7 +360,9 @@ def test_limit_residual_is_the_one_at_its_root(variant, monkeypatch):
     calls = _counted(monkeypatch, "_survivor_entry_residual")
     lim = solve(PRIM, arg)
     monkeypatch.undo()
-    assert len(calls) == root_calls
+    # only the root find's evaluations, no point twice
+    assert len(calls) == len(set(calls)) == root_calls
+    assert lim.p_star in calls
     assert lim.fe_residual == _survivor_entry_residual(lim.p_star, PRIM, fixed_cost, entry_cost)
 
 

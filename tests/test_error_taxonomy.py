@@ -12,6 +12,7 @@ from gatekeep import (
     PowerBoundedCost,
     Primitives,
     Regime,
+    bvn_cdf,
     compute_aggregates,
     solve_equilibrium,
 )
@@ -51,3 +52,25 @@ def test_solve_returns_or_raises_gatekeep_error(prim, schedule, rho):
     # returning means the residual, stationarity and welfare-identity checks passed
     assert not math.isnan(eq.cutoffs.t_star) and not math.isnan(eq.cutoffs.p_star)
     assert math.isfinite(agg.welfare) and agg.welfare > 0.0
+
+
+# correlations in both branches of bvn_cdf, with the near-singular edges
+BVN_RHO = st.one_of(
+    st.floats(-0.925, 0.925, exclude_min=True, exclude_max=True),
+    st.floats(0.925, 1.0),
+    st.floats(-1.0, -0.925),
+)
+
+
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    y=st.floats(allow_nan=False, allow_infinity=False),
+    rho=BVN_RHO,
+)
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_bvn_cdf_returns_a_probability_or_raises_gatekeep_error(x, y, rho):
+    try:
+        value = bvn_cdf(x, y, rho)
+    except GatekeepError:
+        return
+    assert 0.0 <= value <= 1.0

@@ -105,6 +105,32 @@ def test_bvn_infinite_arguments():
     assert bvn_cdf(math.inf, math.inf, 0.5) == 1.0
 
 
+@pytest.mark.parametrize(
+    "x, y, rho, want",
+    [
+        (0.3, 1e60, 0.95, 0.6179114221889526),  # Phi(0.3); the Genz rule gave NaN, clamped to 0
+        (1e200, -1e200, 0.95, 0.0),  # (h - k) ** 2 overflowed
+        (-0.5, 1e308, -0.97, 0.3085375387259869),  # Phi(-0.5); also an overflow
+        (1e200, 1e200, 0.5, 1.0),  # inf - inf in the arcsine rule gave NaN, clamped to 0
+    ],
+)
+def test_bvn_huge_finite_arguments_take_their_limits(x, y, rho, want):
+    assert bvn_cdf(x, y, rho) == want
+    assert bvn_cdf(y, x, rho) == want
+
+
+def test_bvn_far_bound_splits_genz_from_the_reduction():
+    far = normal._FAR_ARGUMENT
+    near = math.nextafter(far, 0.0)
+    for rho in (0.5, -0.5, 0.97, -0.97):
+        # just inside the bound the Genz rule still answers; at it, the limit does
+        genz = min(1.0, max(0.0, normal._bvn_upper(-near, 0.3, rho)))
+        assert bvn_cdf(near, -0.3, rho) == genz
+        assert bvn_cdf(far, -0.3, rho) == std_normal_cdf(-0.3)
+        assert bvn_cdf(-far, -0.3, rho) == 0.0
+        assert bvn_cdf(far, far, rho) == 1.0
+
+
 def test_bvn_large_argument_marginal_reduction():
     # finite but effectively infinite second coordinate
     assert bvn_cdf(0.3, 37.0, 0.6) == pytest.approx(std_normal_cdf(0.3), abs=1e-13)
@@ -332,6 +358,22 @@ def test_joint_tail_masses_bit_exact_at_infinite_and_huge_arguments():
         # finite arguments whose shifted point overflows to infinity
         _assert_pair_exact(1e308, -1e308, 0.5, rho)
         _assert_pair_exact(1e308, 0.5, -1e308, rho)
+
+
+def test_joint_tail_masses_equal_the_single_calls_beyond_the_far_bound():
+    far = normal._FAR_ARGUMENT
+    points = (
+        (1.0, -0.3, -1e60), (0.0, -1e200, 1e200), (1.0, 0.5, -1e308), (1.0, 1e308, 0.2),
+        (2.0, -far, 0.1), (2.0, 0.1, far), (1.0, -(far - 1.0), 0.2), (1e7, 0.5, 0.2),
+    )
+    for rho in (0.0, 0.5, 0.95, -0.97, *_BRANCH_EDGE):
+        for k, p, t in points:
+            normal.joint_tail_masses.cache_clear()
+            # values, not error classes: every one of these has a limit
+            want = (log_tilted_upper_tail2(k, p, t, rho), bvn_cdf(-p, -t, rho))
+            got = joint_tail_masses(k, p, t, rho)
+            assert got == want, (k, p, t, rho, got, want)
+            assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
 
 
 def test_joint_tail_masses_raise_the_single_calls_errors():
