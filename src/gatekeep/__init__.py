@@ -74,12 +74,12 @@ from .config import GridSpec, RunConfig, config_hash, format_config, parse_confi
 #: imported on first access so the solver paths load only the standard library
 _ORACLE_NAMES = frozenset({
     "McEstimate",
-    "OracleReport",
     "estimate_aggregates",
     "estimate_profit_given_signal",
     "quadrature_reference",
     "sample_log_population",
     "simulate_operating_mass",
+    "z_score",
 })
 
 

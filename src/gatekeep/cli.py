@@ -28,7 +28,9 @@ from .equilibrium import melitz_limit_perfect, melitz_limit_zero, solve_equilibr
 from .errors import GatekeepError, ParseError, ValidationError
 from .policy import pigouvian_welfare
 from .svgchart import line_chart_svg
-from .welfare import SweepRecord, failure_status, find_optimal_precision, sweep_records
+from .welfare import (
+    SweepRecord, compute_aggregates, failure_status, find_optimal_precision, sweep_records,
+)
 
 MC_Z_LIMIT = 4.0
 QUAD_DELTA_LIMIT = 1e-8
@@ -183,45 +185,44 @@ def _run_limits(config: RunConfig) -> _Table:
 def _run_validate(config: RunConfig) -> _Table:
     # numpy and scipy load here, on the one mode that needs them
     from .oracle import (
-        _z_score,
         estimate_aggregates,
         estimate_profit_given_signal,
         quadrature_reference,
         sample_log_population,
+        z_score,
     )
 
     prim = config.primitives
-    rho = _require(config, "rho", "validate")
-    regime = Regime(rho, config.schedule)
-    cutoffs = solve_equilibrium(prim, regime).cutoffs
-    draws = sample_log_population(regime.rho, config.mc_n, config.seed)
-    report = estimate_aggregates(draws, prim, cutoffs)
-    # expected profit at one representative signal, against its own MC
-    t_probe = cutoffs.t_star + 0.5
-    at_cutoffs = {"rho": regime.rho, "p_star": cutoffs.p_star, "t_star": cutoffs.t_star}
-    quad = {
-        "p_theta": quadrature_reference(
-            "bvn", {"x": -cutoffs.t_star, "y": math.inf, "rho": regime.rho}
-        ),
-        "p_phi": quadrature_reference(
-            "bvn", {"x": -cutoffs.p_star, "y": -cutoffs.t_star, "rho": regime.rho}
-        ),
-        "s_term": quadrature_reference("S", {"k": prim.k, **at_cutoffs}),
-        "pi_breve": quadrature_reference("pi_breve", {"prim": prim, **at_cutoffs}),
-        "pi_tilde": quadrature_reference(
-            "pi_tilde", {"prim": prim, "rho": regime.rho, "p_star": cutoffs.p_star, "t": t_probe}
-        ),
-    }
-    closed = expected_profit_given_signal(prim, regime.rho, cutoffs.p_star, t_probe)
-    est = estimate_profit_given_signal(
-        t_probe, prim, regime.rho, cutoffs.p_star, config.mc_n, config.seed + 1
+    regime = Regime(_require(config, "rho", "validate"), config.schedule)
+    eq = solve_equilibrium(prim, regime)
+    # the closed forms are the aggregates a solve reports
+    agg = compute_aggregates(prim, regime, eq)
+    rho, t_star, p_star = regime.rho, eq.cutoffs.t_star, eq.cutoffs.p_star
+    estimates = estimate_aggregates(
+        sample_log_population(rho, config.mc_n, config.seed), prim, eq.cutoffs
     )
-    checks = [(r.name, r.closed_form, r.estimate, r.z_score) for r in report.rows]
-    checks.append(("pi_tilde", closed, est, _z_score(closed, est)))
-    rows = [
-        [name, value, mc.mean, mc.std_error, z, quad[name], value - quad[name]]
-        for name, value, mc, z in checks
+    # expected profit at one representative signal, against its own MC
+    t_probe = t_star + 0.5
+    estimates["pi_tilde"] = estimate_profit_given_signal(
+        t_probe, prim, rho, p_star, config.mc_n, config.seed + 1
+    )
+    at_cutoffs = {"rho": rho, "p_star": p_star, "t_star": t_star}
+    checks = [
+        ("p_theta", agg.p_theta,
+         quadrature_reference("bvn", {"x": -t_star, "y": math.inf, "rho": rho})),
+        ("p_phi", agg.p_phi,
+         quadrature_reference("bvn", {"x": -p_star, "y": -t_star, "rho": rho})),
+        ("s_term", agg.s_term, quadrature_reference("S", {"k": prim.k, **at_cutoffs})),
+        ("pi_breve", agg.pi_breve, quadrature_reference("pi_breve", {"prim": prim, **at_cutoffs})),
+        ("pi_tilde", expected_profit_given_signal(prim, rho, p_star, t_probe),
+         quadrature_reference(
+             "pi_tilde", {"prim": prim, "rho": rho, "p_star": p_star, "t": t_probe})),
     ]
+    rows = []
+    for name, closed, quad in checks:
+        mc = estimates[name]
+        z = z_score(closed, mc)
+        rows.append([name, closed, mc.mean, mc.std_error, z, quad, closed - quad])
     # a running max from 0.0, so a NaN cell never becomes the worst value
     worst_z = max(0.0, *(abs(row[4]) for row in rows))
     worst_delta = max(0.0, *(abs(row[6]) for row in rows))
@@ -229,7 +230,7 @@ def _run_validate(config: RunConfig) -> _Table:
     return _Table(
         ("quantity", "closed_form", "mc_mean", "mc_std_error", "z_score", "quad_value", "quad_delta"),
         rows,
-        f"validation at rho={regime.rho!r}, n={config.mc_n}: max |z| = {worst_z:.3f}, "
+        f"validation at rho={rho!r}, n={config.mc_n}: max |z| = {worst_z:.3f}, "
         f"max quadrature delta = {worst_delta:.3e} -> {'ok' if passed else 'MISMATCH'}",
         code=0 if passed else 3,
     )

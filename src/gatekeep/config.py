@@ -18,6 +18,7 @@ gives as a float as a float, so an int and the equal float hash alike.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 
 from .economy import (
@@ -31,6 +32,9 @@ from .economy import (
 from .errors import DomainError, ParseError, ValidationError
 
 MODES = ("solve", "sweep", "optimum", "pigouvian", "limits", "validate")
+
+#: most steps a grid may take, and most transfer points: about 15 s of sweep
+MAX_POINTS = 100_000
 
 #: schedule kind -> the dataclass it builds; its fields are the kind's keys
 _SCHEDULES = {
@@ -56,6 +60,12 @@ class GridSpec:
             )
         if not self.step > 0.0:
             raise ValidationError(f"grid step must be positive, got {self.step!r}")
+        # a non-finite step makes points() append NaN forever
+        if not math.isfinite(self.step) or (self.stop - self.start) / self.step > MAX_POINTS:
+            raise ValidationError(
+                f"grid step {self.step!r} must be finite and take at most {MAX_POINTS} "
+                f"steps from {self.start!r} to {self.stop!r}"
+            )
 
     @classmethod
     def parse(cls, text: str, line: int | None = None, column: int | None = None) -> GridSpec:
@@ -145,6 +155,10 @@ class RunConfig:
             raise ValidationError(f"run.seed must be non-negative, got {self.seed!r}")
         if self.s_points < 3:
             raise ValidationError(f"run.s_points must be at least 3, got {self.s_points!r}")
+        if self.s_points > MAX_POINTS:
+            raise ValidationError(
+                f"run.s_points must be at most {MAX_POINTS}, got {self.s_points!r}"
+            )
         for key in ("f_e0", "f_b_bar"):
             value = getattr(self, key)
             if value is not None and not value > 0.0:

@@ -11,14 +11,16 @@ The bivariate CDF is a double-precision port of the Drezner-Wesolowsky
 scheme as refined by Genz (Gauss-Legendre quadrature on the arcsine
 transformation, with a separate expansion branch for ``|rho| >= 0.925``).
 Absolute accuracy is on the order of 5e-15 for ``|rho| <= 0.99``. The
-quadrature nodes depend on the correlation alone, so ``bvn_cdf`` builds them
-once per ``rho`` and keeps the last few in a bounded table; each node is the
-same float expression as in the uncached rule, so results are identical to
-it bit for bit. ``joint_tail_masses`` gives the two masses of a free-entry
-residual, the tilted mass and the joint tail at one rho, from one pass over
-those nodes, and keeps the last ``_PAIR_CACHE_SIZE`` pairs in a bounded
-table. All kernels here are pure functions: the tables change how fast a
-value is computed, never the value.
+quadrature nodes depend on the correlation alone, so they are built once per
+``rho`` and the last few kept in a bounded table; each node is the same float
+expression as in the uncached rule, so results are identical to it bit for
+bit. One rule, ``_bvn_upper_pair``, evaluates two points per pass over the
+nodes: ``joint_tail_masses`` uses both to give the two masses of a
+free-entry residual, the tilted mass and the joint tail at one rho, and
+keeps the last ``_PAIR_CACHE_SIZE`` pairs in a bounded table; ``bvn_cdf``
+passes its one point twice and keeps the first value. All kernels here are
+pure functions: the tables change how fast a value is computed, never the
+value.
 
 Tilted moments are combined in log space before exponentiation, so they are
 total on their mathematical domain and raise ``TiltOverflowError`` only when
@@ -128,37 +130,6 @@ def _expansion_nodes(r: float):
     return a_sq, a, tuple(nodes)
 
 
-def _bvn_upper(h: float, k: float, r: float) -> float:
-    """P(X > h, Y > k) for standard bivariate normal with correlation r.
-
-    Double-precision Drezner-Wesolowsky/Genz algorithm, 20-point
-    Gauss-Legendre rule throughout; the nodes come from the per-r tables.
-    """
-    hk = h * k
-    bvn = 0.0
-    if abs(r) < 0.925:
-        hs = 0.5 * (h * h + k * k)
-        asr, nodes = _arcsine_nodes(r)
-        for wi, sn, den in nodes:
-            bvn += wi * math.exp((sn * hk - hs) / den)
-        bvn = bvn * asr / (4.0 * math.pi) + std_normal_cdf(-h) * std_normal_cdf(-k)
-        return bvn
-    # High-correlation branch: expand about |r| = 1 (|r| < 1 is guaranteed
-    # by the near-singular guard upstream).
-    if r < 0.0:
-        k = -k
-        hk = -hk
-    a_sq, a, nodes = _expansion_nodes(r)
-    bs, c, d, bvn = _expansion_head(h, k, hk, a_sq, a)
-    for awi, xs, rs, one_minus_rs, two_one_plus_rs in nodes:
-        asr1 = -(bs / xs + hk) / 2.0
-        if asr1 > -100.0:
-            sp = 1.0 + c * xs * (1.0 + d * xs)
-            ep = math.exp(-hk * one_minus_rs / two_one_plus_rs) / rs
-            bvn += awi * math.exp(asr1) * (ep - sp)
-    return _expansion_tail(bvn, h, k, r)
-
-
 def _expansion_head(h: float, k: float, hk: float, a_sq: float, a: float):
     """(bs, c, d) of the |r| >= 0.925 expansion and its sum before the nodes."""
     bvn = 0.0
@@ -186,15 +157,23 @@ def _expansion_tail(bvn: float, h: float, k: float, r: float) -> float:
     else:
         bvn = -bvn
         if k > h:
-            bvn += std_normal_cdf(k) - std_normal_cdf(h)
+            # Phi(k) - Phi(h) by the smaller tails for h > 0, where Phi(k)
+            # and Phi(h) both round to 1 and their difference to nothing
+            if h > 0.0:
+                bvn += std_normal_cdf(-h) - std_normal_cdf(-k)
+            else:
+                bvn += std_normal_cdf(k) - std_normal_cdf(h)
     return bvn
 
 
 def _bvn_upper_pair(h1: float, k1: float, h2: float, k2: float, r: float):
-    """(_bvn_upper(h1, k1, r), _bvn_upper(h2, k2, r)) from one pass over the nodes.
+    """(P(X > h1, Y > k1), P(X > h2, Y > k2)) for standard bivariate normal
+    with correlation r, from one pass over the nodes.
 
-    Each of the two sums keeps ``_bvn_upper``'s float expressions and
-    summation order, so each value equals it bit for bit.
+    Double-precision Drezner-Wesolowsky/Genz algorithm, 20-point
+    Gauss-Legendre rule throughout; the nodes come from the per-r tables.
+    The two sums share the nodes and nothing else, so each value is the one
+    the rule gives for its point alone.
     """
     exp = math.exp
     hk1 = h1 * k1
@@ -211,6 +190,8 @@ def _bvn_upper_pair(h1: float, k1: float, h2: float, k2: float, r: float):
             bvn1 * asr / (4.0 * math.pi) + std_normal_cdf(-h1) * std_normal_cdf(-k1),
             bvn2 * asr / (4.0 * math.pi) + std_normal_cdf(-h2) * std_normal_cdf(-k2),
         )
+    # High-correlation branch: expand about |r| = 1 (|r| < 1 is guaranteed
+    # by the near-singular guard upstream).
     if r < 0.0:
         k1, hk1, k2, hk2 = -k1, -hk1, -k2, -hk2
     a_sq, a, nodes = _expansion_nodes(r)
@@ -247,7 +228,7 @@ def bvn_cdf(x: float, y: float, rho: float) -> float:
         if x >= far and y >= far:
             return 1.0
         return std_normal_cdf(y) if x >= far else std_normal_cdf(x)
-    p = _bvn_upper(-x, -y, rho)
+    p = _bvn_upper_pair(-x, -y, -x, -y, rho)[0]
     return min(1.0, max(0.0, p))
 
 
@@ -322,11 +303,11 @@ def joint_tail_masses(k: float, p_c: float, t_c: float, rho: float) -> tuple[flo
     S = E[exp(k P) 1{P >= p_c, T >= t_c}] and P_phi = P(P >= p_c, T >= t_c):
     the pair equals ``(log_tilted_upper_tail2(k, p_c, t_c, rho),
     bvn_cdf(-p_c, -t_c, rho))`` float for float, because both masses are
-    Genz rules at the same rho (Genz 2004, Statistics and Computing 14:251)
-    and ``_bvn_upper_pair`` keeps each rule's expressions. NaN arguments,
-    and points ``bvn_cdf`` reduces (infinite or beyond ``_FAR_ARGUMENT``),
-    go through those two calls, with their guards and errors. The last
-    ``_PAIR_CACHE_SIZE`` pairs are cached.
+    values of the one Genz rule at the same rho (Genz 2004, Statistics and
+    Computing 14:251), and each of its two sums depends on its own point
+    only. NaN arguments, and points ``bvn_cdf`` reduces (infinite or beyond
+    ``_FAR_ARGUMENT``), go through those two calls, with their guards and
+    errors. The last ``_PAIR_CACHE_SIZE`` pairs are cached.
     """
     x, y = -p_c + k, -t_c + rho * k
     far = _FAR_ARGUMENT

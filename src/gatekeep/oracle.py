@@ -1,13 +1,15 @@
-"""Independent validation of the closed forms.
+"""Independent estimators of the closed-form quantities.
 
-Monte Carlo estimators work from raw bivariate-normal draws and adaptive
-quadrature integrates the raw densities; neither route touches the
-closed-form kernels in ``normal.py`` (quadrature integrands use their own
-inline density and ``scipy.special.ndtr``), so agreement is evidence rather
-than tautology.
+This module holds estimators and quadrature only: Monte Carlo estimates from
+raw bivariate-normal draws, adaptive quadrature of the raw densities, and
+``z_score`` to compare an estimate with a value computed elsewhere. It
+imports no closed-form kernel (quadrature integrands use their own inline
+density and ``scipy.special.ndtr``); the closed forms it is checked against
+are the aggregates the solver reports, so agreement is evidence rather than
+tautology.
 
 Sampling uses numpy's PCG64 generator (``numpy.random.default_rng``) seeded
-explicitly; identical (n, seed) reproduce identical draws and reports. The
+explicitly; identical (n, seed) reproduce identical draws and estimates. The
 draws stream in fixed blocks of ``_BLOCK`` pairs, and their concatenation
 equals numpy's one-shot draw of all n pairs. Estimates combine per-block
 moments (Chan, Golub & LeVeque 1979), so the memory of an estimate is one
@@ -23,9 +25,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
-from .economy import LogCutoffs, Primitives, expected_joint_profit
+from .economy import LogCutoffs, Primitives
 from .errors import DomainError, ToleranceNotMetError
-from .normal import bvn_cdf, std_normal_cdf, tilted_upper_tail2
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: integration window in standard deviations; the omitted tail mass is < 1e-300
@@ -42,25 +43,6 @@ class McEstimate:
 
     mean: float
     std_error: float
-    n: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class OracleRow:
-    """One quantity: closed form vs Monte Carlo, with the resulting z-score."""
-
-    name: str
-    closed_form: float
-    estimate: McEstimate
-    z_score: float
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    rows: tuple[OracleRow, ...]
-    rho: float
     n: int
     seed: int
 
@@ -137,7 +119,8 @@ class _Moments:
         return McEstimate(mean=self.mean, std_error=se, n=self.n, seed=seed)
 
 
-def _z_score(closed_form: float, est: McEstimate) -> float:
+def z_score(closed_form: float, est: McEstimate) -> float:
+    """(closed_form - mean) / standard error; 0 or inf when the error is zero."""
     if est.std_error > 0.0:
         return (closed_form - est.mean) / est.std_error
     return 0.0 if closed_form == est.mean else math.inf
@@ -145,56 +128,36 @@ def _z_score(closed_form: float, est: McEstimate) -> float:
 
 def estimate_aggregates(
     draws: PopulationDraws, prim: Primitives, cutoffs: LogCutoffs
-) -> OracleReport:
+) -> dict[str, McEstimate]:
     """Sample estimates of the tail probabilities, selection term, and profit.
 
-    Compares each against its closed form; empty indicator sets are flagged
-    as degenerate rather than crashing.
+    Returns ``{name: McEstimate}`` for p_theta, p_phi, s_term and pi_breve.
+    An empty indicator set gives mean 0.0 with standard error 0.0; pi_breve
+    at an infinite log-productivity cutoff p* is the exact estimate inf.
     """
     if draws.n < 1:
         raise DomainError("draws must be nonempty")
-    rho, seed = draws.rho, draws.seed
     t_star, p_star = cutoffs.t_star, cutoffs.p_star
     k = prim.k
     profit = math.isfinite(p_star)
 
-    p_theta, p_phi, s_term, pi_breve = (_Moments() for _ in range(4))
-    t_any = both_any = False
+    moments = {name: _Moments() for name in ("p_theta", "p_phi", "s_term", "pi_breve")}
     for p, t in draws.blocks():
         pass_t = t >= t_star
         pass_both = pass_t & (p >= p_star)
-        t_any = t_any or bool(pass_t.any())
-        both_any = both_any or bool(pass_both.any())
-        p_theta.add(pass_t.astype(float))
-        p_phi.add(pass_both.astype(float))
-        s_term.add(np.exp(k * p) * pass_both)
+        moments["p_theta"].add(pass_t.astype(float))
+        moments["p_phi"].add(pass_both.astype(float))
+        moments["s_term"].add(np.exp(k * p) * pass_both)
         if profit:
-            pi_breve.add(prim.f * (np.exp(k * (p - p_star)) - 1.0) * pass_both)
+            moments["pi_breve"].add(prim.f * (np.exp(k * (p - p_star)) - 1.0) * pass_both)
 
-    rows = []
-
-    est = p_theta.estimate(seed)
-    closed = std_normal_cdf(-t_star)
-    rows.append(OracleRow("p_theta", closed, est, _z_score(closed, est), not t_any))
-
-    est = p_phi.estimate(seed)
-    closed = bvn_cdf(-p_star, -t_star, rho)
-    rows.append(OracleRow("p_phi", closed, est, _z_score(closed, est), not both_any))
-
-    est = s_term.estimate(seed)
-    closed = tilted_upper_tail2(k, p_star, t_star, rho)
-    rows.append(OracleRow("s_term", closed, est, _z_score(closed, est), not both_any))
-
-    if profit:
-        est = pi_breve.estimate(seed)
-        closed = expected_joint_profit(prim, rho, cutoffs)
-        rows.append(OracleRow("pi_breve", closed, est, _z_score(closed, est), not both_any))
-    else:
+    estimates = {name: m.estimate(draws.seed) for name, m in moments.items()}
+    if not profit:
         # Profit relative to a zero productivity cutoff is infinite.
-        est = McEstimate(mean=math.inf, std_error=0.0, n=draws.n, seed=seed)
-        rows.append(OracleRow("pi_breve", math.inf, est, 0.0, not both_any))
-
-    return OracleReport(rows=tuple(rows), rho=rho, n=draws.n, seed=seed)
+        estimates["pi_breve"] = McEstimate(
+            mean=math.inf, std_error=0.0, n=draws.n, seed=draws.seed
+        )
+    return estimates
 
 
 def estimate_profit_given_signal(

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +158,23 @@ def test_validate_mode_passes(cfg_path, tmp_path):
     for row in rows:
         assert abs(float(row[4])) <= 4.0  # z-score column
         assert abs(float(row[6])) <= 1e-8  # quadrature delta column
+
+
+def test_validate_scores_the_aggregates_solve_prints(tmp_path):
+    # benchmark.cfg at its rho = 0.89: validate's closed forms are solve's cells
+    text = (Path(__file__).parents[1] / "benchmark.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "bench.cfg"
+    path.write_text(text + "mc_n = 1000\n")
+    solve_out, val_out = tmp_path / "solve.csv", tmp_path / "val.csv"
+    assert main(["solve", "--config", str(path), "--out", str(solve_out), "--quiet"]) == 0
+    main(["validate", "--config", str(path), "--out", str(val_out), "--quiet"])
+    _, header, rows = _read(solve_out)
+    solved = dict(zip(header, rows[0]))
+    assert solved["rho"] == "0.89"
+    closed = {row[0]: row[1] for row in _read(val_out)[2]}
+    for quantity, column in (("p_theta", "P_theta"), ("p_phi", "P_phi"), ("s_term", "S"),
+                             ("pi_breve", "pi_breve")):
+        assert closed[quantity] == solved[column], quantity
 
 
 def test_validate_zero_standard_error_is_not_a_match(tmp_path):

@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from gatekeep import CostSchedule, GridSpec, PowerBoundedCost, Primitives, RunConfig, parse_config
+from gatekeep import config
 from gatekeep.config import config_hash, format_config
 from gatekeep.errors import ParseError, ValidationError
 
@@ -220,6 +222,39 @@ def test_grid_parse_locates_its_errors():
     with pytest.raises(ParseError, match="^grid components must be numbers"):
         GridSpec.parse("0.1:x:0.1")
     assert GridSpec.parse("0.05:0.98:0.01") == GridSpec(0.05, 0.98, 0.01)
+
+
+@pytest.mark.parametrize("step", [math.inf, 1e-300])
+def test_grid_of_unbounded_length_rejected(step):
+    # an infinite step made points() append NaN forever; a tiny one never ends
+    with pytest.raises(ValidationError, match="grid step"):
+        GridSpec(0.1, 0.9, step)
+
+
+def test_grid_of_unbounded_length_rejected_in_config_text():
+    with pytest.raises(ValidationError, match="grid step inf"):
+        parse_config(FIG3_TEXT.replace("grid = 0.05:0.98:0.01", "grid = 0.1:0.9:inf"))
+
+
+def test_transfer_grid_size_bounded():
+    cfg = parse_config(FIG3_TEXT)
+    with pytest.raises(ValidationError, match=f"^run.s_points must be at most {config.MAX_POINTS}"):
+        replace(cfg, s_points=config.MAX_POINTS + 1)
+    assert replace(cfg, s_points=config.MAX_POINTS).s_points == config.MAX_POINTS
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config format", 1)[1].split("```\n", 2)[1]
+    cfg = parse_config(block)
+    assert cfg.schedule == PowerBoundedCost(3.0, 2.0, 8.0)
+    assert cfg.grid == GridSpec(0.05, 0.98, 0.01)
+    assert cfg.mc_n == 10_000_000
+
+
+def test_inline_hash_is_part_of_the_value():
+    # only whole-line comments exist, so '#' inside a value is kept
+    assert parse_config(FIG3_TEXT + "out = a#b.csv\n").out == "a#b.csv"
 
 
 BENCHMARK_CANONICAL = """\

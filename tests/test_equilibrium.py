@@ -343,9 +343,9 @@ def test_solve_makes_one_genz_pass_per_free_entry_residual(rho, sched, monkeypat
     regime = Regime(rho, sched)
     fe_calls = _counted(monkeypatch, "fe_residual")
     sol = solve_equilibrium(PRIM, regime)
-    assert genz_passes == {"single": 0, "pair": len(fe_calls)}
+    assert genz_passes == {"pair": len(fe_calls)}
     compute_aggregates(PRIM, regime, sol)
-    assert genz_passes == {"single": 0, "pair": len(fe_calls)}
+    assert genz_passes == {"pair": len(fe_calls)}
 
 
 @pytest.mark.parametrize("variant", ["zero_precision", "perfect_info"])

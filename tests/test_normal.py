@@ -119,12 +119,26 @@ def test_bvn_huge_finite_arguments_take_their_limits(x, y, rho, want):
     assert bvn_cdf(y, x, rho) == want
 
 
+@pytest.mark.parametrize(
+    "x, y, rho, want",
+    [
+        # Phi(x) by mpmath at 40 digits: given X <= x, Y > y has mass below 1e-300
+        (-9.0, 30.0, -0.95, 1.128588405953840647735502e-19),
+        (-5.957413326773415, 128.21724971042275, -0.9655855382958853, 1.281307707705290299e-09),
+    ],
+)
+def test_bvn_negative_high_correlation_keeps_a_tiny_tail(x, y, rho, want):
+    # a mass far below the spacing of floats near 1 must not cancel away
+    assert bvn_cdf(x, y, rho) == bvn_cdf(y, x, rho)
+    assert abs(bvn_cdf(x, y, rho) - want) <= 1e-12 * want
+
+
 def test_bvn_far_bound_splits_genz_from_the_reduction():
     far = normal._FAR_ARGUMENT
     near = math.nextafter(far, 0.0)
     for rho in (0.5, -0.5, 0.97, -0.97):
         # just inside the bound the Genz rule still answers; at it, the limit does
-        genz = min(1.0, max(0.0, normal._bvn_upper(-near, 0.3, rho)))
+        genz = min(1.0, max(0.0, _reference_bvn_upper(-near, 0.3, rho)))
         assert bvn_cdf(near, -0.3, rho) == genz
         assert bvn_cdf(far, -0.3, rho) == std_normal_cdf(-0.3)
         assert bvn_cdf(-far, -0.3, rho) == 0.0
@@ -186,8 +200,8 @@ def _reference_cdf(x):
 
 
 def _reference_bvn_upper(h, k, r):
-    # the Genz rule as it stood before the per-correlation node tables,
-    # nodes recomputed on every call
+    # the Genz rule without the per-correlation node tables, nodes
+    # recomputed on every call
     hk = h * k
     bvn = 0.0
     if abs(r) < 0.925:
@@ -233,7 +247,10 @@ def _reference_bvn_upper(h, k, r):
     else:
         bvn = -bvn
         if k > h:
-            bvn += _reference_cdf(k) - _reference_cdf(h)
+            if h > 0.0:
+                bvn += _reference_cdf(-h) - _reference_cdf(-k)
+            else:
+                bvn += _reference_cdf(k) - _reference_cdf(h)
     return bvn
 
 

@@ -183,4 +183,4 @@ def test_pigouvian_aggregates_reuse_the_roots_genz_pass(rho, s_frac, monkeypatch
     fe, calls = equilibrium.fe_residual, []
     monkeypatch.setattr(equilibrium, "fe_residual", lambda *args: calls.append(args) or fe(*args))
     pigouvian_welfare(PRIM, regime, s_frac * regime.f_b)
-    assert calls and genz_passes == {"single": 0, "pair": len(calls)}
+    assert calls and genz_passes == {"pair": len(calls)}
