@@ -183,7 +183,9 @@ def _run_limits(config: RunConfig) -> _Table:
 
 
 def _run_validate(config: RunConfig) -> _Table:
-    # numpy and scipy load here, on the one mode that needs them
+    # numpy loads here, on the one mode that needs it; scipy at the first quadrature
+    from concurrent.futures import ThreadPoolExecutor
+
     from .oracle import (
         estimate_aggregates,
         estimate_profit_given_signal,
@@ -198,14 +200,18 @@ def _run_validate(config: RunConfig) -> _Table:
     # the closed forms are the aggregates a solve reports
     agg = compute_aggregates(prim, regime, eq)
     rho, t_star, p_star = regime.rho, eq.cutoffs.t_star, eq.cutoffs.p_star
-    estimates = estimate_aggregates(
-        sample_log_population(rho, config.mc_n, config.seed), prim, eq.cutoffs
-    )
     # expected profit at one representative signal, against its own MC
     t_probe = t_star + 0.5
-    estimates["pi_tilde"] = estimate_profit_given_signal(
-        t_probe, prim, rho, p_star, config.mc_n, config.seed + 1
-    )
+    # The two estimators run concurrently (numpy releases the GIL as it draws
+    # and reduces); an error in the aggregates still takes precedence.
+    with ThreadPoolExecutor(1) as pool:
+        pi_tilde = pool.submit(
+            estimate_profit_given_signal, t_probe, prim, rho, p_star, config.mc_n, config.seed + 1
+        )
+        estimates = estimate_aggregates(
+            sample_log_population(rho, config.mc_n, config.seed), prim, eq.cutoffs
+        )
+        estimates["pi_tilde"] = pi_tilde.result()
     at_cutoffs = {"rho": rho, "p_star": p_star, "t_star": t_star}
     checks = [
         ("p_theta", agg.p_theta,

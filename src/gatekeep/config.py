@@ -223,7 +223,10 @@ def _convert(section: str, key: str, entry: _RawEntry, kind):
     if kind is str:
         return entry.value
     if kind is GridSpec:
-        return GridSpec.parse(entry.value, entry.line, entry.column)
+        try:
+            return GridSpec.parse(entry.value, entry.line, entry.column)
+        except ValidationError as exc:
+            raise ValidationError(f"{section}.{key}: {exc}") from None
     try:
         return kind(entry.value)
     except ValueError:

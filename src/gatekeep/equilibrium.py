@@ -108,7 +108,10 @@ def _brent_root(fn, xpre: float, fpre: float, xcur: float, fcur: float, xtol: fl
                 # inverse quadratic extrapolation through the three points
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                # where the denominator underflows to 0, C's quotient is inf
+                # or NaN and fails the step test below, so Brent bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom != 0.0 else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 # accept the interpolated step; otherwise bisect
                 spre, scur = scur, stry

@@ -6,14 +6,18 @@ raw bivariate-normal draws, adaptive quadrature of the raw densities, and
 imports no closed-form kernel (quadrature integrands use their own inline
 density and ``scipy.special.ndtr``); the closed forms it is checked against
 are the aggregates the solver reports, so agreement is evidence rather than
-tautology.
+tautology. Importing it loads numpy only; scipy loads at the first
+quadrature, after the Monte Carlo stage of ``validate``.
 
 Sampling uses numpy's PCG64 generator (``numpy.random.default_rng``) seeded
-explicitly; identical (n, seed) reproduce identical draws and estimates. The
-draws stream in fixed blocks of ``_BLOCK`` pairs, and their concatenation
-equals numpy's one-shot draw of all n pairs. Estimates combine per-block
-moments (Chan, Golub & LeVeque 1979), so the memory of an estimate is one
-block whatever n is, and ``validate`` memory does not depend on ``mc_n``.
+explicitly; identical (n, seed) reproduce identical draws and estimates, on
+any host. The draws stream in fixed blocks of ``_BLOCK`` pairs, and their
+concatenation equals numpy's one-shot draw of all n pairs. Estimates combine
+per-block moments (Chan, Golub & LeVeque 1979), so the memory of an estimate
+is one block whatever n is, and ``validate`` memory does not depend on
+``mc_n``. The block sums are numpy reductions, not BLAS calls, so no
+estimate depends on BLAS's thread count. numpy releases the GIL while it
+draws and reduces, so ``validate`` runs its two estimators on two threads.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 from .economy import LogCutoffs, Primitives
 from .errors import DomainError, ToleranceNotMetError
@@ -110,7 +112,9 @@ class _Moments:
         dev = values - mean
         n = self.n + size
         delta = mean - self.mean
-        self.m2 += float(np.dot(dev, dev)) + delta * delta * (self.n * size / n)
+        # numpy's own sum of squares: np.dot would hand it to BLAS, whose
+        # summation order depends on its thread count
+        self.m2 += float(np.square(dev, out=dev).sum()) + delta * delta * (self.n * size / n)
         self.mean += delta * (size / n)
         self.n = n
 
@@ -193,6 +197,8 @@ def _quad(fn, lo: float, hi: float, what: str) -> float:
     # Inner integrals of iterated 2-D quadratures can be huge in magnitude;
     # their error budget is relative, while the caller's final result is
     # held to the absolute tolerance.
+    from scipy import integrate
+
     value, abserr = integrate.quad(fn, lo, hi, epsabs=0.1 * _QUAD_TOL, epsrel=1e-12, limit=200)
     if abserr > max(_QUAD_TOL, 1e-11 * abs(value)):
         raise ToleranceNotMetError(
@@ -202,6 +208,8 @@ def _quad(fn, lo: float, hi: float, what: str) -> float:
 
 
 def _quad_bvn(x: float, y: float, rho: float) -> float:
+    from scipy.special import ndtr
+
     if x == -math.inf or y == -math.inf:
         return 0.0
     sd = math.sqrt(1.0 - rho * rho)

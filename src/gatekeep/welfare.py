@@ -34,6 +34,7 @@ from .errors import (
     InconsistentEquilibriumError,
     IterationCapError,
     KinkError,
+    TiltOverflowError,
 )
 from .normal import exp_tilt, joint_tail_masses, std_normal_cdf
 
@@ -81,7 +82,18 @@ def welfare_selection_burden(prim: Primitives, s_term: float, b_term: float) -> 
     """
     k = prim.k
     base = ((prim.sigma - 1.0) / prim.sigma) ** k * (prim.L / prim.delta) * s_term / b_term
-    return base ** (1.0 / k)
+    return _power(base, 1.0 / k, "welfare from selection over burden")
+
+
+def _power(base: float, exponent: float, what: str) -> float:
+    """base ** exponent; raises ``TiltOverflowError`` naming ``what`` where the
+    float power would raise a bare ``OverflowError``."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise TiltOverflowError(
+            f"{what} exceeds the double range ({base!r} ** {exponent!r})"
+        ) from None
 
 
 def _rel_close(x: float, y: float, rtol: float) -> bool:
@@ -104,15 +116,18 @@ def aggregates_from_cutoffs(
         )
     lead = exp_tilt(log_s - k * p_star, "operating revenue moment")
     pi_breve = prim.f * (lead - p_phi)
-    phi_tilde = (s_term / p_phi) ** (1.0 / k)
+    phi_tilde = _power(s_term / p_phi, 1.0 / k, "aggregate productivity")
     r_bar = prim.sigma * prim.f * lead / p_phi
     pi_bar = r_bar / prim.sigma - prim.f
     b_term = prim.f_n + p_theta * regime.f_b + (p_phi / prim.delta) * (r_bar - pi_bar)
     m_e = prim.L / b_term
     m = p_phi * m_e / prim.delta
 
-    w_variety_quality = (prim.sigma - 1.0) / prim.sigma * m ** (1.0 / k) * phi_tilde
-    w_master = (((prim.sigma - 1.0) / prim.sigma) ** k * (m_e / prim.delta) * s_term) ** (1.0 / k)
+    w_variety_quality = (prim.sigma - 1.0) / prim.sigma * _power(m, 1.0 / k, "variety term") * phi_tilde
+    w_master = _power(
+        ((prim.sigma - 1.0) / prim.sigma) ** k * (m_e / prim.delta) * s_term, 1.0 / k,
+        "welfare from the master formula",
+    )
     w_ratio = welfare_selection_burden(prim, s_term, b_term)
     if not (
         _rel_close(w_variety_quality, w_master, _IDENTITY_RTOL)

@@ -177,6 +177,44 @@ def test_validate_scores_the_aggregates_solve_prints(tmp_path):
         assert closed[quantity] == solved[column], quantity
 
 
+def test_validate_csv_does_not_depend_on_blas_threads(tmp_path):
+    # the standard errors are numpy sums; BLAS's dot summed them in an order
+    # set by its thread count
+    text = (Path(__file__).parents[1] / "benchmark.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "bench.cfg"
+    path.write_text(text + "mc_n = 200000\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"val{threads}.csv"
+        proc = _python(["-m", "gatekeep", "validate", "--config", str(path), "--out", str(out),
+                        "--quiet"], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_validate_error_precedence(tmp_path, monkeypatch, capsys):
+    # the two estimators run at once; their errors still rank aggregates,
+    # then pi_tilde, then quadrature
+    from gatekeep import oracle
+    from gatekeep.errors import ToleranceNotMetError
+
+    def failing(stage):
+        def fail(*args, **kwargs):
+            raise ToleranceNotMetError(stage)
+        return fail
+
+    path = tmp_path / "val.cfg"
+    path.write_text(BASE + "mc_n = 2000\n")
+    args = ["validate", "--config", str(path), "--out", str(tmp_path / "val.csv"), "--quiet"]
+    for stage, name in (("quadrature", "quadrature_reference"),
+                        ("pi_tilde", "estimate_profit_given_signal"),
+                        ("aggregates", "estimate_aggregates")):
+        monkeypatch.setattr(oracle, name, failing(stage))
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"solver failure: ToleranceNotMetError: {stage}\n"
+
+
 def test_validate_zero_standard_error_is_not_a_match(tmp_path):
     # one draw has no spread: pi_tilde's z-score follows the aggregate rows'
     # rule and reads inf when the estimate misses, never a perfect 0
@@ -272,9 +310,10 @@ def test_negative_seed_is_a_config_error(route, tmp_path, capsys):
     assert "config error: run.seed must be non-negative, got -5" in capsys.readouterr().err
 
 
-def _python(args):
-    """Run a fresh interpreter that imports gatekeep from this tree."""
+def _python(args, **env_vars):
+    """Run a fresh interpreter that imports gatekeep from this tree, with env_vars set."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.update(env_vars)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
@@ -305,6 +344,81 @@ def test_tilt_overflow_is_a_solver_failure(mode, tmp_path):
         lines = proc.stderr.splitlines()
         assert [line.split(":")[0] for line in lines] == [f"s={float(r[0])!r}" for r in rows]
         assert all(": failed: TiltOverflowError: " in line for line in lines)
+
+
+UNDERFLOW_CFG = """\
+[primitives]
+sigma = 1.456245236851979
+f = 1e300
+f_n = 10.094663522262515
+delta = 0.7510590095111661
+L = 846.1875432325069
+
+[schedule]
+kind = constant
+f_b = 406.3804314241883
+
+[run]
+rho = 0.8959038320707119
+"""
+
+POWER_OVERFLOW_CFG = """\
+[primitives]
+sigma = 1.0013241373826147
+f = 31.679549923991253
+f_n = 0.0035853008899762386
+delta = 0.4063948612096497
+L = 84.03489347622663
+
+[schedule]
+kind = constant
+f_b = 0.001908792875144275
+
+[run]
+rho = 0.8226039481423504
+"""
+
+
+@pytest.mark.parametrize("text, error", [
+    # residuals near 1e-300 underflowed Brent's interpolation denominator
+    # (ZeroDivisionError); the solved cutoffs then fail the free-entry identity
+    (UNDERFLOW_CFG, "InconsistentEquilibriumError"),
+    # m ** (1/k) at k = 0.0013 raised a bare OverflowError
+    (POWER_OVERFLOW_CFG, "TiltOverflowError"),
+], ids=["brent_underflow", "welfare_power_overflow"])
+def test_float_range_edges_are_solver_failures(text, error, tmp_path):
+    path = tmp_path / "edge.cfg"
+    path.write_text(text)
+    proc = _python(["-m", "gatekeep", "solve", "--config", str(path),
+                    "--out", str(tmp_path / "edge.csv"), "--quiet"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"failed: {error}: ")
+
+
+ORACLE_IMPORT_SCRIPT = """
+import json, sys
+
+def scipy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import gatekeep.oracle
+from gatekeep import cli
+
+seen = {"oracle": scipy()}
+seen["validate_code"] = cli.main(["validate", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"])
+seen["validate"] = "scipy.integrate" in scipy()
+print(json.dumps(seen))
+"""
+
+
+def test_oracle_import_loads_no_scipy(tmp_path):
+    # scipy loads at the first quadrature, after the Monte Carlo stage
+    val_cfg = tmp_path / "val.cfg"
+    val_cfg.write_text(BASE + "mc_n = 20000\n")
+    proc = _python(["-c", ORACLE_IMPORT_SCRIPT, str(val_cfg), str(tmp_path / "out.csv")])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"oracle": [], "validate_code": 0, "validate": True}
 
 
 COLD_IMPORT_SCRIPT = """

@@ -236,6 +236,18 @@ def test_grid_of_unbounded_length_rejected_in_config_text():
         parse_config(FIG3_TEXT.replace("grid = 0.05:0.98:0.01", "grid = 0.1:0.9:inf"))
 
 
+def test_grid_errors_name_their_key_in_config_text():
+    for grid, message in (
+        ("0.1:0.9:inf", "run.grid: grid step inf must be finite and take at most "
+                        f"{config.MAX_POINTS} steps from 0.1 to 0.9"),
+        ("0.9:0.1:0.1", "run.grid: grid must satisfy 0 < start < stop < 1, got 0.9:0.1:0.1"),
+        ("0.1:0.9:-0.1", "run.grid: grid step must be positive, got -0.1"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            parse_config(FIG3_TEXT.replace("grid = 0.05:0.98:0.01", f"grid = {grid}"))
+        assert str(err.value) == message
+
+
 def test_transfer_grid_size_bounded():
     cfg = parse_config(FIG3_TEXT)
     with pytest.raises(ValidationError, match=f"^run.s_points must be at most {config.MAX_POINTS}"):

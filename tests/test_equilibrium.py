@@ -233,6 +233,30 @@ def test_brent_root_matches_scipy_brentq():
             assert residual == fn(root)
             if solver:
                 assert _root_decreasing(fn, xtol, "case") == (want, info.iterations, fn(want))
+    # Residuals near the subnormal range, where the inverse-quadratic
+    # denominator underflows to 0.0 and brentq.c's inf/NaN step makes it bisect.
+    for fn, lo, hi in _underflow_cases():
+        for xtol in (1e-12, 1e-14, 1e-15):
+            want, info = brentq(fn, lo, hi, xtol=xtol, full_output=True)
+            root, iterations, residual = _brent_root(fn, lo, fn(lo), hi, fn(hi), xtol)
+            assert (root, iterations) == (want, info.iterations)
+            assert residual == fn(root)
+    ac = _underflow_cases()[0][0]
+    assert _brent_root(ac, 16.0, ac(16.0), 32.0, ac(32.0), 1e-15)[:2] == (16.326758319016797, 36)
+    assert _root_decreasing(ac, 1e-15, "case")[:2] == (16.326758319016797, 36)
+
+
+def _underflow_cases():
+    """(fn, lo, hi) brackets whose residuals underflow: an activation residual
+    at f = 1e300 (its bracket from the solver's expansion) and two shapes."""
+    prim = Primitives(sigma=1.456245236851979, f=1e300, f_n=10.094663522262515,
+                      delta=0.7510590095111661, L=846.1875432325069)
+    regime = Regime(0.8959038320707119, ConstantCost(406.3804314241883))
+    return [
+        (lambda a: activation_residual(a, prim, regime.rho, regime.f_b), 16.0, 32.0),
+        (lambda x: 1e-310 * (math.exp(1.0 - x) - 1.0), -3.0, 4.0),
+        (lambda x: math.exp(-40.0 * x) - math.exp(-680.0), 0.0, 20.0),
+    ]
 
 
 def test_brent_root_nan_residual_raises_domain_error():

@@ -24,6 +24,20 @@ PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
 
 
+def test_welfare_power_overflow_is_a_tilt_overflow():
+    # m ** (1/k) at sigma near 1 (k = 0.0013) exceeds the double range; the
+    # float power would raise a bare OverflowError
+    prim = Primitives(sigma=1.0013241373826147, f=31.679549923991253, f_n=0.0035853008899762386,
+                      delta=0.4063948612096497, L=84.03489347622663)
+    regime = Regime(0.8226039481423504, ConstantCost(0.001908792875144275))
+    eq = solve_equilibrium(prim, regime)
+    with pytest.raises(TiltOverflowError, match="^variety term exceeds the double range"):
+        compute_aggregates(prim, regime, eq)
+    assert welfare._power(2.0, 0.5, "x") == 2.0**0.5
+    with pytest.raises(TiltOverflowError, match=r"^x exceeds the double range \(2.0 \*\* 2000.0\)$"):
+        welfare._power(2.0, 2000.0, "x")
+
+
 @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 0.89, 0.95])
 def test_welfare_triple_agreement(rho, solved):
     _, _, agg = solved(rho)
