@@ -110,7 +110,8 @@ def _sweep_svg(ok) -> str:
         ("avg productivity", [r.agg.phi_tilde for r in ok]),
     ):
         top = max(values)
-        series.append((name, rhos, [v / top for v in values]))
+        # a series that underflowed to 0.0 at every point is drawn as it is
+        series.append((name, rhos, [v / top for v in values] if top else values))
     return line_chart_svg(
         series, x_label="verification precision", y_label="series / own max",
         title="welfare, variety, and selection vs precision",

@@ -10,8 +10,7 @@ residuals seed Brent, so no point is evaluated twice. Both root finders
 return the residual Brent holds at the root along with the root, so the
 residual reported at a solution is the value computed there, not a second
 evaluation. Each free-entry residual takes both of its Genz masses from one
-``normal.joint_tail_masses`` pass, whose bounded table still holds the
-root's pair when the aggregates ask for it.
+``normal.joint_tail_masses`` pass.
 
 The root finder is an in-house, pure-Python Brent's method (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4). It is a line-by-line

@@ -16,11 +16,10 @@ quadrature nodes depend on the correlation alone, so they are built once per
 expression as in the uncached rule, so results are identical to it bit for
 bit. One rule, ``_bvn_upper_pair``, evaluates two points per pass over the
 nodes: ``joint_tail_masses`` uses both to give the two masses of a
-free-entry residual, the tilted mass and the joint tail at one rho, and
-keeps the last ``_PAIR_CACHE_SIZE`` pairs in a bounded table; ``bvn_cdf``
-passes its one point twice and keeps the first value. All kernels here are
-pure functions: the tables change how fast a value is computed, never the
-value.
+free-entry residual, the tilted mass and the joint tail at one rho;
+``bvn_cdf`` passes its one point twice and keeps the first value. All
+kernels here are pure functions: the node tables change how fast a value is
+computed, never the value.
 
 Tilted moments are combined in log space before exponentiation, so they are
 total on their mathematical domain and raise ``TiltOverflowError`` only when
@@ -290,13 +289,6 @@ def tilted_upper_tail2(k: float, p_c: float, t_c: float, rho: float) -> float:
     )
 
 
-#: cutoff pairs whose masses are kept: more than the 110 free-entry residuals
-#: one solve can evaluate (8 bracket points, 100 Brent steps, 2 stationarity
-#: probes), so the pair at a solved root is still there for its aggregates
-_PAIR_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=_PAIR_CACHE_SIZE)
 def joint_tail_masses(k: float, p_c: float, t_c: float, rho: float) -> tuple[float, float]:
     """(log S, P_phi) of one cutoff pair, from one pass over the Genz nodes.
 
@@ -307,7 +299,7 @@ def joint_tail_masses(k: float, p_c: float, t_c: float, rho: float) -> tuple[flo
     Computing 14:251), and each of its two sums depends on its own point
     only. NaN arguments, and points ``bvn_cdf`` reduces (infinite or beyond
     ``_FAR_ARGUMENT``), go through those two calls, with their guards and
-    errors. The last ``_PAIR_CACHE_SIZE`` pairs are cached.
+    errors.
     """
     x, y = -p_c + k, -t_c + rho * k
     far = _FAR_ARGUMENT

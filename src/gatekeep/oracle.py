@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economy import LogCutoffs, Primitives
-from .errors import DomainError, ToleranceNotMetError
+from .errors import DomainError, TiltOverflowError, ToleranceNotMetError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 #: integration window in standard deviations; the omitted tail mass is < 1e-300
 _TAIL = 40.0
 #: draws per Monte Carlo block: bounds the memory of every estimate
@@ -193,6 +194,18 @@ def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
+def _folded_density(scale: float, x: float, z: float, sd: float, what: str) -> float:
+    # scale exp(x) phi(z) / sd with the Gaussian exponent folded into the one
+    # exp, for where exp(x) or the plain product overflows on its own
+    try:
+        value = scale * math.exp(x - 0.5 * z * z - _LOG_SQRT_2PI) / sd
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise TiltOverflowError(f"{what}: integrand exceeds the double range at exponent {x!r}")
+    return value
+
+
 def _quad(fn, lo: float, hi: float, what: str) -> float:
     # Inner integrals of iterated 2-D quadratures can be huge in magnitude;
     # their error budget is relative, while the caller's final result is
@@ -234,7 +247,15 @@ def _profit_inner(prim: Primitives, rho: float, p_star: float, t: float) -> floa
         return 0.0
 
     def integrand(p: float) -> float:
-        return prim.f * (math.exp(k * (p - p_star)) - 1.0) * _norm_pdf((p - mean) / sd) / sd
+        z = (p - mean) / sd
+        try:
+            value = prim.f * (math.exp(k * (p - p_star)) - 1.0) * _norm_pdf(z) / sd
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            # exp(k (p - p*)) overflowed, so the -1 is far below its last bit
+            value = _folded_density(prim.f, k * (p - p_star), z, sd, "pi_tilde")
+        return value
 
     return _quad(integrand, p_star, hi, "pi_tilde")
 
@@ -249,7 +270,14 @@ def _tilt_inner(k: float, rho: float, p_star: float, t: float) -> float:
         return 0.0
 
     def integrand(p: float) -> float:
-        return math.exp(k * p) * _norm_pdf((p - mean) / sd) / sd
+        z = (p - mean) / sd
+        try:
+            value = math.exp(k * p) * _norm_pdf(z) / sd
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            value = _folded_density(1.0, k * p, z, sd, "S inner")
+        return value
 
     return _quad(integrand, max(p_star, mean - _TAIL * sd), hi, "S inner")
 

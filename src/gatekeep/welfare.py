@@ -4,8 +4,7 @@ Welfare is computed three algebraically equivalent ways (variety x quality,
 the master formula in the experimentation margin, and the selection-over-
 burden ratio) and cross-checked at every solved point; disagreement signals
 solver drift and raises. The aggregates read ``log S`` and ``P_phi`` from
-``normal.joint_tail_masses``, so at solved cutoffs they reuse the pair the
-solve's residual at its root cached in that bounded table.
+one ``normal.joint_tail_masses`` pass.
 
 The precision sweep, the local log-derivative identity, the interior-optimum
 search, and the bounded-cost decline construction all build on the same
@@ -107,7 +106,6 @@ def aggregates_from_cutoffs(
     k = prim.k
     rho = regime.rho
     p_theta = std_normal_cdf(-t_star)
-    # at solved cutoffs, the pair the solve's residual at its root cached
     log_s, p_phi = joint_tail_masses(k, p_star, t_star, rho)
     s_term = exp_tilt(log_s, "selection term S")
     if p_phi <= 0.0 or s_term <= 0.0:

@@ -32,7 +32,7 @@ def solved(fig3_primitives, fig3_schedule):
 
 @pytest.fixture
 def genz_passes(monkeypatch):
-    """Counts of Genz passes, from an empty pair table.
+    """Counts of Genz passes.
 
     ``_bvn_upper_pair`` is the one Genz rule, so a stray ``bvn_cdf`` call
     shows up as one more pair pass.
@@ -45,6 +45,4 @@ def genz_passes(monkeypatch):
         return fn(*args)
 
     monkeypatch.setattr(normal, "_bvn_upper_pair", counted)
-    normal.joint_tail_masses.cache_clear()
-    yield counts
-    normal.joint_tail_masses.cache_clear()
+    return counts

@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gatekeep
 from gatekeep.cli import main
+from gatekeep.config import MODES
 from gatekeep.welfare import SweepRecord
 
 #: the directory that holds the gatekeep package, for child interpreters
@@ -394,6 +397,114 @@ def test_float_range_edges_are_solver_failures(text, error, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"failed: {error}: ")
+
+
+#: validate's S quadrature overflowed exp(k p) at k = 13.7 in a raw
+#: OverflowError, while solve on the same economy succeeds
+VALIDATE_OVERFLOW_CFG = """\
+[primitives]
+sigma = 14.701436259775718
+f = 0.17545641192895872
+f_n = 46.92677121197108
+delta = 0.5925762096957752
+L = 33.76691485681123
+
+[schedule]
+kind = piecewise_linear
+rho_low = 0.0670832067059218
+rho_high = 0.25979863215977494
+f_low = 0.016189597404489782
+f_high = 0.9989171416208602
+
+[run]
+rho = 0.4365866519567337
+mc_n = 2000
+seed = 3
+"""
+
+
+def test_validate_quadrature_overflow_is_no_traceback(tmp_path, capsys):
+    path = tmp_path / "overflow.cfg"
+    path.write_text(VALIDATE_OVERFLOW_CFG)
+    out = str(tmp_path / "overflow.csv")
+    assert main(["validate", "--config", str(path), "--out", out, "--quiet"]) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_sweep_svg_draws_a_series_that_underflowed_to_zero(tmp_path):
+    # at L = 5e-324 the entrant mass, and so welfare, underflow to 0.0 at
+    # every point; the chart used to divide by that series' max
+    path = tmp_path / "tiny.cfg"
+    path.write_text(BASE.replace("delta = 0.1\n", "delta = 0.1\nL = 5e-324\n"))
+    out, svg = str(tmp_path / "tiny.csv"), tmp_path / "tiny.svg"
+    assert main(["sweep", "--config", str(path), "--out", out, "--svg", str(svg), "--quiet"]) == 0
+    _, header, rows = _read(out)
+    assert {row[header.index("W")] for row in rows} == {"0.0"}
+    assert svg.read_text().count("<polyline") == 3
+
+
+def _positive(lo=-3.0, hi=1.0):
+    # log-uniform on [10^lo, 10^hi], where economies tend to solve, and the
+    # whole positive range with its extremes
+    return st.one_of(
+        st.floats(lo, hi).map(lambda e: 10.0 ** e),
+        st.floats(5e-324, 1e300),
+    )
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_SIGMA = st.one_of(
+    _positive(-1.0, 1.0).map(lambda x: 1.0 + x).filter(lambda s: s > 1.0),
+    st.floats(1.0, 1e300, exclude_min=True),
+)
+
+
+@st.composite
+def _config_texts(draw):
+    """Config text over the whole domain of every primitive and schedule key."""
+    primitives = {"sigma": draw(_SIGMA), "f": draw(_positive()), "f_n": draw(_positive()),
+                  "delta": draw(_UNIT), "L": draw(_positive())}
+    kind = draw(st.sampled_from(["constant", "power_bounded", "piecewise_linear", "hyperbolic"]))
+    if kind == "constant":
+        schedule = {"f_b": draw(_positive())}
+    elif kind == "power_bounded":
+        schedule = {"f_b0": draw(_positive()), "kappa": draw(st.one_of(st.just(0.0), _positive())),
+                    "alpha": draw(_positive())}
+    elif kind == "piecewise_linear":
+        rho_low, rho_high = sorted(draw(st.lists(_UNIT, min_size=2, max_size=2, unique=True)))
+        f_low, f_high = sorted((draw(_positive()), draw(_positive())))
+        schedule = {"rho_low": rho_low, "rho_high": rho_high, "f_low": f_low, "f_high": f_high}
+    else:
+        schedule = {"f_b0": draw(_positive())}
+    start, stop = sorted(draw(st.lists(_UNIT, min_size=2, max_size=2, unique=True)))
+    # at most 5 grid points
+    step = (stop - start) / draw(st.integers(1, 4))
+    # validate's quadratures take seconds as the clamped rho nears 1 - 1e-6
+    run = {"rho": draw(st.floats(0.0, 0.99, exclude_min=True)), "grid": f"{start}:{stop}:{step}",
+           "s_points": 5, "mc_n": draw(st.integers(1, 5000)), "seed": draw(st.integers(0, 2**32))}
+    for key in ("f_e0", "f_b_bar"):
+        if draw(st.booleans()):
+            run[key] = draw(_positive())
+    lines = []
+    for name, entries in (("primitives", primitives), ("schedule", {"kind": kind, **schedule}),
+                          ("run", run)):
+        # str of a float is its shortest round-tripping repr
+        lines += [f"[{name}]", *(f"{key} = {value}" for key, value in entries.items())]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(text=_config_texts())
+@example(text=VALIDATE_OVERFLOW_CFG)
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_every_mode_exits_with_a_code_on_any_valid_config(mode, text, tmp_path_factory):
+    root = tmp_path_factory.getbasetemp()
+    path = root / "fuzz.cfg"
+    path.write_text(text)
+    args = [mode, "--config", str(path), "--out", str(root / "fuzz.csv"), "--quiet"]
+    if mode == "sweep":
+        args += ["--svg", str(root / "fuzz.svg")]
+    assert main(args) in (0, 1, 2, 3)
 
 
 ORACLE_IMPORT_SCRIPT = """

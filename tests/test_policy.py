@@ -18,8 +18,10 @@ from gatekeep import (
     welfare_selection_burden,
 )
 from gatekeep import equilibrium
+from gatekeep.equilibrium import BRACKET_BOUND, _locus_fn, _solve_activation_intercept
 from gatekeep.errors import DomainError
 from gatekeep.normal import std_normal_cdf
+from gatekeep.policy import _PIGOU_SCAN_STEP
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
@@ -178,9 +180,44 @@ def test_decentralization_fixed_point(solved):
 
 @pytest.mark.parametrize("s_frac", [-0.5, 0.0, 0.3])
 @pytest.mark.parametrize("rho", [0.5, 0.97])
-def test_pigouvian_aggregates_reuse_the_roots_genz_pass(rho, s_frac, monkeypatch, genz_passes):
+def test_pigouvian_makes_one_genz_pass_per_residual_and_one_for_aggregates(
+    rho, s_frac, monkeypatch, genz_passes
+):
     regime = Regime(rho, SCHED)
     fe, calls = equilibrium.fe_residual, []
     monkeypatch.setattr(equilibrium, "fe_residual", lambda *args: calls.append(args) or fe(*args))
     pigouvian_welfare(PRIM, regime, s_frac * regime.f_b)
-    assert calls and genz_passes == {"pair": len(calls)}
+    assert calls and genz_passes == {"pair": len(calls) + 1}
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.95])
+def test_pigouvian_scan_cell_has_a_monotone_certificate(rho):
+    # Along the transfer locus p* = rho t + a_s, dH/dt = phi(t) c with
+    # c = delta s / f - r_a (r_a: the activation residual Brent returns at
+    # a_s), so G(t) = J(t) - c Phi(t) has G' = -rho k exp(log S - k p*) <= 0.
+    # For c <= 0, J itself decreases: one sign change. For c > 0, J > 0 where
+    # G >= 0 and J < 0 where G <= -c, so every sign change lies in the one
+    # window between them.
+    regime = Regime(rho, SCHED)
+    f_b = regime.f_b
+    scale = max(1.0, PRIM.delta * f_b / PRIM.f)
+    grid = [-BRACKET_BOUND + i * _PIGOU_SCAN_STEP
+            for i in range(int(round(2.0 * BRACKET_BOUND / _PIGOU_SCAN_STEP)) + 1)]
+    n = 41
+    transfers = [f_b / 2.0 * (2 * i - (n - 1)) / (n - 1) for i in range(n)]
+    for s in [s for s in transfers if s != 0.0][::4]:
+        a_s, _, r_a = _solve_activation_intercept(PRIM, rho, f_b - s)
+        c = PRIM.delta * s / PRIM.f - r_a
+        residual = _locus_fn(PRIM, regime, a_s)
+        j = [residual(t) for t in grid]
+        g = [jt - c * std_normal_cdf(t) for jt, t in zip(j, grid)]
+        assert max(b - a for a, b in zip(g, g[1:])) <= 1e-14 * scale, s
+        # the scan's cells [i, i + 1] that hold a sign change
+        cells = [i for i in range(len(grid) - 1) if j[i] == 0.0 or j[i] * j[i + 1] < 0.0]
+        if c <= 0.0:
+            assert len(cells) == 1, (s, cells)
+            continue
+        assert cells, s
+        lo = max([i for i, gt in enumerate(g) if gt >= 0.0], default=0)
+        hi = min([i for i, gt in enumerate(g) if gt <= -c], default=len(grid) - 1)
+        assert all(lo <= i and i + 1 <= hi for i in cells), (s, lo, hi, cells)
