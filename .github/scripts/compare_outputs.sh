@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# Compare every output of every CLI mode between two source trees.
+#
+#   bash .github/scripts/compare_outputs.sh BASE_TREE HEAD_TREE WORK_DIR
+#
+# Runs the six gatekeep modes from each tree's src/ on the head tree's
+# benchmark.cfg and on its sigma = 60 and f_n = 1e30 variants, then requires
+# the same set of files on both sides: every CSV, SVG, stdout and stderr
+# byte-identical, and every exit code equal.
+set -euo pipefail
+
+base=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+work=$3
+rm -rf "$work"
+mkdir -p "$work/configs"
+cfgs="$work/configs"
+cp "$head/benchmark.cfg" "$cfgs/benchmark.cfg"
+sed 's/^sigma = 2.0$/sigma = 60.0/' "$head/benchmark.cfg" > "$cfgs/sigma60.cfg"
+sed 's/^f_n = 0.005$/f_n = 1e30/' "$head/benchmark.cfg" > "$cfgs/no_entry.cfg"
+grep -q '^sigma = 60.0$' "$cfgs/sigma60.cfg"
+grep -q '^f_n = 1e30$' "$cfgs/no_entry.cfg"
+
+for side in base head; do
+  tree=${!side}
+  # each side must run its own tree, not an installed copy
+  PYTHONPATH="$tree/src" python3 -c 'import gatekeep, sys; print(gatekeep.__file__)' \
+    | grep -q "^$tree/src/gatekeep/"
+  for cfg in benchmark sigma60 no_entry; do
+    dir="$work/$side/$cfg"
+    mkdir -p "$dir"
+    for mode in solve sweep optimum pigouvian limits validate; do
+      svg=()
+      if [ "$mode" = sweep ]; then svg=(--svg sweep.svg); fi
+      status=0
+      (cd "$dir" && PYTHONPATH="$tree/src" python3 -m gatekeep "$mode" \
+        --config "$cfgs/$cfg.cfg" --out "$mode.csv" "${svg[@]}") \
+        > "$dir/$mode.stdout" 2> "$dir/$mode.stderr" || status=$?
+      echo "$status" > "$dir/$mode.code"
+    done
+  done
+done
+
+diff <(cd "$work/base" && find . -type f | sort) <(cd "$work/head" && find . -type f | sort)
+failed=0
+while read -r file; do
+  cmp "$work/base/$file" "$work/head/$file" || failed=1
+done < <(cd "$work/base" && find . -type f | sort)
+count=$(cd "$work/base" && find . -type f | wc -l)
+if [ "$failed" -ne 0 ]; then
+  echo "outputs differ from the base commit" >&2
+  exit 1
+fi
+echo "all $count output files identical to the base commit"

@@ -46,15 +46,6 @@ from .normal import (
     tilted_upper_tail,
     tilted_upper_tail2,
 )
-from .policy import (
-    ContractPoint,
-    PolicyBundle,
-    decentralize_cutoff,
-    intermediation_schedule,
-    pigouvian_welfare,
-    planner_cutoff,
-    planner_kernel,
-)
 from .welfare import (
     Aggregates,
     DeclineCertificate,
@@ -70,22 +61,30 @@ from .welfare import (
 )
 from .config import GridSpec, RunConfig, config_hash, format_config, parse_config
 
-#: names re-exported from ``oracle``, which needs numpy and scipy; it is
-#: imported on first access so the solver paths load only the standard library
-_ORACLE_NAMES = frozenset({
-    "McEstimate",
-    "estimate_aggregates",
-    "estimate_profit_given_signal",
-    "quadrature_reference",
-    "sample_log_population",
-    "simulate_operating_mass",
-    "z_score",
-})
+#: names re-exported from the module that defines them, which is imported on
+#: their first access: ``oracle`` needs numpy and scipy, so the solver paths
+#: load only the standard library, and only the pigouvian mode needs ``policy``
+_LAZY = {
+    "McEstimate": "oracle",
+    "estimate_aggregates": "oracle",
+    "estimate_profit_given_signal": "oracle",
+    "quadrature_reference": "oracle",
+    "sample_log_population": "oracle",
+    "simulate_operating_mass": "oracle",
+    "z_score": "oracle",
+    "ContractPoint": "policy",
+    "PolicyBundle": "policy",
+    "decentralize_cutoff": "policy",
+    "intermediation_schedule": "policy",
+    "pigouvian_welfare": "policy",
+    "planner_cutoff": "policy",
+    "planner_kernel": "policy",
+}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(oracle, name)
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

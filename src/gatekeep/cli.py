@@ -19,15 +19,14 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import __version__
 from .config import GridSpec, MODES, RunConfig, config_hash, parse_config
 from .economy import Regime, expected_profit_given_signal
 from .equilibrium import melitz_limit_perfect, melitz_limit_zero, solve_equilibrium
 from .errors import GatekeepError, ParseError, ValidationError
-from .policy import pigouvian_welfare
-from .svgchart import line_chart_svg
+from .records import Record, replace
 from .welfare import (
     SweepRecord, compute_aggregates, failure_status, find_optimal_precision, sweep_records,
 )
@@ -73,20 +72,14 @@ def _require(config: RunConfig, attr: str, mode: str):
     return value
 
 
-@dataclass(frozen=True)
-class _Table:
+class _Table(Record, namedtuple(
+    "_Table", "columns rows summary failures svg code", defaults=(None, (), None, 0)
+)):
     """What one mode produced; ``run`` writes and reports it.
 
     code is the exit code when no point failed; failures holds one stderr
     line per failed point, and svg the chart text to write to ``config.svg``.
     """
-
-    columns: tuple[str, ...]
-    rows: list
-    summary: str | None = None
-    failures: tuple[str, ...] = ()
-    svg: str | None = None
-    code: int = 0
 
 
 def _run_solve(config: RunConfig) -> _Table:
@@ -102,6 +95,8 @@ def _run_solve(config: RunConfig) -> _Table:
 
 
 def _sweep_svg(ok) -> str:
+    from .svgchart import line_chart_svg
+
     rhos = [r.rho for r in ok]
     series = []
     for name, values in (
@@ -144,6 +139,8 @@ def _run_optimum(config: RunConfig) -> _Table:
 
 
 def _run_pigouvian(config: RunConfig) -> _Table:
+    from .policy import pigouvian_welfare
+
     rho = _require(config, "rho", "pigouvian")
     regime = Regime(rho, config.schedule)
     half = regime.f_b / 2.0

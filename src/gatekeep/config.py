@@ -4,13 +4,14 @@ Grammar: INI-like sections ``[primitives]``, ``[schedule]``, ``[run]`` whose
 bodies are ``key = value`` lines; blank lines and lines starting with ``#``
 or ``;`` are ignored. Unknown sections or keys are rejected with their
 position. The keys of ``[primitives]`` and of each schedule kind are the
-fields of the dataclass they build; ``[run]`` keys are the rows of one
+fields of the record they build (its ``_fields``; those in
+``_field_defaults`` may be omitted); ``[run]`` keys are the rows of one
 ordered table that both parsing and ``format_config`` walk.
 
 Every ``[run]`` invariant is checked when a ``RunConfig`` is built, so a
-parsed config, a flag override applied with ``dataclasses.replace`` and a
-config built in Python all fail the same way, with a ValidationError naming
-the violated ``run.<key>``. ``format_config`` renders a canonical text that
+parsed config, a flag override applied with ``records.replace`` and a config
+built in Python all fail the same way, with a ValidationError naming the
+violated ``run.<key>``. ``format_config`` renders a canonical text that
 parses back to an equal RunConfig; it writes every number a config file
 gives as a float as a float, so an int and the equal float hash alike.
 """
@@ -19,24 +20,24 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from collections import namedtuple
 
 from .economy import (
     ConstantCost,
-    CostSchedule,
     HyperbolicCost,
     PiecewiseLinearCost,
     PowerBoundedCost,
     Primitives,
 )
 from .errors import DomainError, ParseError, ValidationError
+from .records import Record, replace
 
 MODES = ("solve", "sweep", "optimum", "pigouvian", "limits", "validate")
 
 #: most steps a grid may take, and most transfer points: about 15 s of sweep
 MAX_POINTS = 100_000
 
-#: schedule kind -> the dataclass it builds; its fields are the kind's keys
+#: schedule kind -> the record it builds; its fields are the kind's keys
 _SCHEDULES = {
     "constant": ConstantCost,
     "power_bounded": PowerBoundedCost,
@@ -45,15 +46,11 @@ _SCHEDULES = {
 }
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record, namedtuple("GridSpec", "start stop step")):
     """A precision grid start:stop:step, endpoints inclusive up to rounding."""
 
-    start: float
-    stop: float
-    step: float
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.start < self.stop < 1.0):
             raise ValidationError(
                 f"grid must satisfy 0 < start < stop < 1, got {self.start}:{self.stop}:{self.step}"
@@ -66,6 +63,7 @@ class GridSpec:
                 f"grid step {self.step!r} must be finite and take at most {MAX_POINTS} "
                 f"steps from {self.start!r} to {self.stop!r}"
             )
+        return self
 
     @classmethod
     def parse(cls, text: str, line: int | None = None, column: int | None = None) -> GridSpec:
@@ -111,28 +109,23 @@ _RUN_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated run: economy, schedule, and execution parameters."""
+class RunConfig(Record, namedtuple(
+    "RunConfig", "primitives schedule mode rho grid seed out svg s_points f_e0 f_b_bar mc_n",
+    defaults=("solve", None, None, 0, None, None, 41, None, None, 10_000_000),
+)):
+    """A fully validated run: economy, schedule, and execution parameters.
 
-    primitives: Primitives
-    schedule: CostSchedule
-    mode: str = "solve"
-    rho: float | None = None
-    grid: GridSpec | None = None
-    seed: int = 0
-    out: str | None = None
-    svg: str | None = None
-    s_points: int = 41
-    f_e0: float | None = None
-    f_b_bar: float | None = None
-    mc_n: int = 10_000_000
+    The fields after ``primitives`` (a ``Primitives``) and ``schedule`` (a
+    ``CostSchedule``) are the ``[run]`` keys, of the types ``_RUN_KEYS`` gives.
+    """
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.primitives, Primitives):
             raise ValidationError(
                 f"primitives must be a Primitives, got {type(self.primitives).__name__}"
             )
+        floats = {}
         for key, kind in _RUN_KEYS.items():
             value = getattr(self, key)
             allowed = (int, float) if kind is float else kind
@@ -140,7 +133,8 @@ class RunConfig:
                 raise ValidationError(f"run.{key} must be of type {kind.__name__}, got {value!r}")
             if kind is float and value is not None:
                 # stored as a float, so an int and its float write the same text
-                object.__setattr__(self, key, float(value))
+                floats[key] = float(value)
+        self = self._replace(**floats)
         # format_config, and so the provenance hash, can write only these kinds
         if type(self.schedule) not in _SCHEDULES.values():
             raise ValidationError(
@@ -165,13 +159,10 @@ class RunConfig:
                 raise ValidationError(f"run.{key} must be positive, got {value!r}")
         if self.mc_n < 1:
             raise ValidationError(f"run.mc_n must be positive, got {self.mc_n!r}")
+        return self
 
 
-@dataclass
-class _RawEntry:
-    value: str
-    line: int
-    column: int
+_RawEntry = namedtuple("_RawEntry", "value line column")
 
 
 def _scan(text: str) -> dict[str, dict[str, _RawEntry]]:
@@ -238,15 +229,14 @@ def _convert(section: str, key: str, entry: _RawEntry, kind):
 
 
 def _build(section: str, entries: dict[str, _RawEntry], cls, allowed=()):
-    """An instance of the dataclass cls from a section of numeric keys, one per field."""
-    names = [fld.name for fld in fields(cls)]
-    _reject_unknown(section, entries, (*allowed, *names))
+    """An instance of the record cls from a section of numeric keys, one per field."""
+    _reject_unknown(section, entries, (*allowed, *cls._fields))
     values = {}
-    for fld in fields(cls):
-        if fld.name in entries:
-            values[fld.name] = _convert(section, fld.name, entries[fld.name], float)
-        elif fld.default is MISSING:
-            raise ValidationError(f"{section}.{fld.name} is required")
+    for name in cls._fields:
+        if name in entries:
+            values[name] = _convert(section, name, entries[name], float)
+        elif name not in cls._field_defaults:
+            raise ValidationError(f"{section}.{name} is required")
     try:
         return cls(**values)
     except DomainError as exc:
@@ -284,9 +274,9 @@ def format_config(config: RunConfig) -> str:
     prim, schedule = config.primitives, config.schedule
     kind = next(k for k, cls in _SCHEDULES.items() if type(schedule) is cls)
     lines = ["[primitives]"]
-    lines += [f"{fld.name} = {float(getattr(prim, fld.name))!r}" for fld in fields(prim)]
+    lines += [f"{name} = {float(value)!r}" for name, value in zip(prim._fields, prim)]
     lines += ["", "[schedule]", f"kind = {kind}"]
-    lines += [f"{fld.name} = {float(getattr(schedule, fld.name))!r}" for fld in fields(schedule)]
+    lines += [f"{name} = {float(value)!r}" for name, value in zip(schedule._fields, schedule)]
     lines += ["", "[run]"]
     for key in _RUN_KEYS:
         value = getattr(config, key)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import DomainError, NearSingularCorrelationError
@@ -25,6 +25,7 @@ from .normal import (
     log_std_normal_cdf,
     std_normal_cdf,
 )
+from .records import Record
 
 # Assumption-level open interval for rho, clamped at machine-sensible bounds.
 RHO_MIN = 1e-6
@@ -47,8 +48,7 @@ def _check_interior_rho(rho: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Primitives:
+class Primitives(Record, namedtuple("Primitives", "sigma f f_n delta L", defaults=(1.0,))):
     """Deep parameters of the economy.
 
     sigma : elasticity of substitution, > 1
@@ -58,13 +58,8 @@ class Primitives:
     L     : total labor endowment, > 0 (normalized to 1 by default)
     """
 
-    sigma: float
-    f: float
-    f_n: float
-    delta: float
-    L: float = 1.0
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.sigma > 1.0:
             raise DomainError(f"sigma must exceed 1, got {self.sigma!r}")
         if not self.f > 0.0:
@@ -75,6 +70,7 @@ class Primitives:
             raise DomainError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not self.L > 0.0:
             raise DomainError(f"L must be positive, got {self.L!r}")
+        return self
 
     @property
     def k(self) -> float:
@@ -95,50 +91,43 @@ def _check_schedule_rho(rho: float) -> None:
         raise DomainError(f"cost schedules are defined on (0, 1), got rho = {rho!r}")
 
 
-@dataclass(frozen=True)
-class ConstantCost(CostSchedule):
-    f_b: float
-
-    def __post_init__(self):
+class ConstantCost(Record, namedtuple("ConstantCost", "f_b"), CostSchedule):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.f_b > 0.0:
             raise DomainError(f"f_b must be positive, got {self.f_b!r}")
+        return self
 
     def cost(self, rho: float) -> float:
         _check_schedule_rho(rho)
         return self.f_b
 
 
-@dataclass(frozen=True)
-class PowerBoundedCost(CostSchedule):
+class PowerBoundedCost(Record, namedtuple("PowerBoundedCost", "f_b0 kappa alpha"), CostSchedule):
     """f_b(rho) = f_b0 * (1 + kappa * rho**alpha), bounded by f_b0 * (1 + kappa)."""
 
-    f_b0: float
-    kappa: float
-    alpha: float
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.f_b0 > 0.0:
             raise DomainError(f"f_b0 must be positive, got {self.f_b0!r}")
         if self.kappa < 0.0:
             raise DomainError(f"kappa must be nonnegative, got {self.kappa!r}")
         if not self.alpha > 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha!r}")
+        return self
 
     def cost(self, rho: float) -> float:
         _check_schedule_rho(rho)
         return self.f_b0 * (1.0 + self.kappa * rho**self.alpha)
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearCost(CostSchedule):
+class PiecewiseLinearCost(
+    Record, namedtuple("PiecewiseLinearCost", "rho_low rho_high f_low f_high"), CostSchedule
+):
     """Flat at f_low below rho_low, linear up to f_high at rho_high, flat after."""
 
-    rho_low: float
-    rho_high: float
-    f_low: float
-    f_high: float
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.rho_low < self.rho_high < 1.0:
             raise DomainError(
                 f"need 0 < rho_low < rho_high < 1, got ({self.rho_low!r}, {self.rho_high!r})"
@@ -147,6 +136,7 @@ class PiecewiseLinearCost(CostSchedule):
             raise DomainError(
                 f"need 0 < f_low <= f_high, got ({self.f_low!r}, {self.f_high!r})"
             )
+        return self
 
     def cost(self, rho: float) -> float:
         _check_schedule_rho(rho)
@@ -162,52 +152,42 @@ class PiecewiseLinearCost(CostSchedule):
         return (self.rho_low, self.rho_high)
 
 
-@dataclass(frozen=True)
-class HyperbolicCost(CostSchedule):
+class HyperbolicCost(Record, namedtuple("HyperbolicCost", "f_b0"), CostSchedule):
     """f_b(rho) = f_b0 / (1 - rho); diverges as rho -> 1."""
 
-    f_b0: float
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.f_b0 > 0.0:
             raise DomainError(f"f_b0 must be positive, got {self.f_b0!r}")
+        return self
 
     def cost(self, rho: float) -> float:
         _check_schedule_rho(rho)
         return self.f_b0 / (1.0 - rho)
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(Record, namedtuple("Regime", "rho schedule")):
     """A screening regime: precision rho plus its activation-cost schedule.
 
     rho is clamped into [RHO_MIN, RHO_MAX] at construction; f_b is
     evaluated once per regime.
     """
 
-    rho: float
-    schedule: CostSchedule
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", clamp_rho(self.rho))
+    def __new__(cls, rho, schedule):
+        return super().__new__(cls, clamp_rho(rho), schedule)
 
     @cached_property
     def f_b(self) -> float:
         return self.schedule.cost(self.rho)
 
 
-@dataclass(frozen=True)
-class LogCutoffs:
+class LogCutoffs(Record, namedtuple("LogCutoffs", "t_star p_star a")):
     """Equilibrium cutoff pair in log space, with the activation intercept.
 
     t_star : log signal cutoff
     p_star : log productivity cutoff
     a      : activation-line intercept, p_star = rho * t_star + a
     """
-
-    t_star: float
-    p_star: float
-    a: float
 
 
 def flow_profit(prim: Primitives, phi: float, phi_star: float) -> float:

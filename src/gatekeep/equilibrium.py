@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .economy import LogCutoffs, Primitives, Regime, expected_profit_given_signal, joint_profit
 from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError, IterationCapError
 from .normal import exp_tilt, log_std_normal_cdf, std_normal_cdf
+from .records import Record
 
 #: log-space window beyond which tail probabilities underflow; treated as
 #: parameter pathology rather than searched further
@@ -48,8 +49,9 @@ _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-@dataclass(frozen=True)
-class EquilibriumSolution:
+class EquilibriumSolution(Record, namedtuple(
+    "EquilibriumSolution", "cutoffs ac_residual fe_residual fe_stationarity iterations"
+)):
     """Solved cutoffs plus the diagnostics that certify them.
 
     fe_stationarity is the central-difference derivative of the free-entry
@@ -58,12 +60,6 @@ class EquilibriumSolution:
     iterations counts Brent iterations for the (activation, free-entry)
     stages.
     """
-
-    cutoffs: LogCutoffs
-    ac_residual: float
-    fe_residual: float
-    fe_stationarity: float
-    iterations: tuple[int, int]
 
 
 def _brent_eval(fn, x: float) -> float:
@@ -237,15 +233,13 @@ def solve_equilibrium(prim: Primitives, regime: Regime) -> EquilibriumSolution:
     return sol
 
 
-@dataclass(frozen=True)
-class MelitzLimit:
-    """A degenerate-information limit economy (single log-productivity cutoff)."""
+class MelitzLimit(Record, namedtuple(
+    "MelitzLimit", "p_star variant effective_entry_cost effective_fixed_cost fe_residual"
+)):
+    """A degenerate-information limit economy (single log-productivity cutoff).
 
-    p_star: float
-    variant: str  # "zero_precision" | "perfect_info"
-    effective_entry_cost: float
-    effective_fixed_cost: float
-    fe_residual: float
+    variant is "zero_precision" or "perfect_info".
+    """
 
 
 def _survivor_entry_residual(

@@ -23,12 +23,13 @@ draws and reduces, so ``validate`` runs its two estimators on two threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .economy import LogCutoffs, Primitives
 from .errors import DomainError, TiltOverflowError, ToleranceNotMetError
+from .records import Record
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -40,14 +41,8 @@ _BLOCK = 1 << 16
 _QUAD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Record, namedtuple("McEstimate", "mean std_error n seed")):
     """A Monte Carlo sample mean with its standard error and provenance."""
-
-    mean: float
-    std_error: float
-    n: int
-    seed: int
 
 
 def _block_sizes(n: int):
@@ -55,13 +50,8 @@ def _block_sizes(n: int):
         yield min(_BLOCK, n - start)
 
 
-@dataclass(frozen=True)
-class PopulationDraws:
+class PopulationDraws(Record, namedtuple("PopulationDraws", "rho n seed")):
     """n paired (log productivity, log signal) draws, generated block by block."""
-
-    rho: float
-    n: int
-    seed: int
 
     def blocks(self):
         """Yield (p, t) arrays of at most ``_BLOCK`` pairs.

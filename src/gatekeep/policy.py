@@ -11,7 +11,7 @@ transfers (which is maximized at zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .economy import Primitives, Regime, expected_profit_given_signal
 from .equilibrium import (
@@ -26,6 +26,7 @@ from .equilibrium import (
 from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError
 from .welfare import aggregates_from_cutoffs, compute_aggregates, welfare_selection_burden
 from .normal import std_normal_cdf
+from .records import Record
 
 #: minimum gap between a transfer and the activation cost; beyond it the
 #: cutoff structure degenerates (activation becomes unconditional)
@@ -35,24 +36,15 @@ _PLANNER_MARKET_TOL = 1e-8
 _PIGOU_SCAN_STEP = 0.05
 
 
-@dataclass(frozen=True)
-class PolicyBundle:
+class PolicyBundle(Record, namedtuple("PolicyBundle", "theta_p_log s tau")):
     """Cutoff decentralization: per-activation transfer plus entry fee.
 
     Budget balance holds by construction: tau = s * P(t >= theta_p_log).
     """
 
-    theta_p_log: float
-    s: float
-    tau: float
 
-
-@dataclass(frozen=True)
-class ContractPoint:
+class ContractPoint(Record, namedtuple("ContractPoint", "t b")):
     """Intermediation contract at log signal t: financier's profit share b."""
-
-    t: float
-    b: float
 
 
 def planner_kernel(prim: Primitives, regime: Regime, p_star: float, t: float) -> float:

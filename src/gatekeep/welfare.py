@@ -14,9 +14,7 @@ per-point solve.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
-from typing import ClassVar
+from collections import Counter, namedtuple
 
 from .economy import (
     ConstantCost,
@@ -36,6 +34,7 @@ from .errors import (
     TiltOverflowError,
 )
 from .normal import exp_tilt, joint_tail_masses, std_normal_cdf
+from .records import Record
 
 _IDENTITY_RTOL = 1e-8
 #: width of the golden-section bracket at which the optimum search stops
@@ -44,8 +43,9 @@ _REFINE_TOL = 1e-5
 _MAX_DOUBLINGS = 60
 
 
-@dataclass(frozen=True)
-class Aggregates:
+class Aggregates(Record, namedtuple(
+    "Aggregates", "p_theta p_phi s_term b_term pi_breve r_bar pi_bar m_e m phi_tilde welfare"
+)):
     """All steady-state objects of a solved regime.
 
     p_theta  : probability of passing the signal cutoff
@@ -60,18 +60,6 @@ class Aggregates:
     phi_tilde: aggregate productivity (generalized mean of order sigma-1)
     welfare  : social welfare (inverse price index)
     """
-
-    p_theta: float
-    p_phi: float
-    s_term: float
-    b_term: float
-    pi_breve: float
-    r_bar: float
-    pi_bar: float
-    m_e: float
-    m: float
-    phi_tilde: float
-    welfare: float
 
 
 def welfare_selection_burden(prim: Primitives, s_term: float, b_term: float) -> float:
@@ -164,23 +152,18 @@ def failure_status(exc: GatekeepError) -> str:
     return f"failed: {type(exc).__name__}: {exc}"
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(Record, namedtuple("SweepRecord", "rho eq agg error", defaults=(None,))):
     """One precision grid point: solution and aggregates, or a failure marker.
 
-    It owns the solve/sweep CSV schema: ``row()`` gives the cells named by
-    ``COLUMNS``, NaN in every numeric cell of a failed point.
+    eq and agg are None, and error the ``GatekeepError`` raised, at a failed
+    point. It owns the solve/sweep CSV schema: ``row()`` gives the cells named
+    by ``COLUMNS``, NaN in every numeric cell of a failed point.
     """
 
-    COLUMNS: ClassVar[tuple[str, ...]] = (
+    COLUMNS = (
         "rho", "t_star", "p_star", "a", "P_theta", "P_phi", "S", "B", "pi_breve",
         "r_bar", "pi_bar", "M_e", "M", "phi_tilde", "W", "status",
     )
-
-    rho: float
-    eq: EquilibriumSolution | None
-    agg: Aggregates | None
-    error: GatekeepError | None = None
 
     @property
     def ok(self) -> bool:
@@ -221,13 +204,8 @@ def _solve_point(prim: Primitives, schedule: CostSchedule, rho: float) -> SweepR
     return SweepRecord(rho=rho, eq=eq, agg=compute_aggregates(prim, regime, eq))
 
 
-@dataclass(frozen=True)
-class LogWelfareDerivative:
+class LogWelfareDerivative(Record, namedtuple("LogWelfareDerivative", "dlogW dlogS dlogB")):
     """Central-difference elasticities of welfare, selection, and burden in rho."""
-
-    dlogW: float
-    dlogS: float
-    dlogB: float
 
 
 def log_welfare_derivative(prim: Primitives, regime: Regime, h: float = 1e-4) -> LogWelfareDerivative:
@@ -257,13 +235,8 @@ def log_welfare_derivative(prim: Primitives, regime: Regime, h: float = 1e-4) ->
     )
 
 
-@dataclass(frozen=True)
-class OptimalPrecision:
+class OptimalPrecision(Record, namedtuple("OptimalPrecision", "rho_w welfare boundary")):
     """Argmax of welfare over precision; boundary marks a grid-edge argmax."""
-
-    rho_w: float
-    welfare: float
-    boundary: bool
 
 
 def _golden_section_max(fn, lo: float, hi: float, tol: float):
@@ -319,17 +292,14 @@ def find_optimal_precision(prim: Primitives, schedule: CostSchedule, grid) -> Op
     return OptimalPrecision(rho_w=rho_w, welfare=w, boundary=False)
 
 
-@dataclass(frozen=True)
-class DeclineCertificate:
+class DeclineCertificate(Record, namedtuple(
+    "DeclineCertificate", "schedule w_low w_high doubling_path"
+)):
     """A bounded increasing schedule under which welfare falls with precision.
 
-    doubling_path records (cost level, welfare at rho_high) for each probe.
+    schedule is a ``PiecewiseLinearCost``; doubling_path records (cost level,
+    welfare at rho_high) for each probe.
     """
-
-    schedule: PiecewiseLinearCost
-    w_low: float
-    w_high: float
-    doubling_path: tuple[tuple[float, float], ...]
 
 
 def bounded_decline_certificate(

@@ -538,18 +538,29 @@ import json, sys
 def numeric():
     return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 
-cfg, val_cfg, out = sys.argv[1:]
+def loaded():
+    # what importing dataclasses would load, and the modules only some modes run
+    names = ("dataclasses", "inspect", "ast", "dis", "tokenize", "gatekeep.svgchart",
+             "gatekeep.policy")
+    return [m for m in names if m in sys.modules]
+
+cfg, val_cfg, out, svg = sys.argv[1:]
 import gatekeep
+seen = {"package": loaded()}
 from gatekeep import cli
 
-seen = {"import": numeric()}
-seen["sweep_code"] = cli.main(["sweep", "--config", cfg, "--out", out, "--quiet"])
+seen["import"] = numeric()
+seen["import_loaded"] = loaded()
+seen["sweep_code"] = cli.main(["sweep", "--config", cfg, "--out", out, "--svg", svg, "--quiet"])
 seen["sweep"] = numeric()
+seen["sweep_loaded"] = loaded()
 seen["oracle_before_validate"] = "gatekeep.oracle" in sys.modules
 seen["validate_code"] = cli.main(["validate", "--config", val_cfg, "--out", out, "--quiet"])
 seen["oracle_after_validate"] = "gatekeep.oracle" in sys.modules
-from gatekeep import McEstimate, estimate_aggregates
-seen["lazy"] = [McEstimate.__module__, estimate_aggregates.__module__]
+seen["policy_before_lookup"] = "gatekeep.policy" in sys.modules
+from gatekeep import McEstimate, estimate_aggregates, pigouvian_welfare, PolicyBundle
+seen["lazy"] = [f.__module__ for f in (McEstimate, estimate_aggregates, pigouvian_welfare,
+                                       PolicyBundle)]
 print(json.dumps(seen))
 """
 
@@ -557,16 +568,23 @@ print(json.dumps(seen))
 def test_solve_paths_load_no_numpy_or_scipy(cfg_path, tmp_path):
     val_cfg = tmp_path / "val.cfg"
     val_cfg.write_text(BASE + "mc_n = 20000\n")
-    proc = _python(["-c", COLD_IMPORT_SCRIPT, cfg_path, str(val_cfg), str(tmp_path / "out.csv")])
+    proc = _python(["-c", COLD_IMPORT_SCRIPT, cfg_path, str(val_cfg), str(tmp_path / "out.csv"),
+                    str(tmp_path / "out.svg")])
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
+    assert seen["package"] == []
     assert seen["import"] == []
+    assert seen["import_loaded"] == []
     assert seen["sweep_code"] == 0
     assert seen["sweep"] == []
+    # the chart module loads with the first chart, and no mode loads policy but pigouvian
+    assert seen["sweep_loaded"] == ["gatekeep.svgchart"]
     assert not seen["oracle_before_validate"]
     assert seen["validate_code"] == 0
     assert seen["oracle_after_validate"]
-    assert seen["lazy"] == ["gatekeep.oracle", "gatekeep.oracle"]
+    assert not seen["policy_before_lookup"]
+    assert seen["lazy"] == ["gatekeep.oracle", "gatekeep.oracle", "gatekeep.policy",
+                            "gatekeep.policy"]
 
 
 def test_unknown_package_attribute_raises():

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +7,7 @@ from gatekeep import CostSchedule, GridSpec, PowerBoundedCost, Primitives, RunCo
 from gatekeep import config
 from gatekeep.config import config_hash, format_config
 from gatekeep.errors import ParseError, ValidationError
+from gatekeep.records import replace
 
 FIG3_TEXT = """\
 # benchmark calibration

@@ -1,12 +1,11 @@
 """What every record type promises: value equality within its own type only,
 hashing, immutability, its repr, and validation when a field is replaced."""
 
-from dataclasses import replace
-
 import pytest
 
 from gatekeep import cli, config, economy, equilibrium, oracle, policy, welfare
 from gatekeep.errors import DomainError, ValidationError
+from gatekeep.records import replace
 
 CUTOFFS = dict(t_star=-0.25, p_star=1.5, a=1.375)
 PRIMITIVES = dict(sigma=2.0, f=0.15, f_n=0.005, delta=0.1, L=1.0)
