@@ -174,7 +174,7 @@ class Regime(Record, namedtuple("Regime", "rho schedule")):
     """
 
     def __new__(cls, rho, schedule):
-        return super().__new__(cls, clamp_rho(rho), schedule)
+        return tuple.__new__(cls, (clamp_rho(rho), schedule))
 
     @cached_property
     def f_b(self) -> float:
