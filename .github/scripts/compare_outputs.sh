@@ -6,7 +6,8 @@
 # Runs the six gatekeep modes from each tree's src/ on the head tree's
 # benchmark.cfg and on its sigma = 60 and f_n = 1e30 variants, then requires
 # the same set of files on both sides: every CSV, SVG, stdout and stderr
-# byte-identical, and every exit code equal.
+# byte-identical, and every exit code equal. A Python traceback in any
+# stderr of the head tree fails the comparison whatever the base printed.
 set -euo pipefail
 
 base=$(cd "$1" && pwd)
@@ -41,6 +42,10 @@ for side in base head; do
   done
 done
 
+if grep -l Traceback "$work"/head/*/*.stderr >&2; then
+  echo "the head tree printed a traceback" >&2
+  exit 1
+fi
 diff <(cd "$work/base" && find . -type f | sort) <(cd "$work/head" && find . -type f | sort)
 failed=0
 while read -r file; do

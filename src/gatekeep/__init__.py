@@ -13,17 +13,13 @@ from .economy import (
     Regime,
     expected_joint_profit,
     expected_profit_given_signal,
-    flow_profit,
-    flow_revenue,
 )
 from .equilibrium import (
     EquilibriumSolution,
     MelitzLimit,
-    ac_residual,
     fe_residual,
     melitz_limit_perfect,
     melitz_limit_zero,
-    solve_ac_intercept,
     solve_equilibrium,
 )
 from .errors import (
@@ -39,13 +35,7 @@ from .errors import (
     ToleranceNotMetError,
     ValidationError,
 )
-from .normal import (
-    bvn_cdf,
-    std_normal_cdf,
-    std_normal_pdf,
-    tilted_upper_tail,
-    tilted_upper_tail2,
-)
+from .normal import bvn_cdf, std_normal_cdf
 from .welfare import (
     Aggregates,
     DeclineCertificate,

@@ -104,9 +104,9 @@ def _sweep_svg(ok) -> str:
         ("operating mass", [r.agg.m for r in ok]),
         ("avg productivity", [r.agg.phi_tilde for r in ok]),
     ):
+        # positive: an ok point has welfare > 0, so m > 0 and phi_tilde > 0
         top = max(values)
-        # a series that underflowed to 0.0 at every point is drawn as it is
-        series.append((name, rhos, [v / top for v in values] if top else values))
+        series.append((name, rhos, [v / top for v in values]))
     return line_chart_svg(
         series, x_label="verification precision", y_label="series / own max",
         title="welfare, variety, and selection vs precision",

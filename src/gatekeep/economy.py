@@ -190,24 +190,6 @@ class LogCutoffs(Record, namedtuple("LogCutoffs", "t_star p_star a")):
     """
 
 
-def flow_profit(prim: Primitives, phi: float, phi_star: float) -> float:
-    """Per-period profit f * [(phi/phi_star)**(sigma-1) - 1]; zero at the cutoff."""
-    if not phi > 0.0 or not phi_star > 0.0:
-        raise DomainError(
-            f"productivities must be positive, got phi={phi!r}, phi_star={phi_star!r}"
-        )
-    return prim.f * ((phi / phi_star) ** prim.k - 1.0)
-
-
-def flow_revenue(prim: Primitives, phi: float, phi_star: float) -> float:
-    """Per-period revenue sigma * f * (phi/phi_star)**(sigma-1)."""
-    if not phi > 0.0 or not phi_star > 0.0:
-        raise DomainError(
-            f"productivities must be positive, got phi={phi!r}, phi_star={phi_star!r}"
-        )
-    return prim.sigma * prim.f * (phi / phi_star) ** prim.k
-
-
 def expected_profit_given_signal(
     prim: Primitives, rho: float, p_star: float, t: float
 ) -> float:
@@ -234,7 +216,7 @@ def expected_profit_given_signal(
     return prim.f * (lead - tail)
 
 
-def joint_profit(prim: Primitives, rho: float, p_star: float, t_star: float) -> float:
+def expected_joint_profit(prim: Primitives, rho: float, p_star: float, t_star: float) -> float:
     """Expected flow profit integrated over activated signals, at (p_star, t_star).
 
     Equals the integral of ``expected_profit_given_signal`` against the
@@ -248,8 +230,3 @@ def joint_profit(prim: Primitives, rho: float, p_star: float, t_star: float) -> 
     log_s, p_phi = joint_tail_masses(k, p_star, t_star, rho)
     lead = exp_tilt(log_s - k * p_star, "expected joint profit")
     return prim.f * (lead - p_phi)
-
-
-def expected_joint_profit(prim: Primitives, rho: float, cutoffs: LogCutoffs) -> float:
-    """``joint_profit`` at a cutoff pair."""
-    return joint_profit(prim, rho, cutoffs.p_star, cutoffs.t_star)

@@ -30,7 +30,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .economy import LogCutoffs, Primitives, Regime, expected_profit_given_signal, joint_profit
+from .economy import LogCutoffs, Primitives, Regime, expected_joint_profit, expected_profit_given_signal
 from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError, IterationCapError
 from .normal import exp_tilt, log_std_normal_cdf, std_normal_cdf
 from .records import Record
@@ -164,11 +164,6 @@ def activation_residual(a: float, prim: Primitives, rho: float, activation_cost:
     return pi_over_f - prim.delta * activation_cost / prim.f
 
 
-def ac_residual(a: float, prim: Primitives, regime: Regime) -> float:
-    """Activation-condition residual at intercept a (zero at the solved a)."""
-    return activation_residual(a, prim, regime.rho, regime.f_b)
-
-
 def _solve_activation_intercept(prim: Primitives, rho: float, activation_cost: float):
     """The activation stage: (a, iterations, activation residual at a)."""
     if not activation_cost > 0.0:
@@ -177,18 +172,13 @@ def _solve_activation_intercept(prim: Primitives, rho: float, activation_cost: f
     return _root_decreasing(fn, 1e-15, "activation intercept")
 
 
-def solve_ac_intercept(prim: Primitives, regime: Regime) -> float:
-    """Unique intercept a(rho) of the activation locus p* = rho t* + a."""
-    return _solve_activation_intercept(prim, regime.rho, regime.f_b)[0]
-
-
 def fe_residual(p_star: float, t_star: float, prim: Primitives, regime: Regime) -> float:
     """Free-entry residual H(p*, t*); strictly decreasing in p_star.
 
     Expected lifetime profit per experimenter (in units of f) net of the
     expected activation outlay and the experimentation cost.
     """
-    pi_breve_over_f = joint_profit(prim, regime.rho, p_star, t_star) / prim.f
+    pi_breve_over_f = expected_joint_profit(prim, regime.rho, p_star, t_star) / prim.f
     gate = (prim.delta * regime.f_b / prim.f) * std_normal_cdf(-t_star)
     return pi_breve_over_f - gate - prim.delta * prim.f_n / prim.f
 

@@ -1,11 +1,12 @@
 """Standard and bivariate normal kernels plus exponential-tilting moments.
 
-Everything the closed-form economy layer needs reduces to four primitives:
+Everything the closed-form economy layer needs reduces to these kernels:
 
-* ``std_normal_pdf`` / ``std_normal_cdf`` -- the univariate density and CDF,
+* ``std_normal_cdf`` / ``log_std_normal_cdf`` -- the univariate CDF and its log,
 * ``bvn_cdf`` -- the bivariate normal CDF with standard marginals,
-* ``tilted_upper_tail`` / ``tilted_upper_tail2`` -- tilted truncated moments
-  ``E[exp(k Z) 1{Z >= c}]`` and their bivariate analogue.
+* ``log_tilted_upper_tail2`` -- log E[exp(k P) 1{P >= p_c, T >= t_c}], the
+  tilted truncated moment of a standard bivariate pair (P, T),
+* ``joint_tail_masses`` -- that log moment and P(P >= p_c, T >= t_c), in one pass.
 
 The bivariate CDF is a double-precision port of the Drezner-Wesolowsky
 scheme as refined by Genz (Gauss-Legendre quadrature on the arcsine
@@ -21,9 +22,9 @@ free-entry residual, the tilted mass and the joint tail at one rho;
 kernels here are pure functions: the node tables change how fast a value is
 computed, never the value.
 
-Tilted moments are combined in log space before exponentiation, so they are
-total on their mathematical domain and raise ``TiltOverflowError`` only when
-the *result* exceeds the double exponent range.
+Tilted moments are held in log space, so they are total on their
+mathematical domain; ``exp_tilt`` raises ``TiltOverflowError`` only where a
+caller's *result* exceeds the double exponent range.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ _GL20_W = (
     0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
     0.1527533871307259,
 )
-
-
-def std_normal_pdf(x: float) -> float:
-    """Density of N(0, 1) at ``x``."""
-    return math.exp(-0.5 * x * x) / SQRT_2PI
 
 
 def std_normal_cdf(x: float) -> float:
@@ -249,22 +245,6 @@ def exp_tilt(log_val: float, what: str) -> float:
     return value
 
 
-def log_tilted_upper_tail(k: float, c: float) -> float:
-    """log E[exp(k Z) 1{Z >= c}] for Z ~ N(0, 1); -inf when the mass is zero."""
-    if math.isnan(k) or math.isnan(c):
-        raise DomainError("tilted moment arguments must not be NaN")
-    return 0.5 * k * k + log_std_normal_cdf(k - c)
-
-
-def tilted_upper_tail(k: float, c: float) -> float:
-    """E[exp(k Z) 1{Z >= c}] = exp(k^2 / 2) * Phi(k - c) for Z ~ N(0, 1).
-
-    Raises ``TiltOverflowError`` when the result exceeds the double range;
-    never silently saturates.
-    """
-    return exp_tilt(log_tilted_upper_tail(k, c), f"tilted_upper_tail(k={k!r}, c={c!r})")
-
-
 def log_tilted_upper_tail2(k: float, p_c: float, t_c: float, rho: float) -> float:
     """log E[exp(k P) 1{P >= p_c, T >= t_c}] for standard bivariate (P, T).
 
@@ -276,17 +256,6 @@ def log_tilted_upper_tail2(k: float, p_c: float, t_c: float, rho: float) -> floa
     if prob == 0.0:
         return -math.inf
     return 0.5 * k * k + math.log(prob)
-
-
-def tilted_upper_tail2(k: float, p_c: float, t_c: float, rho: float) -> float:
-    """E[exp(k P) 1{P >= p_c, T >= t_c}] = exp(k^2/2) * Phi_rho(-p_c + k, -t_c + rho k).
-
-    (P, T) is standard bivariate normal with correlation rho.
-    """
-    return exp_tilt(
-        log_tilted_upper_tail2(k, p_c, t_c, rho),
-        f"tilted_upper_tail2(k={k!r}, p_c={p_c!r}, t_c={t_c!r}, rho={rho!r})",
-    )
 
 
 def joint_tail_masses(k: float, p_c: float, t_c: float, rho: float) -> tuple[float, float]:

@@ -184,15 +184,21 @@ def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def _folded_density(scale: float, x: float, z: float, sd: float, what: str) -> float:
-    # scale exp(x) phi(z) / sd with the Gaussian exponent folded into the one
-    # exp, for where exp(x) or the plain product overflows on its own
+def _tilted_density(scale: float, x: float, minus: float, z: float, sd: float, what: str) -> float:
+    # scale (exp(x) - minus) phi(z) / sd. Where exp(x) or the product
+    # overflows, minus is far below the last bit of exp(x), so it is dropped
+    # and the Gaussian exponent is folded into the one exp
     try:
-        value = scale * math.exp(x - 0.5 * z * z - _LOG_SQRT_2PI) / sd
+        value = scale * (math.exp(x) - minus) * _norm_pdf(z) / sd
     except OverflowError:
         value = math.inf
     if value == math.inf:
-        raise TiltOverflowError(f"{what}: integrand exceeds the double range at exponent {x!r}")
+        try:
+            value = scale * math.exp(x - 0.5 * z * z - _LOG_SQRT_2PI) / sd
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise TiltOverflowError(f"{what}: integrand exceeds the double range at exponent {x!r}")
     return value
 
 
@@ -236,17 +242,7 @@ def _profit_inner(prim: Primitives, rho: float, p_star: float, t: float) -> floa
     if p_star >= hi:
         return 0.0
 
-    def integrand(p: float) -> float:
-        z = (p - mean) / sd
-        try:
-            value = prim.f * (math.exp(k * (p - p_star)) - 1.0) * _norm_pdf(z) / sd
-        except OverflowError:
-            value = math.inf
-        if value == math.inf:
-            # exp(k (p - p*)) overflowed, so the -1 is far below its last bit
-            value = _folded_density(prim.f, k * (p - p_star), z, sd, "pi_tilde")
-        return value
-
+    integrand = lambda p: _tilted_density(prim.f, k * (p - p_star), 1.0, (p - mean) / sd, sd, "pi_tilde")
     return _quad(integrand, p_star, hi, "pi_tilde")
 
 
@@ -259,16 +255,7 @@ def _tilt_inner(k: float, rho: float, p_star: float, t: float) -> float:
     if p_star >= hi:
         return 0.0
 
-    def integrand(p: float) -> float:
-        z = (p - mean) / sd
-        try:
-            value = math.exp(k * p) * _norm_pdf(z) / sd
-        except OverflowError:
-            value = math.inf
-        if value == math.inf:
-            value = _folded_density(1.0, k * p, z, sd, "S inner")
-        return value
-
+    integrand = lambda p: _tilted_density(1.0, k * p, 0.0, (p - mean) / sd, sd, "S inner")
     return _quad(integrand, max(p_star, mean - _TAIL * sd), hi, "S inner")
 
 

@@ -127,6 +127,10 @@ def aggregates_from_cutoffs(
         raise InconsistentEquilibriumError(
             f"free-entry identity violated by {free_entry_gap!r}; cutoffs are not an equilibrium"
         )
+    if w_variety_quality == 0.0:
+        raise InconsistentEquilibriumError(
+            f"welfare underflows to 0.0 at cutoffs ({t_star!r}, {p_star!r})"
+        )
     return Aggregates(
         p_theta=p_theta,
         p_phi=p_phi,

@@ -17,7 +17,6 @@ from gatekeep import (
     Regime,
     melitz_limit_perfect,
     melitz_limit_zero,
-    solve_ac_intercept,
     solve_equilibrium,
 )
 
@@ -42,7 +41,6 @@ def quad_profit_given_signal(sigma, f, rho, p_star, t):
 def main():
     regime = Regime(0.89, schedule)
     eq = solve_equilibrium(prim, regime)
-    a = solve_ac_intercept(prim, regime)
     zero = melitz_limit_zero(prim, prim.f_n + 3.0)
     perfect = melitz_limit_perfect(prim, 3.0)
     pi_tilde_ref = quad_profit_given_signal(2.0, 0.15, 0.89, 0.5, 1.0)
@@ -50,7 +48,7 @@ def main():
         '"""Frozen golden values; regenerate with tests/oracles/generate_goldens.py."""',
         "",
         "# benchmark calibration, rho = 0.89",
-        f"AC_INTERCEPT = {a!r}",
+        f"AC_INTERCEPT = {eq.cutoffs.a!r}",
         f"T_STAR = {eq.cutoffs.t_star!r}",
         f"P_STAR = {eq.cutoffs.p_star!r}",
         "",

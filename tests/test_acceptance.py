@@ -20,11 +20,9 @@ from gatekeep import (
     Primitives,
     Regime,
     bounded_decline_certificate,
-    bvn_cdf,
     compute_aggregates,
     estimate_aggregates,
     estimate_profit_given_signal,
-    expected_joint_profit,
     expected_profit_given_signal,
     find_optimal_precision,
     intermediation_schedule,
@@ -36,9 +34,7 @@ from gatekeep import (
     quadrature_reference,
     sample_log_population,
     solve_equilibrium,
-    std_normal_cdf,
     sweep_records,
-    tilted_upper_tail2,
     welfare_selection_burden,
     z_score,
 )
@@ -167,23 +163,24 @@ def test_criterion_3_oracle_equivalence(oracle_solutions):
             est = estimate_profit_given_signal(t_probe, prim, rho, c.p_star, MC_N, seed=SEED + 100 + idx)
             assert abs(closed_pt - est.mean) <= 4.0 * est.std_error, idx
 
+            # the closed forms are the aggregates a solve reports
             quad_checks = [
                 (
-                    std_normal_cdf(-c.t_star),
+                    agg.p_theta,
                     quadrature_reference("bvn", {"x": -c.t_star, "y": math.inf, "rho": rho}),
                 ),
                 (
-                    bvn_cdf(-c.p_star, -c.t_star, rho),
+                    agg.p_phi,
                     quadrature_reference("bvn", {"x": -c.p_star, "y": -c.t_star, "rho": rho}),
                 ),
                 (
-                    tilted_upper_tail2(k, c.p_star, c.t_star, rho),
+                    agg.s_term,
                     quadrature_reference(
                         "S", {"k": k, "rho": rho, "p_star": c.p_star, "t_star": c.t_star}
                     ),
                 ),
                 (
-                    expected_joint_profit(prim, rho, c),
+                    agg.pi_breve,
                     quadrature_reference(
                         "pi_breve",
                         {"prim": prim, "rho": rho, "p_star": c.p_star, "t_star": c.t_star},

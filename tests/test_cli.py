@@ -431,16 +431,23 @@ def test_validate_quadrature_overflow_is_no_traceback(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_sweep_svg_draws_a_series_that_underflowed_to_zero(tmp_path):
+def test_sweep_refuses_an_economy_whose_welfare_underflows(tmp_path):
     # at L = 5e-324 the entrant mass, and so welfare, underflow to 0.0 at
-    # every point; the chart used to divide by that series' max
+    # every point; such a point is no equilibrium, and no chart is drawn
     path = tmp_path / "tiny.cfg"
     path.write_text(BASE.replace("delta = 0.1\n", "delta = 0.1\nL = 5e-324\n"))
     out, svg = str(tmp_path / "tiny.csv"), tmp_path / "tiny.svg"
-    assert main(["sweep", "--config", str(path), "--out", out, "--svg", str(svg), "--quiet"]) == 0
-    _, header, rows = _read(out)
-    assert {row[header.index("W")] for row in rows} == {"0.0"}
-    assert svg.read_text().count("<polyline") == 3
+    proc = _python(["-m", "gatekeep", "sweep", "--config", str(path), "--out", out,
+                    "--svg", str(svg), "--quiet"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    _, _, rows = _read(out)
+    assert len(rows) == 4
+    assert all(r[-1].startswith("failed: InconsistentEquilibriumError: ") for r in rows)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 4
+    assert all(": failed: InconsistentEquilibriumError: " in line for line in lines)
+    assert not svg.exists()
 
 
 def _positive(lo=-3.0, hi=1.0):

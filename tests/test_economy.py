@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 from gatekeep import (
     ConstantCost,
     HyperbolicCost,
-    LogCutoffs,
     PiecewiseLinearCost,
     PowerBoundedCost,
     Primitives,
     Regime,
     expected_joint_profit,
     expected_profit_given_signal,
-    flow_profit,
-    flow_revenue,
 )
 from gatekeep.economy import RHO_MAX, RHO_MIN
 from gatekeep.errors import DomainError, NearSingularCorrelationError
-from gatekeep.normal import log_std_normal_cdf, std_normal_cdf, std_normal_pdf
+from gatekeep.normal import SQRT_2PI, log_std_normal_cdf, std_normal_cdf
 from golden_values import PI_TILDE_QUAD
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
@@ -101,50 +98,6 @@ def test_regime_clamps_rho():
     assert Regime(0.5, sched).f_b == 1.0
 
 
-def test_flow_profit_zero_at_cutoff():
-    assert flow_profit(PRIM, 1.7, 1.7) == 0.0
-
-
-def test_flow_profit_example():
-    assert flow_profit(PRIM, 2.0, 1.0) == pytest.approx(0.15)
-
-
-def test_flow_revenue_examples():
-    assert flow_revenue(PRIM, 1.0, 1.0) == pytest.approx(0.30)
-    prim3 = Primitives(sigma=3.0, f=0.1, f_n=0.005, delta=0.1)
-    assert flow_revenue(prim3, 1.5, 1.0) == pytest.approx(0.675)
-
-
-def test_flow_domain_errors():
-    with pytest.raises(DomainError):
-        flow_profit(PRIM, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        flow_revenue(PRIM, 1.0, 0.0)
-
-
-@given(
-    phi1=st.floats(min_value=0.05, max_value=50.0),
-    phi2=st.floats(min_value=0.05, max_value=50.0),
-    phi_star=st.floats(min_value=0.05, max_value=10.0),
-)
-@settings(max_examples=60)
-def test_revenue_ratio_is_productivity_ratio(phi1, phi2, phi_star):
-    r1 = flow_revenue(PRIM, phi1, phi_star)
-    r2 = flow_revenue(PRIM, phi2, phi_star)
-    assert r1 / r2 == pytest.approx((phi1 / phi2) ** PRIM.k, rel=1e-12)
-
-
-@given(
-    phi=st.floats(min_value=0.05, max_value=50.0),
-    phi_star=st.floats(min_value=0.05, max_value=10.0),
-)
-@settings(max_examples=60)
-def test_profit_revenue_identity(phi, phi_star):
-    pi = flow_profit(PRIM, phi, phi_star)
-    r = flow_revenue(PRIM, phi, phi_star)
-    assert pi == pytest.approx(r / PRIM.sigma - PRIM.f, rel=1e-12, abs=1e-14)
-
-
 def test_expected_profit_vanishes_without_survivors():
     assert expected_profit_given_signal(PRIM, 0.5, math.inf, 1.0) == 0.0
     assert expected_profit_given_signal(PRIM, 0.5, 200.0, 1.0) == 0.0
@@ -185,15 +138,13 @@ def test_expected_profit_rejects_bad_rho():
 
 
 def test_joint_profit_empty_activation_set():
-    cutoffs = LogCutoffs(t_star=math.inf, p_star=0.5, a=0.0)
-    assert expected_joint_profit(PRIM, 0.5, cutoffs) == 0.0
+    assert expected_joint_profit(PRIM, 0.5, 0.5, math.inf) == 0.0
 
 
 def test_joint_profit_unconditional_matches_univariate_form():
     # with the signal cutoff far below support, only the productivity cutoff binds
     k, p_star = PRIM.k, 0.4
-    cutoffs = LogCutoffs(t_star=-40.0, p_star=p_star, a=0.0)
-    got = expected_joint_profit(PRIM, 0.5, cutoffs)
+    got = expected_joint_profit(PRIM, 0.5, p_star, -40.0)
     want = PRIM.f * (
         math.exp(0.5 * k * k - k * p_star + log_std_normal_cdf(k - p_star))
         - std_normal_cdf(-p_star)
@@ -202,10 +153,7 @@ def test_joint_profit_unconditional_matches_univariate_form():
 
 
 def test_joint_profit_decreasing_in_p_star():
-    vals = [
-        expected_joint_profit(PRIM, 0.5, LogCutoffs(0.3, p, 0.0))
-        for p in (-1.0, 0.0, 1.0, 2.0)
-    ]
+    vals = [expected_joint_profit(PRIM, 0.5, p, 0.3) for p in (-1.0, 0.0, 1.0, 2.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -216,8 +164,9 @@ def test_joint_profit_decreasing_in_p_star():
 @settings(max_examples=80)
 def test_exponential_tilting_cancellation(k, x0):
     # exp(k^2/2 + k x0) * phi(x0 + k) = phi(x0), the cancellation behind dH/dp*
-    lhs = math.exp(0.5 * k * k + k * x0) * std_normal_pdf(x0 + k)
-    assert lhs == pytest.approx(std_normal_pdf(x0), rel=1e-11)
+    pdf = lambda x: math.exp(-0.5 * x * x) / SQRT_2PI
+    lhs = math.exp(0.5 * k * k + k * x0) * pdf(x0 + k)
+    assert lhs == pytest.approx(pdf(x0), rel=1e-11)
 
 
 def test_regime_evaluates_its_cost_once():

@@ -8,17 +8,14 @@ from gatekeep import (
     PowerBoundedCost,
     Primitives,
     Regime,
-    ac_residual,
     compute_aggregates,
     expected_joint_profit,
     expected_profit_given_signal,
     fe_residual,
     melitz_limit_perfect,
     melitz_limit_zero,
-    solve_ac_intercept,
     solve_equilibrium,
 )
-from gatekeep.economy import LogCutoffs
 from gatekeep import equilibrium
 from gatekeep.equilibrium import (
     BRACKET_BOUND,
@@ -43,40 +40,40 @@ SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
 def test_ac_residual_limits():
     regime = Regime(0.89, SCHED)
     floor = -PRIM.delta * regime.f_b / PRIM.f
-    assert ac_residual(40.0, PRIM, regime) == pytest.approx(floor, abs=1e-12)
-    assert ac_residual(-40.0, PRIM, regime) > 1e10
+    assert activation_residual(40.0, PRIM, regime.rho, regime.f_b) == pytest.approx(floor, abs=1e-12)
+    assert activation_residual(-40.0, PRIM, regime.rho, regime.f_b) > 1e10
 
 
 def test_ac_residual_strictly_decreasing():
     # strict on the range where the tail term has float resolution left
     regime = Regime(0.89, SCHED)
     grid = [-5.0 + 0.5 * i for i in range(19)]
-    vals = [ac_residual(a, PRIM, regime) for a in grid]
+    vals = [activation_residual(a, PRIM, regime.rho, regime.f_b) for a in grid]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_ac_intercept_golden():
-    a = solve_ac_intercept(PRIM, Regime(0.89, SCHED))
+    regime = Regime(0.89, SCHED)
+    a = solve_equilibrium(PRIM, regime).cutoffs.a
     assert a == pytest.approx(AC_INTERCEPT, abs=1e-10)
-    assert abs(ac_residual(a, PRIM, Regime(0.89, SCHED))) <= 1e-12
+    assert abs(activation_residual(a, PRIM, regime.rho, regime.f_b)) <= 1e-12
 
 
 def test_ac_intercept_comparative_statics():
-    base = solve_ac_intercept(PRIM, Regime(0.5, ConstantCost(2.0)))
-    costlier = solve_ac_intercept(PRIM, Regime(0.5, ConstantCost(4.0)))
+    base = _solve_activation_intercept(PRIM, 0.5, 2.0)[0]
+    costlier = _solve_activation_intercept(PRIM, 0.5, 4.0)[0]
     assert costlier < base
-    higher_f = solve_ac_intercept(
-        Primitives(sigma=2.0, f=0.30, f_n=0.005, delta=0.1), Regime(0.5, ConstantCost(2.0))
-    )
+    higher_f = _solve_activation_intercept(
+        Primitives(sigma=2.0, f=0.30, f_n=0.005, delta=0.1), 0.5, 2.0
+    )[0]
     assert higher_f > base
 
 
 def test_fe_residual_decomposition():
     regime = Regime(0.6, SCHED)
     p_star, t_star = 0.8, 1.4
-    cutoffs = LogCutoffs(t_star, p_star, p_star - regime.rho * t_star)
     want = (
-        expected_joint_profit(PRIM, regime.rho, cutoffs) / PRIM.f
+        expected_joint_profit(PRIM, regime.rho, p_star, t_star) / PRIM.f
         - (PRIM.delta * regime.f_b / PRIM.f) * std_normal_cdf(-t_star)
         - PRIM.delta * PRIM.f_n / PRIM.f
     )
@@ -355,7 +352,6 @@ def test_solve_evaluates_each_residual_only_in_its_root_find(rho, sched, monkeyp
     assert len(fe_calls) == fe_root_calls + 2
     c = sol.cutoffs
     assert sol.ac_residual == activation_residual(c.a, PRIM, regime.rho, regime.f_b)
-    assert sol.ac_residual == ac_residual(c.a, PRIM, regime)
     assert sol.fe_residual == fe_residual(c.p_star, c.t_star, PRIM, regime)
 
 

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 import sys
 
 import pytest
@@ -19,34 +18,15 @@ from gatekeep.normal import (
     log_std_normal_cdf,
     log_tilted_upper_tail2,
     std_normal_cdf,
-    std_normal_pdf,
-    tilted_upper_tail,
-    tilted_upper_tail2,
 )
 from reference_values import (
     BVN_GRID,
     BVN_POINT_1_2__M0_3__0_7,
     STD_NORMAL_CDF_1_0,
-    STD_NORMAL_PDF_1_5,
     TILTED2_1__0_2__M0_1__0_6,
-    TILTED_1__0_5,
 )
 
 finite_x = st.floats(min_value=-30.0, max_value=30.0)
-
-
-def test_pdf_at_zero():
-    assert std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-16)
-
-
-def test_pdf_against_series_oracle():
-    assert std_normal_pdf(1.5) == pytest.approx(STD_NORMAL_PDF_1_5, abs=1e-16)
-
-
-@given(x=finite_x)
-def test_pdf_symmetric(x):
-    assert std_normal_pdf(x) == std_normal_pdf(-x)
-    assert std_normal_pdf(x) > 0.0
 
 
 def test_cdf_special_points():
@@ -414,42 +394,20 @@ def test_joint_tail_masses_signed_zero_keys_share_values():
 
 
 def test_tilted_reduces_to_tail_probability():
+    # without the signal cutoff and the tilt, the mass is the univariate tail
     for c in (-2.0, 0.0, 1.7):
-        assert tilted_upper_tail(0.0, c) == pytest.approx(std_normal_cdf(-c), abs=1e-14)
+        got = math.exp(log_tilted_upper_tail2(0.0, c, -math.inf, 0.5))
+        assert got == pytest.approx(std_normal_cdf(-c), abs=1e-14)
 
 
 def test_tilted_full_mgf():
-    assert tilted_upper_tail(1.0, -math.inf) == pytest.approx(math.exp(0.5), rel=1e-15)
-    assert tilted_upper_tail(1.0, -math.inf) == pytest.approx(1.648721271, abs=1e-9)
-
-
-def test_tilted_frozen_quadrature_value():
-    assert tilted_upper_tail(1.0, 0.5) == pytest.approx(TILTED_1__0_5, rel=1e-13)
+    # with no cutoff the log moment is k^2 / 2, exactly
+    assert log_tilted_upper_tail2(1.0, -math.inf, -math.inf, 0.5) == 0.5
 
 
 def test_tilted_monotone_in_cutoff():
-    vals = [tilted_upper_tail(1.3, c) for c in (-3.0, -1.0, 0.0, 1.0, 3.0)]
+    vals = [log_tilted_upper_tail2(1.3, c, -math.inf, 0.5) for c in (-3.0, -1.0, 0.0, 1.0, 3.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_tilted_overflow_signals():
-    with pytest.raises(TiltOverflowError):
-        tilted_upper_tail(60.0, 0.0)
-    # deep truncation keeps the value representable even when exp(k^2/2) is not
-    assert tilted_upper_tail(40.0, 100.0) < 1e-250
-
-
-@pytest.mark.parametrize("k", [math.inf, 1e200])
-def test_tilted_overflow_at_infinite_log_value(k):
-    # k*k/2 is inf here; math.exp(inf) returns inf without an OverflowError
-    with pytest.raises(TiltOverflowError, match=re.escape(f"tilted_upper_tail(k={k!r}, c=0.0)")):
-        tilted_upper_tail(k, 0.0)
-
-
-def test_tilted2_overflow_names_its_arguments():
-    what = "tilted_upper_tail2(k=60.0, p_c=0.0, t_c=0.0, rho=0.5)"
-    with pytest.raises(TiltOverflowError, match=re.escape(what)):
-        tilted_upper_tail2(60.0, 0.0, 0.0, 0.5)
 
 
 def test_exp_tilt_range_edge():
@@ -464,31 +422,33 @@ def test_exp_tilt_range_edge():
 
 def test_tilted2_reduces_to_joint_tail():
     for (p_c, t_c, rho) in [(-0.5, 0.3, 0.6), (1.0, -1.0, 0.2)]:
-        expected = bvn_cdf(-p_c, -t_c, rho)
-        assert tilted_upper_tail2(0.0, p_c, t_c, rho) == pytest.approx(expected, abs=1e-14)
+        log_s, p_phi = joint_tail_masses(0.0, p_c, t_c, rho)
+        assert p_phi == bvn_cdf(-p_c, -t_c, rho)
+        assert math.exp(log_s) == pytest.approx(p_phi, abs=1e-14)
 
 
 def test_tilted2_marginal_reduction():
-    # dropping the own-variable cutoff leaves a univariate tilted tail
-    got = tilted_upper_tail2(1.0, -math.inf, 0.2, 0.6)
-    want = math.exp(0.5) * std_normal_cdf(-0.2 + 0.6)
-    assert got == pytest.approx(want, rel=1e-13)
+    # dropping either cutoff leaves a univariate tilted tail
+    got = math.exp(joint_tail_masses(1.0, -math.inf, 0.2, 0.6)[0])
+    assert got == pytest.approx(math.exp(0.5) * std_normal_cdf(-0.2 + 0.6), rel=1e-13)
+    got = math.exp(joint_tail_masses(1.0, 0.5, -math.inf, 0.6)[0])
+    assert got == pytest.approx(math.exp(0.5) * std_normal_cdf(1.0 - 0.5), rel=1e-13)
 
 
 def test_tilted2_frozen_quadrature_value():
-    assert tilted_upper_tail2(1.0, 0.2, -0.1, 0.6) == pytest.approx(
-        TILTED2_1__0_2__M0_1__0_6, rel=1e-13
-    )
+    got = math.exp(joint_tail_masses(1.0, 0.2, -0.1, 0.6)[0])
+    assert got == pytest.approx(TILTED2_1__0_2__M0_1__0_6, rel=1e-13)
 
 
 def test_tilted2_monotone_in_cutoffs():
-    base = tilted_upper_tail2(1.0, -0.2, 0.1, 0.5)
+    base = joint_tail_masses(1.0, -0.2, 0.1, 0.5)[0]
     for p_c in (0.0, 0.5, 1.5):
-        assert tilted_upper_tail2(1.0, p_c, 0.1, 0.5) <= base
+        assert joint_tail_masses(1.0, p_c, 0.1, 0.5)[0] <= base
     for t_c in (0.4, 1.0, 2.5):
-        assert tilted_upper_tail2(1.0, -0.2, t_c, 0.5) <= base
+        assert joint_tail_masses(1.0, -0.2, t_c, 0.5)[0] <= base
 
 
 def test_tilted2_near_singular_rejected():
-    with pytest.raises(NearSingularCorrelationError):
-        tilted_upper_tail2(1.0, 0.0, 0.0, 1.0 - 1e-13)
+    for kernel in (joint_tail_masses, log_tilted_upper_tail2):
+        with pytest.raises(NearSingularCorrelationError):
+            kernel(1.0, 0.0, 0.0, 1.0 - 1e-13)

@@ -10,15 +10,14 @@ from gatekeep import (
     bvn_cdf,
     estimate_aggregates,
     estimate_profit_given_signal,
-    expected_joint_profit,
     expected_profit_given_signal,
     quadrature_reference,
     sample_log_population,
     simulate_operating_mass,
-    tilted_upper_tail2,
     z_score,
 )
 from gatekeep.errors import DomainError
+from gatekeep.normal import log_tilted_upper_tail2
 from gatekeep.oracle import _BLOCK
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
@@ -116,7 +115,7 @@ def test_estimate_memory_does_not_grow_with_n(solved):
 def test_oracle_imports_no_closed_form_kernel():
     import gatekeep.oracle as oracle
 
-    for name in ("bvn_cdf", "tilted_upper_tail2", "expected_joint_profit",
+    for name in ("bvn_cdf", "log_tilted_upper_tail2", "expected_joint_profit",
                  "std_normal_cdf", "joint_tail_masses"):
         assert not hasattr(oracle, name), name
 
@@ -192,22 +191,23 @@ def test_quadrature_unknown_quantity():
 
 @pytest.mark.parametrize("rho", [0.1, 0.5, 0.89, 0.97])
 def test_closed_forms_match_quadrature(rho, solved):
-    _, eq, _ = solved(rho)
+    # the closed forms are the aggregates a solve reports
+    _, eq, agg = solved(rho)
     c = eq.cutoffs
     k = PRIM.k
     checks = [
         (
-            bvn_cdf(-c.p_star, -c.t_star, rho),
+            agg.p_phi,
             quadrature_reference("bvn", {"x": -c.p_star, "y": -c.t_star, "rho": rho}),
         ),
         (
-            tilted_upper_tail2(k, c.p_star, c.t_star, rho),
+            agg.s_term,
             quadrature_reference(
                 "S", {"k": k, "rho": rho, "p_star": c.p_star, "t_star": c.t_star}
             ),
         ),
         (
-            expected_joint_profit(PRIM, rho, c),
+            agg.pi_breve,
             quadrature_reference(
                 "pi_breve", {"prim": PRIM, "rho": rho, "p_star": c.p_star, "t_star": c.t_star}
             ),
@@ -232,7 +232,7 @@ def test_tilted_moment_matches_mc_grid():
             values = np.exp(k * p) * ((p >= p_c) & (t >= t_c))
             mean = float(values.mean())
             se = float(values.std(ddof=1) / math.sqrt(n))
-            closed = tilted_upper_tail2(k, p_c, t_c, rho)
+            closed = math.exp(log_tilted_upper_tail2(k, p_c, t_c, rho))
             assert abs(closed - mean) <= 4.0 * se, (rho, k, p_c, t_c)
 
 
