@@ -4,7 +4,9 @@
 #   bash .github/scripts/compare_outputs.sh BASE_TREE HEAD_TREE WORK_DIR
 #
 # Runs the six gatekeep modes from each tree's src/ on the head tree's
-# benchmark.cfg and on its sigma = 60 and f_n = 1e30 variants, then requires
+# benchmark.cfg, on its sigma = 60 and f_n = 1e30 variants and on a
+# rho = 0.95 variant with 401 transfers (about 200 of them negative, so
+# pigouvian bisects in bvn_cdf's high-correlation branch), then requires
 # the same set of files on both sides: every CSV, SVG, stdout and stderr
 # byte-identical, and every exit code equal. A Python traceback in any
 # stderr of the head tree fails the comparison whatever the base printed.
@@ -19,15 +21,18 @@ cfgs="$work/configs"
 cp "$head/benchmark.cfg" "$cfgs/benchmark.cfg"
 sed 's/^sigma = 2.0$/sigma = 60.0/' "$head/benchmark.cfg" > "$cfgs/sigma60.cfg"
 sed 's/^f_n = 0.005$/f_n = 1e30/' "$head/benchmark.cfg" > "$cfgs/no_entry.cfg"
+sed 's/^rho = 0.89$/rho = 0.95\ns_points = 401/' "$head/benchmark.cfg" > "$cfgs/high_rho.cfg"
 grep -q '^sigma = 60.0$' "$cfgs/sigma60.cfg"
 grep -q '^f_n = 1e30$' "$cfgs/no_entry.cfg"
+grep -q '^rho = 0.95$' "$cfgs/high_rho.cfg"
+grep -q '^s_points = 401$' "$cfgs/high_rho.cfg"
 
 for side in base head; do
   tree=${!side}
   # each side must run its own tree, not an installed copy
   PYTHONPATH="$tree/src" python3 -c 'import gatekeep, sys; print(gatekeep.__file__)' \
     | grep -q "^$tree/src/gatekeep/"
-  for cfg in benchmark sigma60 no_entry; do
+  for cfg in benchmark sigma60 no_entry high_rho; do
     dir="$work/$side/$cfg"
     mkdir -p "$dir"
     for mode in solve sweep optimum pigouvian limits validate; do

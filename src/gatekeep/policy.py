@@ -23,7 +23,7 @@ from .equilibrium import (
     _solve_activation_intercept,
     solve_equilibrium,
 )
-from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError
+from .errors import BracketFailureError, DomainError, GatekeepError, InconsistentEquilibriumError
 from .welfare import aggregates_from_cutoffs, compute_aggregates, welfare_selection_burden
 from .normal import std_normal_cdf
 from .records import Record
@@ -34,6 +34,7 @@ TRANSFER_GAP = 1e-6
 
 _PLANNER_MARKET_TOL = 1e-8
 _PIGOU_SCAN_STEP = 0.05
+_PIGOU_SCAN_CELLS = int(round(2.0 * BRACKET_BOUND / _PIGOU_SCAN_STEP))
 
 
 class PolicyBundle(Record, namedtuple("PolicyBundle", "theta_p_log s tau")):
@@ -114,6 +115,54 @@ def decentralize_cutoff(
     return PolicyBundle(theta_p_log=t_p, s=s, tau=tau)
 
 
+def _scan_grid(i: int) -> float:
+    return -BRACKET_BOUND + i * _PIGOU_SCAN_STEP
+
+
+def _last_positive_before_crossing(locus_residual, r_0: float):
+    """(i, J(t_i)) for the scan's sign-change cell [t_i, t_i+1] of a decreasing J.
+
+    Bisects the grid index between the two ends. Where the ends do not
+    bracket a sign change, or a probe is NaN or raises, it returns (0, r_0):
+    the scan then starts at the bottom of the grid, as it would without the
+    bisection, and meets that point in order or stops before it.
+    """
+    lo, r_lo, hi = 0, r_0, _PIGOU_SCAN_CELLS
+    try:
+        if not (r_lo > 0.0 and locus_residual(_scan_grid(hi)) <= 0.0):
+            return 0, r_0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            r_mid = locus_residual(_scan_grid(mid))
+            if r_mid > 0.0:
+                lo, r_lo = mid, r_mid
+            elif r_mid <= 0.0:
+                hi = mid
+            else:
+                return 0, r_0
+    except (GatekeepError, ArithmeticError, ValueError):
+        return 0, r_0
+    return lo, r_lo
+
+
+def _scan_from(locus_residual, start: int, r_lo: float, s: float) -> float:
+    """The first sign change of the locus residual from grid index start up, then Brent."""
+    t_lo = _scan_grid(start)
+    for i in range(start + 1, _PIGOU_SCAN_CELLS + 1):
+        t_hi = _scan_grid(i)
+        r_hi = locus_residual(t_hi)
+        if r_lo == 0.0:
+            return t_lo
+        if r_lo * r_hi < 0.0:
+            t_star, _, _ = _brent_root(locus_residual, t_lo, r_lo, t_hi, r_hi, 1e-12)
+            return t_star
+        t_lo, r_lo = t_hi, r_hi
+    raise BracketFailureError(
+        f"free entry admits no cutoff within [-{BRACKET_BOUND}, {BRACKET_BOUND}] "
+        f"under transfer s={s!r}"
+    )
+
+
 def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
     """Equilibrium welfare under a per-activation transfer s.
 
@@ -135,30 +184,19 @@ def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
         agg = compute_aggregates(prim, regime, eq)
         return welfare_selection_burden(prim, agg.s_term, agg.b_term)
     rho = regime.rho
-    a_s, _, _ = _solve_activation_intercept(prim, rho, f_b - s)
+    a_s, _, r_a = _solve_activation_intercept(prim, rho, f_b - s)
     locus_residual = _locus_fn(prim, regime, a_s)
 
-    # Off s=0 the locus residual is not provably monotone: scan for the
-    # first sign change before handing a bracket to Brent.
-    t_lo = -BRACKET_BOUND
-    r_lo = locus_residual(t_lo)
-    t_star = None
-    steps = int(round(2.0 * BRACKET_BOUND / _PIGOU_SCAN_STEP))
-    for i in range(1, steps + 1):
-        t_hi = -BRACKET_BOUND + i * _PIGOU_SCAN_STEP
-        r_hi = locus_residual(t_hi)
-        if r_lo == 0.0:
-            t_star = t_lo
-            break
-        if r_lo * r_hi < 0.0:
-            t_star, _, _ = _brent_root(locus_residual, t_lo, r_lo, t_hi, r_hi, 1e-12)
-            break
-        t_lo, r_lo = t_hi, r_hi
-    if t_star is None:
-        raise BracketFailureError(
-            f"free entry admits no cutoff within [-{BRACKET_BOUND}, {BRACKET_BOUND}] "
-            f"under transfer s={s!r}"
-        )
+    # The cutoff is the first sign change of the locus residual J on the grid
+    # t_i = -BRACKET_BOUND + i * _PIGOU_SCAN_STEP, scanned up from i = 0. Along
+    # the locus J'(t) = c phi(t) - rho k exp(log S - k p*) with
+    # c = delta s / f - r_a, so for c <= 0 (every s < 0) J strictly decreases
+    # and bisecting the grid index finds the scan's cell. For c > 0, J can
+    # turn upward, so the scan runs in order.
+    i, r_i = 0, locus_residual(-BRACKET_BOUND)
+    if prim.delta * s / prim.f - r_a <= 0.0:
+        i, r_i = _last_positive_before_crossing(locus_residual, r_i)
+    t_star = _scan_from(locus_residual, i, r_i, s)
     p_star = rho * t_star + a_s
     agg = aggregates_from_cutoffs(prim, regime, t_star, p_star)
     return welfare_selection_burden(prim, agg.s_term, agg.b_term)

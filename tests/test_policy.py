@@ -4,6 +4,8 @@ import pytest
 
 from gatekeep import (
     ConstantCost,
+    HyperbolicCost,
+    PiecewiseLinearCost,
     PowerBoundedCost,
     Primitives,
     Regime,
@@ -18,10 +20,11 @@ from gatekeep import (
     welfare_selection_burden,
 )
 from gatekeep import equilibrium
-from gatekeep.equilibrium import BRACKET_BOUND, _locus_fn, _solve_activation_intercept
-from gatekeep.errors import DomainError
+from gatekeep.equilibrium import BRACKET_BOUND, _brent_root, _locus_fn, _solve_activation_intercept
+from gatekeep.errors import BracketFailureError, DomainError, TiltOverflowError
 from gatekeep.normal import std_normal_cdf
 from gatekeep.policy import _PIGOU_SCAN_STEP
+from gatekeep.welfare import aggregates_from_cutoffs
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
@@ -221,3 +224,107 @@ def test_pigouvian_scan_cell_has_a_monotone_certificate(rho):
         lo = max([i for i, gt in enumerate(g) if gt >= 0.0], default=0)
         hi = min([i for i, gt in enumerate(g) if gt <= -c], default=len(grid) - 1)
         assert all(lo <= i and i + 1 <= hi for i in cells), (s, lo, hi, cells)
+
+
+def _ordered_scan_welfare(prim, regime, s):
+    # pigouvian_welfare at s != 0 with the cutoff from the ordered scan alone:
+    # walk the grid up from -BRACKET_BOUND to the first sign change, then Brent.
+    a_s, _, _ = _solve_activation_intercept(prim, regime.rho, regime.f_b - s)
+    residual = _locus_fn(prim, regime, a_s)
+    t_lo = -BRACKET_BOUND
+    r_lo = residual(t_lo)
+    for i in range(1, int(round(2.0 * BRACKET_BOUND / _PIGOU_SCAN_STEP)) + 1):
+        t_hi = -BRACKET_BOUND + i * _PIGOU_SCAN_STEP
+        r_hi = residual(t_hi)
+        if r_lo == 0.0:
+            t_star = t_lo
+            break
+        if r_lo * r_hi < 0.0:
+            t_star, _, _ = _brent_root(residual, t_lo, r_lo, t_hi, r_hi, 1e-12)
+            break
+        t_lo, r_lo = t_hi, r_hi
+    else:
+        raise BracketFailureError(
+            f"free entry admits no cutoff within [-{BRACKET_BOUND}, {BRACKET_BOUND}] "
+            f"under transfer s={s!r}"
+        )
+    agg = aggregates_from_cutoffs(prim, regime, t_star, regime.rho * t_star + a_s)
+    return welfare_selection_burden(prim, agg.s_term, agg.b_term)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.89, 0.95])
+@pytest.mark.parametrize("schedule", [
+    ConstantCost(2.0),
+    SCHED,
+    PiecewiseLinearCost(0.3, 0.9, 1.0, 5.0),
+    HyperbolicCost(0.5),
+])
+def test_pigouvian_bisection_matches_the_ordered_scan(schedule, rho):
+    # 42 transfers over [-f_b/2, f_b/2], none of them 0, so half bisect and
+    # half scan; rho 0.95 takes bvn_cdf's high-correlation branch.
+    regime = Regime(rho, schedule)
+    n = 42
+    transfers = [regime.f_b / 2.0 * (2 * i - (n - 1)) / (n - 1) for i in range(n)]
+    for s in transfers:
+        expected = _outcome(_ordered_scan_welfare, PRIM, regime, s)
+        assert _outcome(pigouvian_welfare, PRIM, regime, s) == expected, s
+        assert isinstance(expected, float), (s, expected)
+
+
+def test_pigouvian_bisection_reports_the_scans_bracket_failure():
+    # f_n = 1e30: the locus residual is negative on the whole grid, so the
+    # bisection cannot bracket and the scan raises its own error.
+    prim = Primitives(sigma=2.0, f=0.15, f_n=1e30, delta=0.1)
+    regime = Regime(0.5, SCHED)
+    for s in (-0.5 * regime.f_b, 0.25 * regime.f_b):
+        expected = _outcome(_ordered_scan_welfare, prim, regime, s)
+        assert expected[0] is BracketFailureError
+        assert _outcome(pigouvian_welfare, prim, regime, s) == expected
+
+
+@pytest.mark.parametrize("s_frac", [-0.5, -0.05, 0.05, 0.3])
+@pytest.mark.parametrize("rho", [0.5, 0.97])
+def test_pigouvian_bisects_for_negative_transfers_and_scans_otherwise(rho, s_frac, monkeypatch):
+    # For s < 0 about 11 bisection probes plus Brent replace the ~1 000-point
+    # scan; for s > 0 the scan runs in order, with the scan's own count.
+    regime = Regime(rho, SCHED)
+    s = s_frac * regime.f_b
+    fe, calls = equilibrium.fe_residual, []
+    monkeypatch.setattr(equilibrium, "fe_residual", lambda *args: calls.append(args) or fe(*args))
+    expected = _ordered_scan_welfare(PRIM, regime, s)
+    scan_calls = len(calls)
+    calls.clear()
+    assert pigouvian_welfare(PRIM, regime, s) == expected
+    if s < 0.0:
+        assert len(calls) <= 40
+    else:
+        assert len(calls) == scan_calls
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+@pytest.mark.parametrize("window", [(20.0, 50.0), (50.0, 51.0)])
+def test_pigouvian_bisection_falls_back_to_the_scan_where_a_probe_fails(window, failure, monkeypatch):
+    # The cutoff lies below t = 10, so the scan never evaluates the window;
+    # a bisection probe in it (t = 25 mid-way, or the far end t = 50) raises
+    # or is NaN, and the scan from the bottom of the grid decides.
+    regime = Regime(0.5, SCHED)
+    s = -0.5 * regime.f_b
+    expected = _ordered_scan_welfare(PRIM, regime, s)
+    fe = equilibrium.fe_residual
+
+    def failing(p_star, t_star, prim, regime):
+        if window[0] <= t_star < window[1]:
+            if failure == "raise":
+                raise TiltOverflowError("probe outside the scan's reach")
+            return math.nan
+        return fe(p_star, t_star, prim, regime)
+
+    monkeypatch.setattr(equilibrium, "fe_residual", failing)
+    assert pigouvian_welfare(PRIM, regime, s) == expected
