@@ -52,7 +52,7 @@ from .welfare import (
 from .config import GridSpec, RunConfig, config_hash, format_config, parse_config
 
 #: names re-exported from the module that defines them, which is imported on
-#: their first access: ``oracle`` needs numpy and scipy, so the solver paths
+#: their first access: ``oracle`` needs numpy, so the solver paths
 #: load only the standard library, and only the pigouvian mode needs ``policy``
 _LAZY = {
     "McEstimate": "oracle",

@@ -181,7 +181,7 @@ def _run_limits(config: RunConfig) -> _Table:
 
 
 def _run_validate(config: RunConfig) -> _Table:
-    # numpy loads here, on the one mode that needs it; scipy at the first quadrature
+    # numpy loads here, on the one mode that needs it
     from concurrent.futures import ThreadPoolExecutor
 
     from .oracle import (

@@ -525,18 +525,18 @@ from gatekeep import cli
 
 seen = {"oracle": scipy()}
 seen["validate_code"] = cli.main(["validate", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"])
-seen["validate"] = "scipy.integrate" in scipy()
+seen["validate"] = scipy()
 print(json.dumps(seen))
 """
 
 
 def test_oracle_import_loads_no_scipy(tmp_path):
-    # scipy loads at the first quadrature, after the Monte Carlo stage
+    # the quadratures run on the oracle's own QUADPACK and ndtr ports
     val_cfg = tmp_path / "val.cfg"
     val_cfg.write_text(BASE + "mc_n = 20000\n")
     proc = _python(["-c", ORACLE_IMPORT_SCRIPT, str(val_cfg), str(tmp_path / "out.csv")])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"oracle": [], "validate_code": 0, "validate": True}
+    assert json.loads(proc.stdout) == {"oracle": [], "validate_code": 0, "validate": []}
 
 
 COLD_IMPORT_SCRIPT = """
@@ -564,6 +564,7 @@ seen["sweep_loaded"] = loaded()
 seen["oracle_before_validate"] = "gatekeep.oracle" in sys.modules
 seen["validate_code"] = cli.main(["validate", "--config", val_cfg, "--out", out, "--quiet"])
 seen["oracle_after_validate"] = "gatekeep.oracle" in sys.modules
+seen["validate"] = sorted({m.split(".")[0] for m in numeric()})
 seen["policy_before_lookup"] = "gatekeep.policy" in sys.modules
 from gatekeep import McEstimate, estimate_aggregates, pigouvian_welfare, PolicyBundle
 seen["lazy"] = [f.__module__ for f in (McEstimate, estimate_aggregates, pigouvian_welfare,
@@ -589,6 +590,7 @@ def test_solve_paths_load_no_numpy_or_scipy(cfg_path, tmp_path):
     assert not seen["oracle_before_validate"]
     assert seen["validate_code"] == 0
     assert seen["oracle_after_validate"]
+    assert seen["validate"] == ["numpy"]
     assert not seen["policy_before_lookup"]
     assert seen["lazy"] == ["gatekeep.oracle", "gatekeep.oracle", "gatekeep.policy",
                             "gatekeep.policy"]

@@ -6,6 +6,7 @@ import pytest
 
 from gatekeep import (
     LogCutoffs,
+    PowerBoundedCost,
     Primitives,
     bvn_cdf,
     estimate_aggregates,
@@ -16,9 +17,10 @@ from gatekeep import (
     simulate_operating_mass,
     z_score,
 )
+from gatekeep import oracle
 from gatekeep.errors import DomainError
 from gatekeep.normal import log_tilted_upper_tail2
-from gatekeep.oracle import _BLOCK
+from gatekeep.oracle import _BLOCK, _ndtr, _qagse
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 
@@ -189,6 +191,20 @@ def test_quadrature_unknown_quantity():
         quadrature_reference("nope", {})
 
 
+@pytest.mark.parametrize("quantity, params", [
+    ("pi_tilde", {"prim": PRIM, "rho": 0.5, "p_star": -math.inf, "t": 1.0}),
+    ("pi_tilde", {"prim": PRIM, "rho": 0.5, "p_star": 0.3, "t": math.inf}),
+    ("S", {"k": PRIM.k, "rho": 0.5, "p_star": 0.3, "t_star": math.inf}),
+    ("pi_breve", {"prim": PRIM, "rho": 0.5, "p_star": -math.inf, "t_star": 0.2}),
+    ("bvn", {"x": math.nan, "y": 0.1, "rho": 0.5}),
+])
+def test_quadrature_refuses_an_unbounded_interval(quantity, params):
+    # the QUADPACK port integrates finite intervals only; a solved
+    # equilibrium's cutoffs are always finite
+    with pytest.raises(DomainError, match="finite interval"):
+        quadrature_reference(quantity, params)
+
+
 @pytest.mark.parametrize("rho", [0.1, 0.5, 0.89, 0.97])
 def test_closed_forms_match_quadrature(rho, solved):
     # the closed forms are the aggregates a solve reports
@@ -251,3 +267,171 @@ def test_simulation_validation(solved):
     _, eq, _ = solved(0.5)
     with pytest.raises(DomainError):
         simulate_operating_mass(PRIM, 0.5, eq.cutoffs, periods=10, burn_in=10)
+
+
+# ---------------------------------------------------------------------------
+# The standard-library ports against scipy, their reference (test-only).
+
+#: quad's documented message for each QUADPACK ier from 1 to 5
+_QUAD_MESSAGES = ("The maximum number of subdivisions", "The occurrence of roundoff error",
+                  "Extremely bad integrand behavior", "The algorithm does not converge",
+                  "The integral is probably divergent")
+
+
+def _scipy_qagse(fn, a, b, epsabs, epsrel, limit):
+    """(value, abserr, neval, ier) of scipy.integrate.quad on a finite interval."""
+    from scipy.integrate import quad
+
+    out = quad(fn, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    ier = 0
+    if len(out) == 4:
+        ier = 1 + next(i for i, m in enumerate(_QUAD_MESSAGES) if out[3].startswith(m))
+    return out[0], out[1], out[2]["neval"], ier
+
+
+def _assert_qagse_matches(fn, a, b, epsabs=1e-11, epsrel=1e-12, limit=200):
+    # the same points in the same order, and the same four outputs
+    seen_port, seen_scipy = [], []
+    got = _qagse(lambda x: seen_port.append(x) or fn(x), a, b, epsabs, epsrel, limit)
+    want = _scipy_qagse(lambda x: seen_scipy.append(x) or fn(x), a, b, epsabs, epsrel, limit)
+    assert got == want, (a, b, got, want)
+    assert seen_port == seen_scipy
+    return got
+
+
+def _qagse_cases(rng):
+    """Seeded integrands: (fn, a, b, epsabs, epsrel, limit)."""
+    for _ in range(300):
+        # endpoint singularities, which force extrapolation
+        p, c = float(rng.uniform(-0.9, 2.0)), float(rng.uniform(0.1, 3.0))
+        a = float(rng.uniform(-1.0, 1.0))
+        b = a + float(rng.uniform(0.1, 5.0))
+        yield lambda x, p=p, c=c, a=a: c * (x - a) ** p if x > a else 0.0, a, b, 1e-11, 1e-12, 200
+        yield (lambda x, p=p, b=b: abs(math.log(b - x)) * (b - x) ** p if x < b else 0.0,
+               a, b, 1e-11, 1e-12, 200)
+    for _ in range(500):
+        # a narrow Gaussian in a window of up to 1000 sd each side, like the
+        # inner integrals near rho = 1, which take many subintervals
+        mu, sd = float(rng.uniform(-5.0, 5.0)), 10.0 ** float(rng.uniform(-4.0, 0.0))
+        a = mu - sd * 10.0 ** float(rng.uniform(0.5, 3.0))
+        b = mu + sd * 10.0 ** float(rng.uniform(0.5, 3.0))
+        peak = lambda x, mu=mu, sd=sd: math.exp(-0.5 * ((x - mu) / sd) ** 2) / sd
+        yield peak, a, b, 1e-11, 1e-12, 200
+        # a loose tolerance and a small subdivision limit
+        yield peak, a, b, 1e-3, 1e-6, int(rng.integers(1, 30))
+    for _ in range(200):
+        w, b = float(rng.uniform(1.0, 200.0)), float(rng.uniform(1.0, 20.0))
+        yield lambda x, w=w: math.sin(w * x) * math.exp(-x), 0.0, b, 1e-11, 1e-12, 50
+    for _ in range(100):
+        # each of QUADPACK's flags: a jump far from 0 (roundoff), a jump at
+        # a tolerance below the rule's reach (bad behaviour at a point), a
+        # divergent power and the subdivision limit
+        c = float(rng.uniform(500.0, 2000.0))
+        yield lambda x, c=c: 1.0 if x > c else 0.0, c - 1.0, c + 1.0, 1e-14, 0.0, 200
+        c = float(rng.uniform(0.1, 0.9))
+        yield lambda x, c=c: 1.0 if x > c else 0.0, 0.0, 1.0, 1e-15, 1e-15, 200
+        p = float(rng.uniform(-1.2, -0.95))
+        yield lambda x, p=p: x ** p if x > 0.0 else 0.0, 0.0, 1.0, 1e-11, 1e-12, 100
+        yield lambda x: 1.0 / x if x > 0.0 else 0.0, 0.0, float(rng.uniform(0.5, 2.0)), 1e-11, 1e-12, 50
+
+
+def test_qagse_matches_scipy_quad():
+    rng = np.random.default_rng(20261018)
+    iers, subdivided = set(), 0
+    for fn, a, b, epsabs, epsrel, limit in _qagse_cases(rng):
+        _, _, neval, ier = _assert_qagse_matches(fn, a, b, epsabs, epsrel, limit)
+        iers.add(ier)
+        subdivided += neval > 21
+    assert iers == {0, 1, 2, 3, 4, 5}
+    assert subdivided > 2000
+
+
+def test_qagse_matches_scipy_quad_on_nonfinite_values():
+    # NaN and inf integrand values take the Fortran's branches too
+    rng = np.random.default_rng(7)
+    for c, w in zip(rng.uniform(-1.0, 1.0, 40).tolist(), rng.uniform(1e-3, 0.5, 40).tolist()):
+        for fn, a, b in (
+            (lambda x: math.nan if abs(x - c) < w else math.exp(x), -1.0, 1.0),
+            (lambda x: math.inf if abs(x - c) < w else x * x, -1.0, 1.0),
+            (lambda x: -math.inf if x > c else 1.0, -1.0, 1.0),
+            (lambda x: 1e308 * math.exp(x), c, c + 1.0),
+        ):
+            got = _qagse(fn, a, b, 1e-11, 1e-12, 200)
+            want = _scipy_qagse(fn, a, b, 1e-11, 1e-12, 200)
+            assert repr(got) == repr(want), (c, w, got, want)
+
+
+def test_qagse_invalid_tolerance():
+    from scipy.integrate import quad
+
+    assert _qagse(math.exp, 0.0, 1.0, 0.0, 1e-15, 50) == (0.0, 0.0, 0, 6)
+    with pytest.raises(ValueError):
+        quad(math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-15, limit=50)
+
+
+@pytest.mark.parametrize("rho", [0.89, 0.95])
+def test_qagse_matches_scipy_on_the_oracles_integrands(rho, monkeypatch):
+    # every quadrature validate makes at benchmark.cfg, inner ones included
+    from gatekeep import Regime, compute_aggregates, solve_equilibrium
+
+    regime = Regime(rho, PowerBoundedCost(3.0, 2.0, 8.0))
+    eq = solve_equilibrium(PRIM, regime)
+    agg = compute_aggregates(PRIM, regime, eq)
+    calls = []
+
+    def checked(fn, a, b, epsabs, epsrel, limit):
+        got = _qagse(fn, a, b, epsabs, epsrel, limit)
+        assert got == _scipy_qagse(fn, a, b, epsabs, epsrel, limit)
+        calls.append(got[2])
+        return got
+
+    monkeypatch.setattr(oracle, "_qagse", checked)
+    t_star, p_star = eq.cutoffs.t_star, eq.cutoffs.p_star
+    at = {"rho": rho, "p_star": p_star, "t_star": t_star}
+    values = [
+        quadrature_reference("bvn", {"x": -t_star, "y": math.inf, "rho": rho}),
+        quadrature_reference("bvn", {"x": -p_star, "y": -t_star, "rho": rho}),
+        quadrature_reference("S", {"k": PRIM.k, **at}),
+        quadrature_reference("pi_breve", {"prim": PRIM, **at}),
+        quadrature_reference("pi_tilde", {"prim": PRIM, "rho": rho, "p_star": p_star,
+                                          "t": t_star + 0.5}),
+    ]
+    closed = [agg.p_theta, agg.p_phi, agg.s_term, agg.pi_breve,
+              expected_profit_given_signal(PRIM, rho, p_star, t_star + 0.5)]
+    assert values == pytest.approx(closed, abs=1e-8)
+    # the outer integrals of S and pi_breve run each inner one through scipy
+    # a second time, so there are more checks than validate's 341 calls
+    assert len(calls) > 300
+    assert sum(neval > 21 for neval in calls) > 100
+
+
+def _ndtr_points():
+    rng = np.random.default_rng(20261018)
+    points = [*rng.uniform(-45.0, 45.0, 200_000), *rng.uniform(-12.0, 12.0, 100_000),
+              *rng.uniform(-1.5, 1.5, 20_000)]
+    # branch edges: |a| = 1 (ndtr), sqrt(2) (erf/erfc at 1), 8 sqrt(2) (erfc's
+    # P/Q and R/S), the underflow of exp(-z*z), where erfc's tail reaches 0
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * oracle._MAXLOG), 37.5, 38.5]
+    for edge in edges:
+        for e in (edge, -edge):
+            for direction in (math.inf, -math.inf):
+                x = e
+                for _ in range(64):
+                    points.append(x)
+                    x = math.nextafter(x, direction)
+            points += [e + k * 1e-13 * e for k in range(-100, 101)]
+    points += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               1e-310, -1e-310, 1e300, -1e300, math.inf, -math.inf]
+    return np.array(points)
+
+
+def test_ndtr_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    points = _ndtr_points()
+    assert points.size >= 300_000
+    got = np.array([_ndtr(float(a)) for a in points])
+    want = ndtr(points)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert math.isnan(_ndtr(math.nan))

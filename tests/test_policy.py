@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatekeep import (
     ConstantCost,
@@ -21,7 +23,7 @@ from gatekeep import (
 )
 from gatekeep import equilibrium
 from gatekeep.equilibrium import BRACKET_BOUND, _brent_root, _locus_fn, _solve_activation_intercept
-from gatekeep.errors import BracketFailureError, DomainError, TiltOverflowError
+from gatekeep.errors import BracketFailureError, DomainError, GatekeepError, TiltOverflowError
 from gatekeep.normal import std_normal_cdf
 from gatekeep.policy import _PIGOU_SCAN_STEP
 from gatekeep.welfare import aggregates_from_cutoffs
@@ -328,3 +330,63 @@ def test_pigouvian_bisection_falls_back_to_the_scan_where_a_probe_fails(window, 
 
     monkeypatch.setattr(equilibrium, "fe_residual", failing)
     assert pigouvian_welfare(PRIM, regime, s) == expected
+
+
+# The paper's policy claims across economies, not only at the benchmark one:
+# over a domain where economies solve (sigma 1.2-8, f 1e-3-10, f_n 1e-5-1,
+# delta 0.01-0.5, every schedule kind, rho 0.05-0.97). An economy that raises
+# a GatekeepError has no claim to check; once it solves, the claim must hold.
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+_SCALE = _log_uniform(1e-3, 10.0)
+_SCHEDULES = st.one_of(
+    st.builds(ConstantCost, _SCALE),
+    st.builds(PowerBoundedCost, _SCALE, st.one_of(st.just(0.0), _SCALE), _SCALE),
+    st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2, unique=True).flatmap(
+        lambda rhos: st.lists(_SCALE, min_size=2, max_size=2).map(
+            lambda fs: PiecewiseLinearCost(*sorted(rhos), *sorted(fs)))),
+    st.builds(HyperbolicCost, _SCALE),
+)
+_ECONOMIES = st.tuples(
+    st.builds(Primitives, st.floats(1.2, 8.0), _SCALE, _log_uniform(1e-5, 1.0),
+              st.floats(0.01, 0.5)),
+    st.builds(Regime, st.floats(0.05, 0.97), _SCHEDULES),
+)
+
+
+def _solved(prim, regime):
+    """The economy's equilibrium, or None where it raises a GatekeepError."""
+    try:
+        return solve_equilibrium(prim, regime)
+    except GatekeepError:
+        return None
+
+
+@given(economy=_ECONOMIES)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_planner_cutoff_equals_market_cutoff_over_the_domain(economy):
+    prim, regime = economy
+    eq = _solved(prim, regime)
+    if eq is not None:
+        assert abs(planner_cutoff(prim, regime, eq) - eq.cutoffs.t_star) <= 1e-8
+
+
+@given(economy=_ECONOMIES, shares=st.lists(
+    st.floats(-0.5, 0.5).filter(lambda x: x != 0.0), min_size=2, max_size=2))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_no_transfer_beats_zero_over_the_domain(economy, shares):
+    # W(s) <= W(0) for every transfer s on the CLI's grid range [-f_b/2, f_b/2]
+    prim, regime = economy
+    if _solved(prim, regime) is None:
+        return
+    w0 = pigouvian_welfare(prim, regime, 0.0)
+    for share in shares:
+        try:
+            w = pigouvian_welfare(prim, regime, share * regime.f_b)
+        except GatekeepError:
+            continue
+        assert w <= w0 * (1.0 + 1e-12), (share, w, w0)
