@@ -17,9 +17,13 @@ any host. The draws stream in fixed blocks of ``_BLOCK`` pairs, and their
 concatenation equals numpy's one-shot draw of all n pairs. Estimates combine
 per-block moments (Chan, Golub & LeVeque 1979), so the memory of an estimate
 is one block whatever n is, and ``validate`` memory does not depend on
-``mc_n``. The block sums are numpy reductions, not BLAS calls, so no
-estimate depends on BLAS's thread count. numpy releases the GIL while it
-draws and reduces, so ``validate`` runs its two estimators on two threads.
+``mc_n``. Each call allocates its block-width arrays once and fills them in
+place block after block, so no block allocates, and a block that
+``blocks()`` yields is valid until the next one. No buffer outlives its call
+or is shared between calls. The block sums are numpy reductions, not BLAS
+calls, so no estimate depends on BLAS's thread count. numpy releases the GIL
+while it draws and reduces, so ``validate`` runs its two estimators on two
+threads.
 """
 
 from __future__ import annotations
@@ -63,16 +67,28 @@ class PopulationDraws(Record, namedtuple("PopulationDraws", "rho n seed")):
         p = rho*t + sqrt(1-rho^2)*z. A second generator from the same seed
         discards the n signal normals to reach z; numpy's normal stream does
         not depend on how it is split into calls.
+
+        Each call draws into its own three block-width buffers (t, z and p),
+        so the yielded arrays are views that the next block overwrites: copy
+        a block to keep it past the next step of the iteration.
         """
         signals = np.random.default_rng(self.seed)
         noise = np.random.default_rng(self.seed)
-        skip = np.empty(min(self.n, _BLOCK))
+        width = min(self.n, _BLOCK)
+        t_buf, z_buf, p_buf = np.empty(width), np.empty(width), np.empty(width)
         for size in _block_sizes(self.n):
-            noise.standard_normal(out=skip[:size])
-        sd = math.sqrt(1.0 - self.rho * self.rho)
+            noise.standard_normal(out=z_buf[:size])
+        rho = self.rho
+        sd = math.sqrt(1.0 - rho * rho)
         for size in _block_sizes(self.n):
-            t = signals.standard_normal(size)
-            yield self.rho * t + sd * noise.standard_normal(size), t
+            t, z, p = t_buf[:size], z_buf[:size], p_buf[:size]
+            signals.standard_normal(out=t)
+            noise.standard_normal(out=z)
+            # rho*t + sd*z, evaluated as that expression evaluates it
+            np.multiply(rho, t, out=p)
+            np.multiply(sd, z, out=z)
+            np.add(p, z, out=p)
+            yield p, t
 
 
 def sample_log_population(rho: float, n: int, seed: int) -> PopulationDraws:
@@ -92,17 +108,21 @@ class _Moments:
     """Running count, mean and sum of squared deviations over blocks of values.
 
     Blocks merge with the pairwise update of Chan, Golub & LeVeque (1979).
+    ``scratch`` is a float buffer at least as wide as any block, which holds
+    each block's deviations from its mean; moments that add blocks one after
+    another may share it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, scratch: np.ndarray) -> None:
         self.n = 0
         self.mean = 0.0
         self.m2 = 0.0
+        self._scratch = scratch
 
     def add(self, values: np.ndarray) -> None:
         size = int(values.size)
         mean = float(values.mean())
-        dev = values - mean
+        dev = np.subtract(values, mean, out=self._scratch[:size])
         n = self.n + size
         delta = mean - self.mean
         # numpy's own sum of squares: np.dot would hand it to BLAS, whose
@@ -114,6 +134,18 @@ class _Moments:
     def estimate(self, seed: int) -> McEstimate:
         se = math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n) if self.n > 1 else 0.0
         return McEstimate(mean=self.mean, std_error=se, n=self.n, seed=seed)
+
+
+def _tilted_profit(f: float, k: float, p: np.ndarray, p_star: float, passed: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    # f * (exp(k * (p - p*)) - 1) * passed into out, each step as the
+    # expression evaluates it
+    np.subtract(p, p_star, out=out)
+    np.multiply(k, out, out=out)
+    np.exp(out, out=out)
+    np.subtract(out, 1.0, out=out)
+    np.multiply(f, out, out=out)
+    return np.multiply(out, passed, out=out)
 
 
 def z_score(closed_form: float, est: McEstimate) -> float:
@@ -138,15 +170,29 @@ def estimate_aggregates(
     k = prim.k
     profit = math.isfinite(p_star)
 
-    moments = {name: _Moments() for name in ("p_theta", "p_phi", "s_term", "pi_breve")}
+    # block-width buffers for this call alone: validate runs the two
+    # estimators on two threads
+    width = min(draws.n, _BLOCK)
+    scratch = np.empty(width)
+    v_buf = np.empty(width)
+    pass_t_buf = np.empty(width, dtype=bool)
+    pass_both_buf = np.empty(width, dtype=bool)
+    moments = {name: _Moments(scratch) for name in ("p_theta", "p_phi", "s_term", "pi_breve")}
     for p, t in draws.blocks():
-        pass_t = t >= t_star
-        pass_both = pass_t & (p >= p_star)
-        moments["p_theta"].add(pass_t.astype(float))
-        moments["p_phi"].add(pass_both.astype(float))
-        moments["s_term"].add(np.exp(k * p) * pass_both)
+        size = t.size
+        v, pass_t, pass_both = v_buf[:size], pass_t_buf[:size], pass_both_buf[:size]
+        np.greater_equal(t, t_star, out=pass_t)
+        np.greater_equal(p, p_star, out=pass_both)
+        np.bitwise_and(pass_t, pass_both, out=pass_both)
+        v[...] = pass_t
+        moments["p_theta"].add(v)
+        v[...] = pass_both
+        moments["p_phi"].add(v)
+        np.multiply(k, p, out=v)
+        np.exp(v, out=v)
+        moments["s_term"].add(np.multiply(v, pass_both, out=v))
         if profit:
-            moments["pi_breve"].add(prim.f * (np.exp(k * (p - p_star)) - 1.0) * pass_both)
+            moments["pi_breve"].add(_tilted_profit(prim.f, k, p, p_star, pass_both, v))
 
     estimates = {name: m.estimate(draws.seed) for name, m in moments.items()}
     if not profit:
@@ -171,10 +217,19 @@ def estimate_profit_given_signal(
         raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
     rng = np.random.default_rng(seed)
     sd = math.sqrt(1.0 - rho * rho)
-    profit = _Moments()
+    mean = rho * t
+    width = min(n, _BLOCK)
+    p_buf = np.empty(width)
+    passed_buf = np.empty(width, dtype=bool)
+    profit = _Moments(np.empty(width))
     for size in _block_sizes(n):
-        p = rho * t + sd * rng.standard_normal(size)
-        profit.add(prim.f * (np.exp(prim.k * (p - p_star)) - 1.0) * (p >= p_star))
+        p, passed = p_buf[:size], passed_buf[:size]
+        rng.standard_normal(out=p)
+        np.multiply(sd, p, out=p)
+        np.add(mean, p, out=p)
+        np.greater_equal(p, p_star, out=passed)
+        # the profit term overwrites the draws it is formed from
+        profit.add(_tilted_profit(prim.f, prim.k, p, p_star, passed, p))
     return profit.estimate(seed)
 
 
@@ -787,10 +842,20 @@ def simulate_operating_mass(
     Each period spawns a cohort of experimenters whose (p, t) pairs are drawn
     fresh; those passing both cutoffs become operating firms, and incumbents
     die with per-period probability delta. Returns (mean operating count
-    after burn-in, batch-means standard error).
+    after burn-in, batch-means standard error over 20 batches).
     """
-    if periods <= burn_in:
-        raise DomainError("periods must exceed burn_in")
+    n_batches = 20
+    if burn_in < 0:
+        raise DomainError(f"burn_in must be nonnegative, got {burn_in!r}")
+    if periods - burn_in < n_batches:
+        raise DomainError(
+            f"need at least {n_batches} periods after burn_in for the batch means, "
+            f"got periods={periods!r}, burn_in={burn_in!r}"
+        )
+    if experimenters_per_period < 1:
+        raise DomainError(
+            f"need at least one experimenter per period, got {experimenters_per_period!r}"
+        )
     rng = np.random.default_rng(seed)
     n_exp = experimenters_per_period
     sd = math.sqrt(1.0 - rho * rho)
@@ -804,7 +869,6 @@ def simulate_operating_mass(
         stock = stock - deaths + entrants
         if period >= burn_in:
             counts[period - burn_in] = stock
-    n_batches = 20
     batches = counts[: (counts.size // n_batches) * n_batches].reshape(n_batches, -1)
     means = batches.mean(axis=1)
     se = float(means.std(ddof=1) / math.sqrt(n_batches))

@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gatekeep import (
     LogCutoffs,
     PowerBoundedCost,
     Primitives,
     bvn_cdf,
+    compute_aggregates,
     estimate_aggregates,
     estimate_profit_given_signal,
     expected_profit_given_signal,
@@ -18,16 +20,21 @@ from gatekeep import (
     z_score,
 )
 from gatekeep import oracle
-from gatekeep.errors import DomainError
+from gatekeep.errors import DomainError, GatekeepError
 from gatekeep.normal import log_tilted_upper_tail2
 from gatekeep.oracle import _BLOCK, _ndtr, _qagse
+
+from economies import economies, solved_or_none
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 
 
 def _concat(draws):
-    """All (p, t) pairs of a streamed draw, as two arrays."""
-    p, t = zip(*draws.blocks())
+    """All (p, t) pairs of a streamed draw, as two arrays.
+
+    Each block is a view that the next one overwrites, so it is copied.
+    """
+    p, t = zip(*((p.copy(), t.copy()) for p, t in draws.blocks()))
     return np.concatenate(p), np.concatenate(t)
 
 
@@ -96,6 +103,96 @@ def test_streamed_estimates_match_one_shot_moments(solved):
     z = np.random.default_rng(22).standard_normal(n)
     p = regime.rho * 1.0 + math.sqrt(1.0 - regime.rho**2) * z
     _assert_matches(est, PRIM.f * (np.exp(k * (p - c.p_star)) - 1.0) * (p >= c.p_star))
+
+
+# The estimators fill per-call block buffers in place; these references are
+# the allocating one-line expressions they replaced, whose bits they keep.
+
+
+def _in_blocks(values):
+    return (values[start:start + _BLOCK] for start in range(0, values.size, _BLOCK))
+
+
+def _reference_estimate(blocks, seed):
+    """(mean, std_error, n, seed) of blocks of values, merged as the estimators merge them."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for values in blocks:
+        size = int(values.size)
+        block_mean = float(values.mean())
+        dev = values - block_mean
+        total = n + size
+        delta = block_mean - mean
+        m2 += float(np.square(dev, out=dev).sum()) + delta * delta * (n * size / total)
+        mean += delta * (size / total)
+        n = total
+    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+    return mean, se, n, seed
+
+
+def _reference_aggregates(prim, rho, n, seed, cutoffs):
+    p, t = _one_shot(rho, n, seed)
+    pass_t = t >= cutoffs.t_star
+    pass_both = pass_t & (p >= cutoffs.p_star)
+    terms = {
+        "p_theta": pass_t.astype(float),
+        "p_phi": pass_both.astype(float),
+        "s_term": np.exp(prim.k * p) * pass_both,
+    }
+    if math.isfinite(cutoffs.p_star):
+        terms["pi_breve"] = prim.f * (np.exp(prim.k * (p - cutoffs.p_star)) - 1.0) * pass_both
+    return {name: _reference_estimate(_in_blocks(values), seed) for name, values in terms.items()}
+
+
+def _reference_profit(prim, t, rho, p_star, n, seed):
+    p = rho * t + math.sqrt(1.0 - rho * rho) * np.random.default_rng(seed).standard_normal(n)
+    values = prim.f * (np.exp(prim.k * (p - p_star)) - 1.0) * (p >= p_star)
+    return _reference_estimate(_in_blocks(values), seed)
+
+
+def _assert_bit_equal(got, want):
+    # == on the floats: every bit, not an approximation
+    assert (got.mean, got.std_error, got.n, got.seed) == want, (got, want)
+
+
+#: k = 2.7: at the benchmark's k = 1 every product with k is exact, so a
+#: change in how k enters would keep every bit there
+TILTED = Primitives(sigma=3.7, f=0.15, f_n=0.005, delta=0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
+@pytest.mark.parametrize("rho", [0.3, 0.89, 0.95])
+def test_buffered_estimates_equal_the_allocating_expressions(rho, n, solved):
+    _, eq, _ = solved(rho)
+    c = eq.cutoffs
+    for cutoffs in (c, LogCutoffs(c.t_star, math.inf, c.a)):
+        got = estimate_aggregates(sample_log_population(rho, n, seed=41), TILTED, cutoffs)
+        want = _reference_aggregates(TILTED, rho, n, 41, cutoffs)
+        if not math.isfinite(cutoffs.p_star):
+            assert got.pop("pi_breve") == oracle.McEstimate(math.inf, 0.0, n, 41)
+        assert set(got) == set(want)
+        for name in want:
+            _assert_bit_equal(got[name], want[name])
+        _assert_bit_equal(
+            estimate_profit_given_signal(c.t_star + 0.5, TILTED, rho, cutoffs.p_star, n, seed=42),
+            _reference_profit(TILTED, c.t_star + 0.5, rho, cutoffs.p_star, n, 42),
+        )
+
+
+def test_estimators_on_two_threads_equal_sequential_runs(solved):
+    # validate runs the two estimators at once: each call owns its buffers
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = 6 * _BLOCK + 17
+    calls = []
+    for rho in (0.3, 0.89):
+        _, eq, _ = solved(rho)
+        calls.append((estimate_aggregates, sample_log_population(rho, n, seed=51), PRIM, eq.cutoffs))
+        calls.append((estimate_profit_given_signal, eq.cutoffs.t_star + 0.5, PRIM, rho,
+                      eq.cutoffs.p_star, n, 52))
+    sequential = [fn(*args) for fn, *args in calls]
+    with ThreadPoolExecutor(2) as pool:
+        concurrent = list(pool.map(lambda call: call[0](*call[1:]), 3 * calls))
+    assert concurrent == 3 * sequential
 
 
 def test_estimate_memory_does_not_grow_with_n(solved):
@@ -239,6 +336,35 @@ def test_closed_forms_match_quadrature(rho, solved):
         assert closed == pytest.approx(reference, abs=1e-8)
 
 
+@given(economy=economies(max_rho=0.95))
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_closed_forms_match_quadrature_over_the_domain(economy):
+    # validate's five checks on economies across the domain; rho stays at or
+    # below 0.95, since the quadratures slow down sharply near rho = 1
+    prim, regime = economy
+    eq = solved_or_none(prim, regime)
+    if eq is None:
+        return
+    agg = compute_aggregates(prim, regime, eq)
+    c, rho = eq.cutoffs, regime.rho
+    at_cutoffs = {"rho": rho, "p_star": c.p_star, "t_star": c.t_star}
+    t_probe = c.t_star + 0.5
+    checks = [
+        ("p_theta", agg.p_theta, "bvn", {"x": -c.t_star, "y": math.inf, "rho": rho}),
+        ("p_phi", agg.p_phi, "bvn", {"x": -c.p_star, "y": -c.t_star, "rho": rho}),
+        ("s_term", agg.s_term, "S", {"k": prim.k, **at_cutoffs}),
+        ("pi_breve", agg.pi_breve, "pi_breve", {"prim": prim, **at_cutoffs}),
+        ("pi_tilde", expected_profit_given_signal(prim, rho, c.p_star, t_probe), "pi_tilde",
+         {"prim": prim, "rho": rho, "p_star": c.p_star, "t": t_probe}),
+    ]
+    for name, closed, quantity, params in checks:
+        try:
+            quad = quadrature_reference(quantity, params)
+        except GatekeepError:
+            continue
+        assert abs(closed - quad) <= 1e-8 * max(1.0, abs(quad)), (name, closed, quad)
+
+
 def test_tilted_moment_matches_mc_grid():
     # closed-form tilted truncated moments vs raw sample means
     n = 10**7
@@ -267,6 +393,19 @@ def test_simulation_validation(solved):
     _, eq, _ = solved(0.5)
     with pytest.raises(DomainError):
         simulate_operating_mass(PRIM, 0.5, eq.cutoffs, periods=10, burn_in=10)
+
+
+@pytest.mark.parametrize("kwargs", [
+    # a negative burn-in would average cells that no period wrote
+    {"periods": 30, "burn_in": -5},
+    # fewer periods after burn-in than the 20 batches of the standard error
+    {"periods": 1010, "burn_in": 1000},
+    {"experimenters_per_period": -1, "periods": 100, "burn_in": 10},
+])
+def test_simulation_refuses_what_it_cannot_estimate(kwargs, solved):
+    _, eq, _ = solved(0.5)
+    with pytest.raises(DomainError):
+        simulate_operating_mass(PRIM, 0.5, eq.cutoffs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from gatekeep import (
     decentralize_cutoff,
     expected_profit_given_signal,
     intermediation_schedule,
+    melitz_limit_perfect,
+    melitz_limit_zero,
     pigouvian_welfare,
     planner_cutoff,
     planner_kernel,
@@ -27,6 +29,8 @@ from gatekeep.errors import BracketFailureError, DomainError, GatekeepError, Til
 from gatekeep.normal import std_normal_cdf
 from gatekeep.policy import _PIGOU_SCAN_STEP
 from gatekeep.welfare import aggregates_from_cutoffs
+
+from economies import PRIMITIVES, economies, log_uniform, solved_or_none
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
@@ -332,38 +336,13 @@ def test_pigouvian_bisection_falls_back_to_the_scan_where_a_probe_fails(window, 
     assert pigouvian_welfare(PRIM, regime, s) == expected
 
 
-# The paper's policy claims across economies, not only at the benchmark one:
-# over a domain where economies solve (sigma 1.2-8, f 1e-3-10, f_n 1e-5-1,
-# delta 0.01-0.5, every schedule kind, rho 0.05-0.97). An economy that raises
-# a GatekeepError has no claim to check; once it solves, the claim must hold.
+# The paper's policy claims across economies, not only at the benchmark one,
+# over the domain of tests/economies.py. hypothesis derives a derandomized
+# test's examples from its source, so these names keep the two tests below,
+# and the economies they draw, as they were.
 
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
-
-
-_SCALE = _log_uniform(1e-3, 10.0)
-_SCHEDULES = st.one_of(
-    st.builds(ConstantCost, _SCALE),
-    st.builds(PowerBoundedCost, _SCALE, st.one_of(st.just(0.0), _SCALE), _SCALE),
-    st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2, unique=True).flatmap(
-        lambda rhos: st.lists(_SCALE, min_size=2, max_size=2).map(
-            lambda fs: PiecewiseLinearCost(*sorted(rhos), *sorted(fs)))),
-    st.builds(HyperbolicCost, _SCALE),
-)
-_ECONOMIES = st.tuples(
-    st.builds(Primitives, st.floats(1.2, 8.0), _SCALE, _log_uniform(1e-5, 1.0),
-              st.floats(0.01, 0.5)),
-    st.builds(Regime, st.floats(0.05, 0.97), _SCHEDULES),
-)
-
-
-def _solved(prim, regime):
-    """The economy's equilibrium, or None where it raises a GatekeepError."""
-    try:
-        return solve_equilibrium(prim, regime)
-    except GatekeepError:
-        return None
+_ECONOMIES = economies()
+_solved = solved_or_none
 
 
 @given(economy=_ECONOMIES)
@@ -390,3 +369,15 @@ def test_no_transfer_beats_zero_over_the_domain(economy, shares):
         except GatekeepError:
             continue
         assert w <= w0 * (1.0 + 1e-12), (share, w, w0)
+
+
+@given(prim=PRIMITIVES, f_b_bar=log_uniform(1e-3, 10.0))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_perfect_information_limit_cutoff_exceeds_zero_information_over_the_domain(prim, f_b_bar):
+    # criterion 9's ordering: exact selection at activation cost f_b_bar
+    # keeps only firms above a higher productivity cutoff than the limit in
+    # which every experimenter pays f_b_bar upfront and activates. Both
+    # limits solve everywhere on this domain, so neither may raise.
+    perfect = melitz_limit_perfect(prim, f_b_bar)
+    zero = melitz_limit_zero(prim, prim.f_n + f_b_bar)
+    assert perfect.p_star > zero.p_star, (perfect, zero)
