@@ -190,6 +190,13 @@ class LogCutoffs(Record, namedtuple("LogCutoffs", "t_star p_star a")):
     """
 
 
+def _profit_moment(k: float, x: float, s2: float, sd: float, what: str) -> float:
+    """E[(exp(k X) - 1) 1{X >= 0}] for X ~ N(x, s2), sd = sqrt(s2); where its
+    lead exceeds the double range, ``TiltOverflowError`` names ``what``."""
+    lead = exp_tilt(k * x + 0.5 * k * k * s2 + log_std_normal_cdf((x + k * s2) / sd), what)
+    return lead - std_normal_cdf(x / sd)
+
+
 def expected_profit_given_signal(
     prim: Primitives, rho: float, p_star: float, t: float
 ) -> float:
@@ -197,23 +204,13 @@ def expected_profit_given_signal(
 
     Conditional on t, log productivity is N(rho * t, 1 - rho^2); the firm
     operates only above the cutoff p_star.  Depends on (t, p_star) only
-    through the index rho * t - p_star, and is weakly increasing in t.
+    through the index rho * t - p_star, and is weakly increasing in t. It is
+    0.0 at p_star = +inf; at p_star = -inf it raises ``TiltOverflowError``.
     """
     _check_interior_rho(rho)
-    k = prim.k
     s2 = 1.0 - rho * rho
-    sd = math.sqrt(s2)
-    x = rho * t - p_star
-    if math.isinf(p_star):
-        if p_star > 0:
-            return 0.0
-        # No operating cutoff: the truncation disappears.
-        log_mean = k * rho * t + 0.5 * k * k * s2
-        return prim.f * (exp_tilt(log_mean, "untruncated profit moment") - 1.0)
-    log_lead = k * x + 0.5 * k * k * s2 + log_std_normal_cdf((x + k * s2) / sd)
-    tail = std_normal_cdf(x / sd)
-    lead = exp_tilt(log_lead, "expected profit given signal")
-    return prim.f * (lead - tail)
+    return prim.f * _profit_moment(prim.k, rho * t - p_star, s2, math.sqrt(s2),
+                                   "expected profit given signal")
 
 
 def expected_joint_profit(prim: Primitives, rho: float, p_star: float, t_star: float) -> float:

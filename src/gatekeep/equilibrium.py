@@ -10,7 +10,9 @@ residuals seed Brent, so no point is evaluated twice. Both root finders
 return the residual Brent holds at the root along with the root, so the
 residual reported at a solution is the value computed there, not a second
 evaluation. Each free-entry residual takes both of its Genz masses from one
-``normal.joint_tail_masses`` pass.
+``normal.joint_tail_masses`` pass; the activation residual and the limit
+economies' residual share one truncated profit moment,
+``economy._profit_moment``.
 
 The root finder is an in-house, pure-Python Brent's method (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4). It is a line-by-line
@@ -30,9 +32,10 @@ import math
 import sys
 from collections import namedtuple
 
-from .economy import LogCutoffs, Primitives, Regime, expected_joint_profit, expected_profit_given_signal
+from .economy import (LogCutoffs, Primitives, Regime, _profit_moment, expected_joint_profit,
+                      expected_profit_given_signal)
 from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError, IterationCapError
-from .normal import exp_tilt, log_std_normal_cdf, std_normal_cdf
+from .normal import std_normal_cdf
 from .records import Record
 
 #: log-space window beyond which tail probabilities underflow; treated as
@@ -235,12 +238,10 @@ class MelitzLimit(Record, namedtuple(
 def _survivor_entry_residual(
     p_star: float, prim: Primitives, fixed_cost: float, entry_cost: float
 ) -> float:
-    # Phi(-p*) * pi_bar / delta - entry_cost, with the truncated profit moment
-    # written as fixed_cost * (exp(k^2/2 - k p*) Phi(k - p*) - Phi(-p*)).
-    k = prim.k
-    log_lead = 0.5 * k * k - k * p_star + log_std_normal_cdf(k - p_star)
-    lead = exp_tilt(log_lead, "limit-economy profit moment")
-    return fixed_cost * (lead - std_normal_cdf(-p_star)) / prim.delta - entry_cost
+    # Phi(-p*) * pi_bar / delta - entry_cost, with Phi(-p*) * pi_bar = fixed_cost
+    # times the truncated profit moment of N(0, 1) log productivity above p*
+    moment = _profit_moment(prim.k, -p_star, 1.0, 1.0, "limit-economy profit moment")
+    return fixed_cost * moment / prim.delta - entry_cost
 
 
 def _solve_limit(prim: Primitives, fixed_cost: float, entry_cost: float, variant: str) -> MelitzLimit:

@@ -4,9 +4,10 @@ Everything the closed-form economy layer needs reduces to these kernels:
 
 * ``std_normal_cdf`` / ``log_std_normal_cdf`` -- the univariate CDF and its log,
 * ``bvn_cdf`` -- the bivariate normal CDF with standard marginals,
-* ``log_tilted_upper_tail2`` -- log E[exp(k P) 1{P >= p_c, T >= t_c}], the
-  tilted truncated moment of a standard bivariate pair (P, T),
-* ``joint_tail_masses`` -- that log moment and P(P >= p_c, T >= t_c), in one pass.
+* ``joint_tail_masses`` -- log S = log E[exp(k P) 1{P >= p_c, T >= t_c}], the
+  tilted truncated moment of a standard bivariate pair (P, T), and
+  P(P >= p_c, T >= t_c), in one pass; the one place log S is formed
+  (``log_tilted_upper_tail2`` is its first value).
 
 The bivariate CDF is a double-precision port of the Drezner-Wesolowsky
 scheme as refined by Genz (Gauss-Legendre quadrature on the arcsine
@@ -17,8 +18,9 @@ quadrature nodes depend on the correlation alone, so they are built once per
 expression as in the uncached rule, so results are identical to it bit for
 bit. One rule, ``_bvn_upper_pair``, evaluates two points per pass over the
 nodes: ``joint_tail_masses`` uses both to give the two masses of a
-free-entry residual, the tilted mass and the joint tail at one rho;
-``bvn_cdf`` passes its one point twice and keeps the first value. All
+free-entry residual, the tilted mass and the joint tail at one rho, and
+hands a NaN, infinite or far point to ``bvn_cdf``, which holds the guards and
+reductions, passes its one point twice and keeps the first value. All
 kernels here are pure functions: the node tables change how fast a value is
 computed, never the value.
 
@@ -246,37 +248,30 @@ def exp_tilt(log_val: float, what: str) -> float:
 
 
 def log_tilted_upper_tail2(k: float, p_c: float, t_c: float, rho: float) -> float:
-    """log E[exp(k P) 1{P >= p_c, T >= t_c}] for standard bivariate (P, T).
-
-    Returns -inf when the truncated mass underflows to zero.
-    """
-    if math.isnan(k):
-        raise DomainError("tilt exponent must not be NaN")
-    prob = bvn_cdf(-p_c + k, -t_c + rho * k, rho)
-    if prob == 0.0:
-        return -math.inf
-    return 0.5 * k * k + math.log(prob)
+    """log E[exp(k P) 1{P >= p_c, T >= t_c}] for standard bivariate (P, T): the
+    first value of ``joint_tail_masses``."""
+    return joint_tail_masses(k, p_c, t_c, rho)[0]
 
 
 def joint_tail_masses(k: float, p_c: float, t_c: float, rho: float) -> tuple[float, float]:
     """(log S, P_phi) of one cutoff pair, from one pass over the Genz nodes.
 
-    S = E[exp(k P) 1{P >= p_c, T >= t_c}] and P_phi = P(P >= p_c, T >= t_c):
-    the pair equals ``(log_tilted_upper_tail2(k, p_c, t_c, rho),
-    bvn_cdf(-p_c, -t_c, rho))`` float for float, because both masses are
-    values of the one Genz rule at the same rho (Genz 2004, Statistics and
-    Computing 14:251), and each of its two sums depends on its own point
-    only. NaN arguments, and points ``bvn_cdf`` reduces (infinite or beyond
-    ``_FAR_ARGUMENT``), go through those two calls, with their guards and
-    errors.
+    S = E[exp(k P) 1{P >= p_c, T >= t_c}], log S = k^2 / 2 + the log of its
+    Genz mass (-inf where that underflows), and P_phi = P(P >= p_c, T >= t_c).
+    Both masses are values of the one Genz rule at the same rho (Genz 2004,
+    Statistics and Computing 14:251), each equal to its own ``bvn_cdf``
+    float for float. NaN arguments, and points ``bvn_cdf`` reduces (infinite
+    or beyond ``_FAR_ARGUMENT``), take both masses from ``bvn_cdf``.
     """
     x, y = -p_c + k, -t_c + rho * k
     far = _FAR_ARGUMENT
-    if not (abs(x) < far and abs(y) < far and abs(p_c) < far and abs(t_c) < far
-            and math.isfinite(rho)):
-        return log_tilted_upper_tail2(k, p_c, t_c, rho), bvn_cdf(-p_c, -t_c, rho)
-    _check_correlation(rho)
-    s_mass, p_phi = _bvn_upper_pair(-x, -y, p_c, t_c, rho)
-    s_mass = min(1.0, max(0.0, s_mass))
+    if abs(x) < far and abs(y) < far and abs(p_c) < far and abs(t_c) < far and math.isfinite(rho):
+        _check_correlation(rho)
+        s_mass, p_phi = _bvn_upper_pair(-x, -y, p_c, t_c, rho)
+        s_mass, p_phi = min(1.0, max(0.0, s_mass)), min(1.0, max(0.0, p_phi))
+    else:
+        if math.isnan(k):
+            raise DomainError("tilt exponent must not be NaN")
+        s_mass, p_phi = bvn_cdf(x, y, rho), bvn_cdf(-p_c, -t_c, rho)
     log_s = -math.inf if s_mass == 0.0 else 0.5 * k * k + math.log(s_mass)
-    return log_s, min(1.0, max(0.0, p_phi))
+    return log_s, p_phi

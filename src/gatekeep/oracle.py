@@ -162,13 +162,13 @@ def estimate_aggregates(
 
     Returns ``{name: McEstimate}`` for p_theta, p_phi, s_term and pi_breve.
     An empty indicator set gives mean 0.0 with standard error 0.0; pi_breve
-    at an infinite log-productivity cutoff p* is the exact estimate inf.
+    at a log-productivity cutoff p* = -inf is the exact estimate inf.
     """
     if draws.n < 1:
         raise DomainError("draws must be nonempty")
     t_star, p_star = cutoffs.t_star, cutoffs.p_star
     k = prim.k
-    profit = math.isfinite(p_star)
+    profit = p_star != -math.inf
 
     # block-width buffers for this call alone: validate runs the two
     # estimators on two threads
@@ -209,12 +209,15 @@ def estimate_profit_given_signal(
     """Monte Carlo of expected flow profit conditional on a log signal t.
 
     Samples the conditional law p | t = N(rho t, 1 - rho^2) directly, in
-    blocks of ``_BLOCK`` draws.
+    blocks of ``_BLOCK`` draws. At p* = -inf every draw's profit is infinite,
+    and the estimate is the exact inf.
     """
     if n < 1:
         raise DomainError(f"need at least one draw, got n={n!r}")
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
+    if p_star == -math.inf:
+        return McEstimate(mean=math.inf, std_error=0.0, n=n, seed=seed)
     rng = np.random.default_rng(seed)
     sd = math.sqrt(1.0 - rho * rho)
     mean = rho * t

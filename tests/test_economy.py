@@ -15,7 +15,7 @@ from gatekeep import (
     expected_profit_given_signal,
 )
 from gatekeep.economy import RHO_MAX, RHO_MIN
-from gatekeep.errors import DomainError, NearSingularCorrelationError
+from gatekeep.errors import DomainError, NearSingularCorrelationError, TiltOverflowError
 from gatekeep.normal import SQRT_2PI, log_std_normal_cdf, std_normal_cdf
 from golden_values import PI_TILDE_QUAD
 
@@ -101,6 +101,16 @@ def test_regime_clamps_rho():
 def test_expected_profit_vanishes_without_survivors():
     assert expected_profit_given_signal(PRIM, 0.5, math.inf, 1.0) == 0.0
     assert expected_profit_given_signal(PRIM, 0.5, 200.0, 1.0) == 0.0
+
+
+def test_expected_profit_at_infinite_cutoffs():
+    # one formula at both ends: no survivor at +inf, and at -inf the lead
+    # exp(+inf) leaves the double range, as in expected_joint_profit
+    assert expected_profit_given_signal(PRIM, 0.5, math.inf, 1.0) == 0.0
+    with pytest.raises(TiltOverflowError, match="^expected profit given signal exceeds"):
+        expected_profit_given_signal(PRIM, 0.5, -math.inf, 1.0)
+    with pytest.raises(TiltOverflowError, match="^expected joint profit exceeds"):
+        expected_joint_profit(PRIM, 0.5, -math.inf, 1.0)
 
 
 def test_expected_profit_depends_only_on_index():

@@ -29,8 +29,8 @@ from gatekeep.equilibrium import (
     activation_residual,
     fe_stationarity,
 )
-from gatekeep.errors import BracketFailureError, DomainError, IterationCapError
-from gatekeep.normal import std_normal_cdf
+from gatekeep.errors import BracketFailureError, DomainError, IterationCapError, TiltOverflowError
+from gatekeep.normal import exp_tilt, log_std_normal_cdf, std_normal_cdf
 from golden_values import AC_INTERCEPT, MELITZ_PERFECT_P_STAR, MELITZ_ZERO_P_STAR, P_STAR, T_STAR
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
@@ -384,6 +384,41 @@ def test_limit_residual_is_the_one_at_its_root(variant, monkeypatch):
     assert len(calls) == len(set(calls)) == root_calls
     assert lim.p_star in calls
     assert lim.fe_residual == _survivor_entry_residual(lim.p_star, PRIM, fixed_cost, entry_cost)
+
+
+def _inline_survivor_entry_residual(p_star, prim, fixed_cost, entry_cost):
+    # the limit residual as it stood before it shared economy._profit_moment
+    k = prim.k
+    log_lead = 0.5 * k * k - k * p_star + log_std_normal_cdf(k - p_star)
+    lead = exp_tilt(log_lead, "limit-economy profit moment")
+    return fixed_cost * (lead - std_normal_cdf(-p_star)) / prim.delta - entry_cost
+
+
+def _value_or_error(fn):
+    try:
+        return fn()
+    except TiltOverflowError as exc:
+        return type(exc), str(exc)
+
+
+def test_survivor_entry_residual_equals_the_inline_moment():
+    # every float and every overflow message of the old inline formula; at
+    # sigma = 41 (k^2 / 2 = 800) the moment overflows below p* of about 2.3
+    p_grid = (-math.inf, -60.0, -38.5, -5.0, -1.3, -0.0, 0.0, 0.4, 2.0, 3.7, 25.0, 38.5, 60.0,
+              math.inf)
+    for sigma in (1.05, 2.0, 3.7, 9.0, 41.0):
+        prim = Primitives(sigma=sigma, f=0.15, f_n=0.005, delta=0.1)
+        for p_star in p_grid:
+            args = (p_star, prim, 0.45, 3.0)
+            got = _value_or_error(lambda: _survivor_entry_residual(*args))
+            want = _value_or_error(lambda: _inline_survivor_entry_residual(*args))
+            assert got == want, (sigma, p_star, got, want)
+            if isinstance(want, float):
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    # prim is the sigma = 41 economy, the loop's last
+    overflow = _value_or_error(lambda: _survivor_entry_residual(0.0, prim, 0.45, 3.0))
+    assert overflow[0] is TiltOverflowError
+    assert overflow[1].startswith("limit-economy profit moment exceeds the double exponent range")
 
 
 def test_no_entry_pathology_reports_bracket_failure():

@@ -235,12 +235,21 @@ def _reference_bvn_upper(h, k, r):
 
 
 def _reference_bvn_cdf(x, y, rho):
-    if math.isinf(x) or math.isinf(y):
-        if x == -math.inf or y == -math.inf:
+    # bvn_cdf's guards and its reductions of infinite and far (>= 1e6)
+    # arguments, in front of the table-free rule
+    if math.isnan(rho):
+        raise DomainError("correlation must not be NaN")
+    if abs(rho) > 1.0 - 1e-12:
+        raise NearSingularCorrelationError("near-singular correlation")
+    if math.isnan(x) or math.isnan(y):
+        raise DomainError("bvn_cdf arguments must not be NaN")
+    far = 1e6
+    if abs(x) >= far or abs(y) >= far:
+        if x <= -far or y <= -far:
             return 0.0
-        if x == math.inf and y == math.inf:
+        if x >= far and y >= far:
             return 1.0
-        return _reference_cdf(y) if x == math.inf else _reference_cdf(x)
+        return _reference_cdf(y) if x >= far else _reference_cdf(x)
     return min(1.0, max(0.0, _reference_bvn_upper(-x, -y, rho)))
 
 
@@ -300,6 +309,21 @@ def test_bvn_node_tables_stay_bounded():
         assert 0 < table.cache_info().currsize <= normal._NODE_CACHE_SIZE
 
 
+def _frozen_log_tilted_upper_tail2(k, p_c, t_c, rho):
+    # log_tilted_upper_tail2 as it stood before joint_tail_masses formed
+    # log S for it, on the reference bvn_cdf
+    if math.isnan(k):
+        raise DomainError("tilt exponent must not be NaN")
+    prob = _reference_bvn_cdf(-p_c + k, -t_c + rho * k, rho)
+    if prob == 0.0:
+        return -math.inf
+    return 0.5 * k * k + math.log(prob)
+
+
+def _frozen_pair(k, p, t, rho):
+    return _frozen_log_tilted_upper_tail2(k, p, t, rho), _reference_bvn_cdf(-p, -t, rho)
+
+
 def _pair_outcome(fn):
     """fn()'s value, or the class of the error it raises."""
     try:
@@ -310,7 +334,7 @@ def _pair_outcome(fn):
 
 def _assert_pair_exact(k, p, t, rho):
     got = _pair_outcome(lambda: joint_tail_masses(k, p, t, rho))
-    want = _pair_outcome(lambda: (log_tilted_upper_tail2(k, p, t, rho), bvn_cdf(-p, -t, rho)))
+    want = _pair_outcome(lambda: _frozen_pair(k, p, t, rho))
     assert got == want, (k, p, t, rho, got, want)
     if isinstance(want, tuple):
         signs = [math.copysign(1.0, v) for v in got + want]
@@ -364,7 +388,7 @@ def test_joint_tail_masses_equal_the_single_calls_beyond_the_far_bound():
     for rho in (0.0, 0.5, 0.95, -0.97, *_BRANCH_EDGE):
         for k, p, t in points:
             # values, not error classes: every one of these has a limit
-            want = (log_tilted_upper_tail2(k, p, t, rho), bvn_cdf(-p, -t, rho))
+            want = _frozen_pair(k, p, t, rho)
             got = joint_tail_masses(k, p, t, rho)
             assert got == want, (k, p, t, rho, got, want)
             assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
@@ -375,7 +399,7 @@ def test_joint_tail_masses_raise_the_single_calls_errors():
     for k, p, t, rho in ((nan, 0.1, 0.2, 0.5), (1.0, nan, 0.2, 0.5), (1.0, 0.1, nan, 0.5),
                          (1.0, 0.1, 0.2, nan), (1.0, 0.1, 0.2, 1.0), (1.0, 0.1, 0.2, -1.0),
                          (1.0, 0.1, 0.2, 1.0 - 1e-13), (1.0, 0.1, 0.2, 2.0), (1.0, 0.1, 0.2, -math.inf)):
-        want = _pair_outcome(lambda: (log_tilted_upper_tail2(k, p, t, rho), bvn_cdf(-p, -t, rho)))
+        want = _pair_outcome(lambda: _frozen_pair(k, p, t, rho))
         assert want in (DomainError, NearSingularCorrelationError)
         with pytest.raises(want):
             joint_tail_masses(k, p, t, rho)

@@ -137,9 +137,8 @@ def _reference_aggregates(prim, rho, n, seed, cutoffs):
         "p_theta": pass_t.astype(float),
         "p_phi": pass_both.astype(float),
         "s_term": np.exp(prim.k * p) * pass_both,
+        "pi_breve": prim.f * (np.exp(prim.k * (p - cutoffs.p_star)) - 1.0) * pass_both,
     }
-    if math.isfinite(cutoffs.p_star):
-        terms["pi_breve"] = prim.f * (np.exp(prim.k * (p - cutoffs.p_star)) - 1.0) * pass_both
     return {name: _reference_estimate(_in_blocks(values), seed) for name, values in terms.items()}
 
 
@@ -167,8 +166,6 @@ def test_buffered_estimates_equal_the_allocating_expressions(rho, n, solved):
     for cutoffs in (c, LogCutoffs(c.t_star, math.inf, c.a)):
         got = estimate_aggregates(sample_log_population(rho, n, seed=41), TILTED, cutoffs)
         want = _reference_aggregates(TILTED, rho, n, 41, cutoffs)
-        if not math.isfinite(cutoffs.p_star):
-            assert got.pop("pi_breve") == oracle.McEstimate(math.inf, 0.0, n, 41)
         assert set(got) == set(want)
         for name in want:
             _assert_bit_equal(got[name], want[name])
@@ -276,6 +273,20 @@ def test_profit_estimate_degenerate_cutoff():
     est = estimate_profit_given_signal(1.0, PRIM, 0.5, math.inf, 1000, seed=1)
     assert est.mean == 0.0
     assert est.std_error == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimates_at_an_infinite_productivity_cutoff():
+    # no draw survives p* = +inf, so profit is the closed form's 0.0; at
+    # p* = -inf every draw's profit is infinite, the exact estimate inf
+    draws = sample_log_population(0.5, 1000, seed=3)
+    est = estimate_aggregates(draws, PRIM, LogCutoffs(0.2, math.inf, 0.0))["pi_breve"]
+    assert (est.mean, est.std_error) == (0.0, 0.0)
+    est = estimate_profit_given_signal(1.0, PRIM, 0.5, math.inf, 1000, seed=1)
+    assert (est.mean, est.std_error) == (0.0, 0.0)
+    inf = oracle.McEstimate(math.inf, 0.0, 1000, 3)
+    assert estimate_aggregates(draws, PRIM, LogCutoffs(0.2, -math.inf, 0.0))["pi_breve"] == inf
+    assert estimate_profit_given_signal(1.0, PRIM, 0.5, -math.inf, 1000, seed=3) == inf
 
 
 def test_quadrature_bvn_arcsine():

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from gatekeep import (
     ConstantCost,
@@ -18,7 +19,9 @@ from gatekeep import (
     welfare_selection_burden,
 )
 from gatekeep import welfare
-from gatekeep.errors import BracketFailureError, DomainError, KinkError, TiltOverflowError
+from gatekeep.errors import BracketFailureError, DomainError, GatekeepError, KinkError, TiltOverflowError
+
+from economies import economies
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
@@ -110,6 +113,20 @@ def test_log_derivative_identity(rho):
     d = log_welfare_derivative(PRIM, Regime(rho, SCHED))
     want = (d.dlogS - d.dlogB) / PRIM.k
     assert d.dlogW == pytest.approx(want, rel=1e-4, abs=1e-4)
+
+
+@given(economy=economies())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_elasticity_identity_over_the_domain(economy):
+    # criterion 8's identity d log W = (d log S - d log B) / k and bound,
+    # wherever the solves at rho +/- h succeed; a refusal is a GatekeepError
+    prim, regime = economy
+    try:
+        d = log_welfare_derivative(prim, regime)
+    except GatekeepError:
+        return
+    gap = d.dlogW - (d.dlogS - d.dlogB) / prim.k
+    assert abs(gap) <= 1e-4 * max(1.0, abs(d.dlogW)), (d, gap)
 
 
 def test_log_derivative_negative_past_optimum():
