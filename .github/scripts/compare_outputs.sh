@@ -6,10 +6,11 @@
 # Runs the six gatekeep modes from each tree's src/ on the head tree's
 # benchmark.cfg, on its sigma = 60 and f_n = 1e30 variants, on a
 # rho = 0.95 variant with 401 transfers (about 200 of them negative, so
-# pigouvian bisects in bvn_cdf's high-correlation branch) and on two
+# pigouvian bisects in bvn_cdf's high-correlation branch), on two
 # validate sample sizes at the edges of the oracle's 65536-draw block
-# buffers: mc_n = 1000, narrower than one block, and mc_n = 65537, one full
-# block then a one-draw block. It then requires the same set of files on
+# buffers (mc_n = 1000, narrower than one block, and mc_n = 65537, one full
+# block then a one-draw block) and on a one-point sweep grid, whose chart
+# has legend entries but no polyline. It then requires the same set of files on
 # both sides: every CSV, SVG, stdout and stderr byte-identical, and every
 # exit code equal. A Python traceback in any stderr of the head tree fails
 # the comparison whatever the base printed.
@@ -33,13 +34,15 @@ grep -q '^s_points = 401$' "$cfgs/high_rho.cfg"
 { cat "$head/benchmark.cfg"; echo "mc_n = 65537"; } > "$cfgs/mc_n_65537.cfg"
 grep -q '^mc_n = 1000$' "$cfgs/mc_n_1000.cfg"
 grep -q '^mc_n = 65537$' "$cfgs/mc_n_65537.cfg"
+sed 's/^grid = .*$/grid = 0.5:0.505:0.01/' "$head/benchmark.cfg" > "$cfgs/one_point.cfg"
+grep -q '^grid = 0.5:0.505:0.01$' "$cfgs/one_point.cfg"
 
 for side in base head; do
   tree=${!side}
   # each side must run its own tree, not an installed copy
   PYTHONPATH="$tree/src" python3 -c 'import gatekeep, sys; print(gatekeep.__file__)' \
     | grep -q "^$tree/src/gatekeep/"
-  for cfg in benchmark sigma60 no_entry high_rho mc_n_1000 mc_n_65537; do
+  for cfg in benchmark sigma60 no_entry high_rho mc_n_1000 mc_n_65537 one_point; do
     dir="$work/$side/$cfg"
     mkdir -p "$dir"
     for mode in solve sweep optimum pigouvian limits validate; do

@@ -42,7 +42,7 @@ from .records import Record
 #: parameter pathology rather than searched further
 BRACKET_BOUND = 50.0
 
-AC_RESIDUAL_TOL = 1e-12
+#: drift bound on both residuals, in units of the check's scale
 FE_RESIDUAL_TOL = 1e-10
 STATIONARITY_TOL = 1e-6
 _STATIONARITY_STEP = 1e-5

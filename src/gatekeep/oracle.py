@@ -831,36 +831,17 @@ def quadrature_reference(quantity: str, params: dict) -> float:
     )
 
 
-def simulate_operating_mass(
-    prim: Primitives,
-    rho: float,
-    cutoffs: LogCutoffs,
-    experimenters_per_period: int = 200,
-    periods: int = 10_000,
-    burn_in: int = 1_000,
-    seed: int = 0,
-):
+def simulate_operating_mass(prim: Primitives, rho: float, cutoffs: LogCutoffs, seed: int = 0):
     """Simulate the death-renewal firm count at a fixed experimentation flow.
 
-    Each period spawns a cohort of experimenters whose (p, t) pairs are drawn
-    fresh; those passing both cutoffs become operating firms, and incumbents
-    die with per-period probability delta. Returns (mean operating count
-    after burn-in, batch-means standard error over 20 batches).
+    Each of 10 000 periods spawns a cohort of 200 experimenters whose (p, t)
+    pairs are drawn fresh; those passing both cutoffs become operating firms,
+    and incumbents die with per-period probability delta. Returns (mean
+    operating count over the periods after a 1 000-period burn-in,
+    batch-means standard error over 20 batches).
     """
-    n_batches = 20
-    if burn_in < 0:
-        raise DomainError(f"burn_in must be nonnegative, got {burn_in!r}")
-    if periods - burn_in < n_batches:
-        raise DomainError(
-            f"need at least {n_batches} periods after burn_in for the batch means, "
-            f"got periods={periods!r}, burn_in={burn_in!r}"
-        )
-    if experimenters_per_period < 1:
-        raise DomainError(
-            f"need at least one experimenter per period, got {experimenters_per_period!r}"
-        )
+    n_exp, periods, burn_in, n_batches = 200, 10_000, 1_000, 20
     rng = np.random.default_rng(seed)
-    n_exp = experimenters_per_period
     sd = math.sqrt(1.0 - rho * rho)
     counts = np.empty(periods - burn_in, dtype=float)
     stock = 0

@@ -2,39 +2,30 @@
 
 from __future__ import annotations
 
-import math
-
 _WIDTH, _HEIGHT = 720, 480
 _ML, _MR, _MT, _MB = 70, 30, 40, 55
 _PALETTE = ("#000000", "#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 _DASHES = ("none", "8,4", "2,3", "6,2,2,2", "none")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
-def line_chart_svg(series, x_label: str = "", y_label: str = "", title: str = "") -> str:
-    """Render (name, xs, ys) series as a static SVG string.
+def line_chart_svg(series, x_label: str, y_label: str, title: str) -> str:
+    """Render (name, xs, ys) series of finite floats as a static SVG string.
 
-    Points with non-finite y are dropped from their polyline (they split it).
+    Every label is drawn. A series of fewer than two points draws no
+    polyline, only its legend entry.
     """
-    finite_x, finite_y = [], []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y):
-                finite_x.append(x)
-                finite_y.append(y)
-    if not finite_x:
-        raise ValueError("no finite points to plot")
-    x_lo, x_hi = min(finite_x), max(finite_x)
-    y_lo, y_hi = min(finite_y), max(finite_y)
+    all_x = [x for _, xs, _ in series for x in xs]
+    all_y = [y for _, _, ys in series for y in ys]
+    x_lo, x_hi = min(all_x), max(all_x)
+    y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -59,11 +50,10 @@ def line_chart_svg(series, x_label: str = "", y_label: str = "", title: str = ""
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="{_MT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
+    parts.append(
+        f'<text x="{_WIDTH / 2:.1f}" y="{_MT - 14}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>'
+    )
     for xt in _ticks(x_lo, x_hi):
         px = sx(xt)
         parts.append(
@@ -83,33 +73,25 @@ def line_chart_svg(series, x_label: str = "", y_label: str = "", title: str = ""
             f'<text x="{_ML - 9}" y="{py + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="12">{_fmt(yt)}</text>'
         )
-    if x_label:
-        parts.append(
-            f'<text x="{_ML + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="18" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">{y_label}</text>'
-        )
+    parts.append(
+        f'<text x="{_ML + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">{y_label}</text>'
+    )
     for idx, (name, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         dash = _DASHES[idx % len(_DASHES)]
-        segments: list[list[str]] = [[]]
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y):
-                segments[-1].append(f"{sx(x):.2f},{sy(y):.2f}")
-            elif segments[-1]:
-                segments.append([])
+        points = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)]
         dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
-        for seg in segments:
-            if len(seg) >= 2:
-                parts.append(
-                    f'<polyline points="{" ".join(seg)}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.6"{dash_attr}/>'
-                )
+        if len(points) >= 2:
+            parts.append(
+                f'<polyline points="{" ".join(points)}" fill="none" '
+                f'stroke="{color}" stroke-width="1.6"{dash_attr}/>'
+            )
         ly = _MT + 16 + 18 * idx
         lx = _ML + plot_w - 150
         parts.append(

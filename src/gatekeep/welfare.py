@@ -37,6 +37,8 @@ from .normal import exp_tilt, joint_tail_masses, std_normal_cdf
 from .records import Record
 
 _IDENTITY_RTOL = 1e-8
+#: central-difference step of log_welfare_derivative, and its kink window
+_DERIVATIVE_STEP = 1e-4
 #: width of the golden-section bracket at which the optimum search stops
 _REFINE_TOL = 1e-5
 #: cost doublings the decline construction tries before it reports a bug
@@ -212,16 +214,16 @@ class LogWelfareDerivative(Record, namedtuple("LogWelfareDerivative", "dlogW dlo
     """Central-difference elasticities of welfare, selection, and burden in rho."""
 
 
-def log_welfare_derivative(prim: Primitives, regime: Regime, h: float = 1e-4) -> LogWelfareDerivative:
+def log_welfare_derivative(prim: Primitives, regime: Regime) -> LogWelfareDerivative:
     """d log W / d rho and its decomposition terms at the regime's rho.
 
-    Raises KinkError when rho sits within h of a piecewise-linear schedule
-    breakpoint (the schedule is not differentiable there).
+    Central differences at rho +/- _DERIVATIVE_STEP. Raises KinkError when rho
+    sits within that step of a piecewise-linear schedule breakpoint (the
+    schedule is not differentiable there).
     """
     rho = regime.rho
     schedule = regime.schedule
-    if not h > 0.0:
-        raise DomainError(f"step h must be positive, got {h!r}")
+    h = _DERIVATIVE_STEP
     if isinstance(schedule, PiecewiseLinearCost):
         if any(abs(rho - bp) < h for bp in schedule.breakpoints):
             raise KinkError(

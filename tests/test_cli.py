@@ -103,6 +103,21 @@ def test_sweep_grid_override_and_svg(cfg_path, tmp_path):
     assert "welfare" in text
 
 
+@pytest.mark.parametrize("grid, polylines", [("0.5:0.505:0.01", 0), ("0.5:0.6:0.1", 3)])
+def test_sweep_svg_draws_a_polyline_from_two_points(grid, polylines, cfg_path, tmp_path):
+    # a one-point sweep still charts its legend, but no series has a line
+    svg = tmp_path / "chart.svg"
+    code = main([
+        "sweep", "--config", cfg_path, "--out", str(tmp_path / "sweep.csv"),
+        "--svg", str(svg), "--grid", grid, "--quiet",
+    ])
+    assert code == 0
+    text = svg.read_text()
+    assert text.count("<polyline") == polylines
+    for name in ("welfare", "operating mass", "avg productivity"):
+        assert f">{name}</text>" in text
+
+
 def test_optimum_mode(cfg_path, tmp_path):
     out = str(tmp_path / "opt.csv")
     assert main(["optimum", "--config", cfg_path, "--out", out, "--quiet",
