@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .economy import (
     ConstantCost,
-    CostSchedule,
     HyperbolicCost,
     LogCutoffs,
     PiecewiseLinearCost,

@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Subcommands: solve, sweep, optimum, pigouvian, limits, validate. Each reads
+Modes: solve, sweep, optimum, pigouvian, limits, validate. Each reads
 a plain-text config and applies flag overrides; the mode then returns one
 table, and ``run`` alone writes and reports it: an RFC-4180 style CSV whose
 first line is a provenance comment
@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from . import __version__
 from .config import GridSpec, MODES, RunConfig, config_hash, parse_config
-from .economy import Regime, expected_profit_given_signal
+from .economy import RHO_MIN, Regime, expected_profit_given_signal
 from .equilibrium import melitz_limit_perfect, melitz_limit_zero, solve_equilibrium
 from .errors import GatekeepError, ParseError, ValidationError
 from .records import Record, replace
@@ -164,7 +164,7 @@ def _run_pigouvian(config: RunConfig) -> _Table:
 
 def _run_limits(config: RunConfig) -> _Table:
     prim = config.primitives
-    f_low = config.f_b_bar if config.f_b_bar is not None else config.schedule.cost(1e-6)
+    f_low = config.f_b_bar if config.f_b_bar is not None else config.schedule.cost(RHO_MIN)
     f_e0 = config.f_e0 if config.f_e0 is not None else prim.f_n + f_low
     zero = melitz_limit_zero(prim, f_e0)
     perfect = melitz_limit_perfect(prim, f_low)
@@ -196,7 +196,7 @@ def _run_validate(config: RunConfig) -> _Table:
     regime = Regime(_require(config, "rho", "validate"), config.schedule)
     eq = solve_equilibrium(prim, regime)
     # the closed forms are the aggregates a solve reports
-    agg = compute_aggregates(prim, regime, eq)
+    agg = compute_aggregates(prim, regime, eq.cutoffs)
     rho, t_star, p_star = regime.rho, eq.cutoffs.t_star, eq.cutoffs.p_star
     # expected profit at one representative signal, against its own MC
     t_probe = t_star + 0.5
@@ -277,21 +277,19 @@ def run(config: RunConfig, quiet: bool = False) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gatekeep", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for mode in MODES:
-        sp = sub.add_parser(mode, help=f"run the {mode} mode")
-        sp.add_argument("--config", required=True, help="path to the run config")
-        sp.add_argument("--out", help="CSV output path (default: config value or stdout)")
-        sp.add_argument("--svg", help="optional SVG chart path (sweep mode)")
-        sp.add_argument("--seed", type=int, help="override the config seed")
-        sp.add_argument("--grid", help="override the rho grid, start:stop:step")
-        sp.add_argument("--quiet", action="store_true", help="suppress the summary line")
+    parser.add_argument("mode", choices=MODES, help="what to compute")
+    parser.add_argument("--config", required=True, help="path to the run config")
+    parser.add_argument("--out", help="CSV output path (default: config value or stdout)")
+    parser.add_argument("--svg", help="optional SVG chart path (sweep mode)")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--grid", help="override the rho grid, start:stop:step")
+    parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {"mode": args.command}
+    overrides = {"mode": args.mode}
     for key in ("out", "svg", "seed"):
         if getattr(args, key) is not None:
             overrides[key] = getattr(args, key)

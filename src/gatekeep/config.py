@@ -6,7 +6,8 @@ or ``;`` are ignored. Unknown sections or keys are rejected with their
 position. The keys of ``[primitives]`` and of each schedule kind are the
 fields of the record they build (its ``_fields``; those in
 ``_field_defaults`` may be omitted); ``[run]`` keys are the rows of one
-ordered table that both parsing and ``format_config`` walk.
+ordered table of types and defaults, which gives ``RunConfig`` its fields and
+which parsing and ``format_config`` walk.
 
 Every ``[run]`` invariant is checked when a ``RunConfig`` is built, so a
 parsed config, a flag override applied with ``records.replace`` and a config
@@ -94,29 +95,30 @@ class GridSpec(Record, namedtuple("GridSpec", "start stop step")):
         return f"{self.start!r}:{self.stop!r}:{self.step!r}"
 
 
-#: [run] key -> type, in the order ``format_config`` writes the keys
+#: [run] key -> (type, default), in the order ``format_config`` writes the keys
 _RUN_KEYS = {
-    "mode": str,
-    "seed": int,
-    "rho": float,
-    "grid": GridSpec,
-    "out": str,
-    "svg": str,
-    "s_points": int,
-    "f_e0": float,
-    "f_b_bar": float,
-    "mc_n": int,
+    "mode": (str, "solve"),
+    "seed": (int, 0),
+    "rho": (float, None),
+    "grid": (GridSpec, None),
+    "out": (str, None),
+    "svg": (str, None),
+    "s_points": (int, 41),
+    "f_e0": (float, None),
+    "f_b_bar": (float, None),
+    "mc_n": (int, 10_000_000),
 }
 
 
 class RunConfig(Record, namedtuple(
-    "RunConfig", "primitives schedule mode rho grid seed out svg s_points f_e0 f_b_bar mc_n",
-    defaults=("solve", None, None, 0, None, None, 41, None, None, 10_000_000),
+    "RunConfig", ("primitives", "schedule", *_RUN_KEYS),
+    defaults=tuple(default for _, default in _RUN_KEYS.values()),
 )):
     """A fully validated run: economy, schedule, and execution parameters.
 
     The fields after ``primitives`` (a ``Primitives``) and ``schedule`` (a
-    ``CostSchedule``) are the ``[run]`` keys, of the types ``_RUN_KEYS`` gives.
+    record of one of the ``_SCHEDULES`` kinds) are the ``[run]`` keys, of the
+    types and with the defaults ``_RUN_KEYS`` gives.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -126,7 +128,7 @@ class RunConfig(Record, namedtuple(
                 f"primitives must be a Primitives, got {type(self.primitives).__name__}"
             )
         floats = {}
-        for key, kind in _RUN_KEYS.items():
+        for key, (kind, _) in _RUN_KEYS.items():
             value = getattr(self, key)
             allowed = (int, float) if kind is float else kind
             if value is not None and (isinstance(value, bool) or not isinstance(value, allowed)):
@@ -265,7 +267,7 @@ def parse_config(text: str) -> RunConfig:
     run_entries = sections.get("run", {})
     _reject_unknown("run", run_entries, _RUN_KEYS)
     run = {key: _convert("run", key, run_entries[key], kind)
-           for key, kind in _RUN_KEYS.items() if key in run_entries}
+           for key, (kind, _) in _RUN_KEYS.items() if key in run_entries}
     return RunConfig(primitives=primitives, schedule=schedule, **run)
 
 

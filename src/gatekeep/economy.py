@@ -13,7 +13,6 @@ to levels happens only at presentation boundaries.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from collections import namedtuple
 from functools import cached_property
 
@@ -78,20 +77,14 @@ class Primitives(Record, namedtuple("Primitives", "sigma f f_n delta L", default
         return self.sigma - 1.0
 
 
-class CostSchedule(ABC):
-    """Activation-cost schedule f_b(rho): continuous, weakly increasing, > 0."""
-
-    @abstractmethod
-    def cost(self, rho: float) -> float:
-        """Evaluate f_b at a precision rho in (0, 1)."""
-
-
+# An activation-cost schedule f_b(rho) is continuous, weakly increasing and
+# positive; each kind below evaluates it with ``cost(rho)`` on (0, 1).
 def _check_schedule_rho(rho: float) -> None:
     if not 0.0 < rho < 1.0:
         raise DomainError(f"cost schedules are defined on (0, 1), got rho = {rho!r}")
 
 
-class ConstantCost(Record, namedtuple("ConstantCost", "f_b"), CostSchedule):
+class ConstantCost(Record, namedtuple("ConstantCost", "f_b")):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if not self.f_b > 0.0:
@@ -103,7 +96,7 @@ class ConstantCost(Record, namedtuple("ConstantCost", "f_b"), CostSchedule):
         return self.f_b
 
 
-class PowerBoundedCost(Record, namedtuple("PowerBoundedCost", "f_b0 kappa alpha"), CostSchedule):
+class PowerBoundedCost(Record, namedtuple("PowerBoundedCost", "f_b0 kappa alpha")):
     """f_b(rho) = f_b0 * (1 + kappa * rho**alpha), bounded by f_b0 * (1 + kappa)."""
 
     def __new__(cls, *args, **kwargs):
@@ -122,7 +115,7 @@ class PowerBoundedCost(Record, namedtuple("PowerBoundedCost", "f_b0 kappa alpha"
 
 
 class PiecewiseLinearCost(
-    Record, namedtuple("PiecewiseLinearCost", "rho_low rho_high f_low f_high"), CostSchedule
+    Record, namedtuple("PiecewiseLinearCost", "rho_low rho_high f_low f_high")
 ):
     """Flat at f_low below rho_low, linear up to f_high at rho_high, flat after."""
 
@@ -147,12 +140,8 @@ class PiecewiseLinearCost(
         w = (rho - self.rho_low) / (self.rho_high - self.rho_low)
         return self.f_low + (self.f_high - self.f_low) * w
 
-    @property
-    def breakpoints(self) -> tuple[float, float]:
-        return (self.rho_low, self.rho_high)
 
-
-class HyperbolicCost(Record, namedtuple("HyperbolicCost", "f_b0"), CostSchedule):
+class HyperbolicCost(Record, namedtuple("HyperbolicCost", "f_b0")):
     """f_b(rho) = f_b0 / (1 - rho); diverges as rho -> 1."""
 
     def __new__(cls, *args, **kwargs):
@@ -190,9 +179,10 @@ class LogCutoffs(Record, namedtuple("LogCutoffs", "t_star p_star a")):
     """
 
 
-def _profit_moment(k: float, x: float, s2: float, sd: float, what: str) -> float:
-    """E[(exp(k X) - 1) 1{X >= 0}] for X ~ N(x, s2), sd = sqrt(s2); where its
-    lead exceeds the double range, ``TiltOverflowError`` names ``what``."""
+def _profit_moment(k: float, x: float, s2: float, what: str) -> float:
+    """E[(exp(k X) - 1) 1{X >= 0}] for X ~ N(x, s2); where its lead exceeds
+    the double range, ``TiltOverflowError`` names ``what``."""
+    sd = math.sqrt(s2)
     lead = exp_tilt(k * x + 0.5 * k * k * s2 + log_std_normal_cdf((x + k * s2) / sd), what)
     return lead - std_normal_cdf(x / sd)
 
@@ -208,8 +198,7 @@ def expected_profit_given_signal(
     0.0 at p_star = +inf; at p_star = -inf it raises ``TiltOverflowError``.
     """
     _check_interior_rho(rho)
-    s2 = 1.0 - rho * rho
-    return prim.f * _profit_moment(prim.k, rho * t - p_star, s2, math.sqrt(s2),
+    return prim.f * _profit_moment(prim.k, rho * t - p_star, 1.0 - rho * rho,
                                    "expected profit given signal")
 
 

@@ -240,7 +240,7 @@ def _survivor_entry_residual(
 ) -> float:
     # Phi(-p*) * pi_bar / delta - entry_cost, with Phi(-p*) * pi_bar = fixed_cost
     # times the truncated profit moment of N(0, 1) log productivity above p*
-    moment = _profit_moment(prim.k, -p_star, 1.0, 1.0, "limit-economy profit moment")
+    moment = _profit_moment(prim.k, -p_star, 1.0, "limit-economy profit moment")
     return fixed_cost * moment / prim.delta - entry_cost
 
 

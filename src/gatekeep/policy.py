@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .economy import Primitives, Regime, expected_profit_given_signal
+from .economy import LogCutoffs, Primitives, Regime, expected_profit_given_signal
 from .equilibrium import (
     BRACKET_BOUND,
     EquilibriumSolution,
@@ -24,7 +24,7 @@ from .equilibrium import (
     solve_equilibrium,
 )
 from .errors import BracketFailureError, DomainError, GatekeepError, InconsistentEquilibriumError
-from .welfare import aggregates_from_cutoffs, compute_aggregates, welfare_selection_burden
+from .welfare import compute_aggregates, welfare_selection_burden
 from .normal import std_normal_cdf
 from .records import Record
 
@@ -109,8 +109,7 @@ def decentralize_cutoff(
     """
     if not math.isfinite(t_p):
         raise DomainError(f"policy cutoff must be finite, got {t_p!r}")
-    pi_tilde = expected_profit_given_signal(prim, regime.rho, eq.cutoffs.p_star, t_p)
-    s = regime.f_b - pi_tilde / prim.delta
+    s = -planner_kernel(prim, regime, eq.cutoffs.p_star, t_p)
     tau = s * std_normal_cdf(-t_p)
     return PolicyBundle(theta_p_log=t_p, s=s, tau=tau)
 
@@ -181,7 +180,7 @@ def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
         # The zero-transfer system is the baseline system; reuse the monotone
         # solver so the two paths agree exactly.
         eq = solve_equilibrium(prim, regime)
-        agg = compute_aggregates(prim, regime, eq)
+        agg = compute_aggregates(prim, regime, eq.cutoffs)
         return welfare_selection_burden(prim, agg.s_term, agg.b_term)
     rho = regime.rho
     a_s, _, r_a = _solve_activation_intercept(prim, rho, f_b - s)
@@ -197,6 +196,5 @@ def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
     if prim.delta * s / prim.f - r_a <= 0.0:
         i, r_i = _last_positive_before_crossing(locus_residual, r_i)
     t_star = _scan_from(locus_residual, i, r_i, s)
-    p_star = rho * t_star + a_s
-    agg = aggregates_from_cutoffs(prim, regime, t_star, p_star)
+    agg = compute_aggregates(prim, regime, LogCutoffs(t_star, rho * t_star + a_s, a_s))
     return welfare_selection_burden(prim, agg.s_term, agg.b_term)

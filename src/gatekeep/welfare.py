@@ -16,14 +16,8 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 
-from .economy import (
-    ConstantCost,
-    CostSchedule,
-    PiecewiseLinearCost,
-    Primitives,
-    Regime,
-)
-from .equilibrium import EquilibriumSolution, solve_equilibrium
+from .economy import ConstantCost, LogCutoffs, PiecewiseLinearCost, Primitives, Regime
+from .equilibrium import solve_equilibrium
 from .errors import (
     BracketFailureError,
     DomainError,
@@ -89,10 +83,10 @@ def _rel_close(x: float, y: float, rtol: float) -> bool:
     return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
 
 
-def aggregates_from_cutoffs(
-    prim: Primitives, regime: Regime, t_star: float, p_star: float
-) -> Aggregates:
-    """Aggregates implied by a cutoff pair that satisfies free entry."""
+def compute_aggregates(prim: Primitives, regime: Regime, cutoffs: LogCutoffs) -> Aggregates:
+    """All steady-state aggregates at a cutoff pair that satisfies free entry,
+    such as a solved equilibrium's ``cutoffs``."""
+    t_star, p_star = cutoffs.t_star, cutoffs.p_star
     k = prim.k
     rho = regime.rho
     p_theta = std_normal_cdf(-t_star)
@@ -148,11 +142,6 @@ def aggregates_from_cutoffs(
     )
 
 
-def compute_aggregates(prim: Primitives, regime: Regime, eq: EquilibriumSolution) -> Aggregates:
-    """All steady-state aggregates at a solved equilibrium."""
-    return aggregates_from_cutoffs(prim, regime, eq.cutoffs.t_star, eq.cutoffs.p_star)
-
-
 def failure_status(exc: GatekeepError) -> str:
     """The status cell, and stderr text, of a point that failed with exc."""
     return f"failed: {type(exc).__name__}: {exc}"
@@ -189,7 +178,7 @@ class SweepRecord(Record, namedtuple("SweepRecord", "rho eq agg error", defaults
         ]
 
 
-def sweep_records(prim: Primitives, schedule: CostSchedule, rho_grid) -> list[SweepRecord]:
+def sweep_records(prim: Primitives, schedule, rho_grid) -> list[SweepRecord]:
     """Solve every grid point; failures become explicit records, never dropped."""
     rho_grid = list(rho_grid)
     if any(b <= a for a, b in zip(rho_grid, rho_grid[1:])):
@@ -203,11 +192,11 @@ def sweep_records(prim: Primitives, schedule: CostSchedule, rho_grid) -> list[Sw
     return records
 
 
-def _solve_point(prim: Primitives, schedule: CostSchedule, rho: float) -> SweepRecord:
+def _solve_point(prim: Primitives, schedule, rho: float) -> SweepRecord:
     """Solution and aggregates at one precision; a failure raises."""
     regime = Regime(rho, schedule)
     eq = solve_equilibrium(prim, regime)
-    return SweepRecord(rho=rho, eq=eq, agg=compute_aggregates(prim, regime, eq))
+    return SweepRecord(rho=rho, eq=eq, agg=compute_aggregates(prim, regime, eq.cutoffs))
 
 
 class LogWelfareDerivative(Record, namedtuple("LogWelfareDerivative", "dlogW dlogS dlogB")):
@@ -225,7 +214,7 @@ def log_welfare_derivative(prim: Primitives, regime: Regime) -> LogWelfareDeriva
     schedule = regime.schedule
     h = _DERIVATIVE_STEP
     if isinstance(schedule, PiecewiseLinearCost):
-        if any(abs(rho - bp) < h for bp in schedule.breakpoints):
+        if abs(rho - schedule.rho_low) < h or abs(rho - schedule.rho_high) < h:
             raise KinkError(
                 f"rho = {rho!r} is within {h!r} of a schedule breakpoint; "
                 "the derivative is not defined there"
@@ -267,7 +256,7 @@ def _golden_section_max(fn, lo: float, hi: float, tol: float):
     return x, max(yc, yd)
 
 
-def find_optimal_precision(prim: Primitives, schedule: CostSchedule, grid) -> OptimalPrecision:
+def find_optimal_precision(prim: Primitives, schedule, grid) -> OptimalPrecision:
     """Welfare-maximizing precision: coarse grid argmax, golden-section refined.
 
     Failure rows in the sweep are skipped deterministically. A grid-edge

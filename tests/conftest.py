@@ -23,7 +23,7 @@ def solved(fig3_primitives, fig3_schedule):
         if rho not in cache:
             regime = Regime(rho, fig3_schedule)
             eq = solve_equilibrium(fig3_primitives, regime)
-            agg = compute_aggregates(fig3_primitives, regime, eq)
+            agg = compute_aggregates(fig3_primitives, regime, eq.cutoffs)
             cache[rho] = (regime, eq, agg)
         return cache[rho]
 

@@ -154,7 +154,7 @@ def test_criterion_3_oracle_equivalence(oracle_solutions):
             c = eq.cutoffs
             rho, k = regime.rho, prim.k
             draws = sample_log_population(rho, MC_N, seed=SEED + idx)
-            agg = compute_aggregates(prim, regime, eq)
+            agg = compute_aggregates(prim, regime, eq.cutoffs)
             for name, est in estimate_aggregates(draws, prim, c).items():
                 z = z_score(getattr(agg, name), est)
                 assert abs(z) <= 4.0, (idx, name, z)
@@ -293,7 +293,7 @@ def test_criterion_9_information_limits():
         levels = []
         for k in range(2, 7):
             regime = Regime(1.0 - 10.0 ** -k, sched)
-            agg = compute_aggregates(FIG3, regime, solve_equilibrium(FIG3, regime))
+            agg = compute_aggregates(FIG3, regime, solve_equilibrium(FIG3, regime).cutoffs)
             levels.append(agg.welfare)
         assert all(b < a for a, b in zip(levels, levels[1:]))
         assert levels[-1] < 1e-3

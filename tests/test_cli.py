@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gatekeep
-from gatekeep.cli import main
+from gatekeep.cli import _build_parser, main
 from gatekeep.config import MODES
 from gatekeep.welfare import SweepRecord
 
@@ -326,6 +326,35 @@ def test_negative_seed_is_a_config_error(route, tmp_path, capsys):
         args += ["--seed", "-5"]
     assert main(args) == 1
     assert "config error: run.seed must be non-negative, got -5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "the following arguments are required: mode, --config"),
+    (["dance", "--config", "x.cfg"], "argument mode: invalid choice: 'dance'"),
+    (["solve"], "the following arguments are required: --config"),
+    (["solve", "--config", "x.cfg", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+], ids=["no_arguments", "unknown_mode", "no_config", "seed_not_an_int"])
+def test_usage_errors_exit_one(args, message):
+    # exit code 2 is a solver failure, so a usage error must not take argparse's 2
+    proc = _python(["-m", "gatekeep", *args])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: gatekeep ")
+    assert f"gatekeep: error: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_takes_the_same_flags_in_any_order(mode):
+    flags = ["--config", "c.cfg", "--out", "o.csv", "--svg", "s.svg", "--seed", "3",
+             "--grid", "0.1:0.9:0.1", "--quiet"]
+    parsed = {
+        "config": "c.cfg", "out": "o.csv", "svg": "s.svg", "seed": 3,
+        "grid": "0.1:0.9:0.1", "quiet": True, "mode": mode,
+    }
+    parser = _build_parser()
+    assert vars(parser.parse_args([mode, *flags])) == parsed
+    assert vars(parser.parse_args([*flags, mode])) == parsed
 
 
 def _python(args, **env_vars):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gatekeep import CostSchedule, GridSpec, PowerBoundedCost, Primitives, RunConfig, parse_config
+from gatekeep import GridSpec, PowerBoundedCost, Primitives, RunConfig, parse_config
 from gatekeep import config
 from gatekeep.config import config_hash, format_config
 from gatekeep.errors import ParseError, ValidationError
@@ -189,7 +189,7 @@ def test_hand_built_config_takes_an_int_as_a_float_and_checks_primitives():
 
 def test_hand_built_schedule_must_have_a_config_kind():
     # format_config cannot write any other schedule, so the run would have no provenance hash
-    class Flat(CostSchedule):
+    class Flat:
         def cost(self, rho):
             return 2.0
 

@@ -364,7 +364,7 @@ def test_solve_makes_one_genz_pass_per_free_entry_residual(rho, sched, monkeypat
     fe_calls = _counted(monkeypatch, "fe_residual")
     sol = solve_equilibrium(PRIM, regime)
     assert genz_passes == {"pair": len(fe_calls)}
-    compute_aggregates(PRIM, regime, sol)
+    compute_aggregates(PRIM, regime, sol.cutoffs)
     assert genz_passes == {"pair": len(fe_calls) + 1}
 
 

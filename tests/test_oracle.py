@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 
 from gatekeep import (
     LogCutoffs,
@@ -347,8 +347,10 @@ def test_closed_forms_match_quadrature(rho, solved):
         assert closed == pytest.approx(reference, abs=1e-8)
 
 
+# no shrink phase: shrinking a failure through 0.12 s quadratures took minutes
 @given(economy=economies(max_rho=0.95))
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25, derandomize=True, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_closed_forms_match_quadrature_over_the_domain(economy):
     # validate's five checks on economies across the domain; rho stays at or
     # below 0.95, since the quadratures slow down sharply near rho = 1
@@ -356,7 +358,7 @@ def test_closed_forms_match_quadrature_over_the_domain(economy):
     eq = solved_or_none(prim, regime)
     if eq is None:
         return
-    agg = compute_aggregates(prim, regime, eq)
+    agg = compute_aggregates(prim, regime, eq.cutoffs)
     c, rho = eq.cutoffs, regime.rho
     at_cutoffs = {"rho": rho, "p_star": c.p_star, "t_star": c.t_star}
     t_probe = c.t_star + 0.5
@@ -504,7 +506,7 @@ def test_qagse_matches_scipy_on_the_oracles_integrands(rho, monkeypatch):
 
     regime = Regime(rho, PowerBoundedCost(3.0, 2.0, 8.0))
     eq = solve_equilibrium(PRIM, regime)
-    agg = compute_aggregates(PRIM, regime, eq)
+    agg = compute_aggregates(PRIM, regime, eq.cutoffs)
     calls = []
 
     def checked(fn, a, b, epsabs, epsrel, limit):

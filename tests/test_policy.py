@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from gatekeep import (
     ConstantCost,
     HyperbolicCost,
+    LogCutoffs,
     PiecewiseLinearCost,
     PowerBoundedCost,
     Primitives,
     Regime,
+    compute_aggregates,
     decentralize_cutoff,
     expected_profit_given_signal,
     intermediation_schedule,
@@ -28,7 +30,6 @@ from gatekeep.equilibrium import BRACKET_BOUND, _brent_root, _locus_fn, _solve_a
 from gatekeep.errors import BracketFailureError, DomainError, GatekeepError, TiltOverflowError
 from gatekeep.normal import std_normal_cdf
 from gatekeep.policy import _PIGOU_SCAN_STEP
-from gatekeep.welfare import aggregates_from_cutoffs
 
 from economies import PRIMITIVES, economies, log_uniform, solved_or_none
 
@@ -254,7 +255,7 @@ def _ordered_scan_welfare(prim, regime, s):
             f"free entry admits no cutoff within [-{BRACKET_BOUND}, {BRACKET_BOUND}] "
             f"under transfer s={s!r}"
         )
-    agg = aggregates_from_cutoffs(prim, regime, t_star, regime.rho * t_star + a_s)
+    agg = compute_aggregates(prim, regime, LogCutoffs(t_star, regime.rho * t_star + a_s, a_s))
     return welfare_selection_burden(prim, agg.s_term, agg.b_term)
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ def test_welfare_power_overflow_is_a_tilt_overflow():
     regime = Regime(0.8226039481423504, ConstantCost(0.001908792875144275))
     eq = solve_equilibrium(prim, regime)
     with pytest.raises(TiltOverflowError, match="^variety term exceeds the double range"):
-        compute_aggregates(prim, regime, eq)
+        compute_aggregates(prim, regime, eq.cutoffs)
     assert welfare._power(2.0, 0.5, "x") == 2.0**0.5
     with pytest.raises(TiltOverflowError, match=r"^x exceeds the double range \(2.0 \*\* 2000.0\)$"):
         welfare._power(2.0, 2000.0, "x")
@@ -199,7 +200,7 @@ def test_hyperbolic_welfare_vanishes_at_high_precision():
     levels = []
     for k in range(2, 7):
         regime = Regime(1.0 - 10.0 ** -k, sched)
-        agg = compute_aggregates(PRIM, regime, solve_equilibrium(PRIM, regime))
+        agg = compute_aggregates(PRIM, regime, solve_equilibrium(PRIM, regime).cutoffs)
         levels.append(agg.welfare)
     assert all(b < a for a, b in zip(levels, levels[1:]))
     assert levels[-1] < levels[0] / 100.0
@@ -247,3 +248,12 @@ def _grid(lo, hi, step):
         out.append(x)
         x += step
     return out
+
+
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    tour = {}
+    exec(block, tour)
+    # the tour's economy is the benchmark calibration at rho = 0.89
+    assert tour["agg"] == sweep_records(PRIM, SCHED, [0.89])[0].agg
