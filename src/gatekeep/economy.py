@@ -31,13 +31,6 @@ RHO_MIN = 1e-6
 RHO_MAX = 1.0 - 1e-6
 
 
-def clamp_rho(rho: float) -> float:
-    """Clamp a precision parameter from (0, 1) into [RHO_MIN, RHO_MAX]."""
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"precision rho must lie in (0, 1), got {rho!r}")
-    return min(max(rho, RHO_MIN), RHO_MAX)
-
-
 def _check_interior_rho(rho: float) -> None:
     if not 0.0 < rho:
         raise DomainError(f"precision rho must be positive, got {rho!r}")
@@ -163,7 +156,9 @@ class Regime(Record, namedtuple("Regime", "rho schedule")):
     """
 
     def __new__(cls, rho, schedule):
-        return tuple.__new__(cls, (clamp_rho(rho), schedule))
+        if not 0.0 < rho < 1.0:
+            raise DomainError(f"precision rho must lie in (0, 1), got {rho!r}")
+        return tuple.__new__(cls, (min(max(rho, RHO_MIN), RHO_MAX), schedule))
 
     @cached_property
     def f_b(self) -> float:

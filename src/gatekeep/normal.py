@@ -75,8 +75,6 @@ def log_std_normal_cdf(x: float) -> float:
     """log CDF of N(0, 1), stable arbitrarily deep in the lower tail."""
     if x > -37.0:
         return math.log(std_normal_cdf(x))
-    if math.isinf(x):
-        return -math.inf
     # Mills-ratio asymptotic expansion for the deep lower tail.
     inv2 = 1.0 / (x * x)
     series = 1.0 + inv2 * (-1.0 + inv2 * (3.0 + inv2 * (-15.0 + inv2 * 105.0)))
@@ -236,8 +234,6 @@ def exp_tilt(log_val: float, what: str) -> float:
     double range: where ``math.exp`` would raise a bare ``OverflowError``, and
     at a log value of +inf, where it would return inf.
     """
-    if log_val == -math.inf:
-        return 0.0
     try:
         value = math.exp(log_val)
     except OverflowError:

@@ -56,8 +56,20 @@ def _block_sizes(n: int):
         yield min(_BLOCK, n - start)
 
 
+def _check_sample(rho: float, n: int) -> None:
+    if n < 1:
+        raise DomainError(f"need at least one draw, got n={n!r}")
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
+
+
 class PopulationDraws(Record, namedtuple("PopulationDraws", "rho n seed")):
     """n paired (log productivity, log signal) draws, generated block by block."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _check_sample(self.rho, self.n)
+        return self
 
     def blocks(self):
         """Yield (p, t) arrays of at most ``_BLOCK`` pairs.
@@ -97,10 +109,6 @@ def sample_log_population(rho: float, n: int, seed: int) -> PopulationDraws:
     t ~ N(0,1) and p = rho*t + sqrt(1-rho^2)*z with independent z, so the
     construction itself encodes the conditional law p | t.
     """
-    if n < 1:
-        raise DomainError(f"need at least one draw, got n={n!r}")
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
     return PopulationDraws(rho=rho, n=n, seed=seed)
 
 
@@ -164,8 +172,6 @@ def estimate_aggregates(
     An empty indicator set gives mean 0.0 with standard error 0.0; pi_breve
     at a log-productivity cutoff p* = -inf is the exact estimate inf.
     """
-    if draws.n < 1:
-        raise DomainError("draws must be nonempty")
     t_star, p_star = cutoffs.t_star, cutoffs.p_star
     k = prim.k
     profit = p_star != -math.inf
@@ -212,10 +218,7 @@ def estimate_profit_given_signal(
     blocks of ``_BLOCK`` draws. At p* = -inf every draw's profit is infinite,
     and the estimate is the exact inf.
     """
-    if n < 1:
-        raise DomainError(f"need at least one draw, got n={n!r}")
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
+    _check_sample(rho, n)
     if p_star == -math.inf:
         return McEstimate(mean=math.inf, std_error=0.0, n=n, seed=seed)
     rng = np.random.default_rng(seed)
@@ -758,8 +761,6 @@ def _quad(fn, lo: float, hi: float, what: str) -> float:
 
 
 def _quad_bvn(x: float, y: float, rho: float) -> float:
-    if x == -math.inf or y == -math.inf:
-        return 0.0
     sd = math.sqrt(1.0 - rho * rho)
     hi = min(x, _TAIL)
     if hi <= -_TAIL:

@@ -114,47 +114,43 @@ def decentralize_cutoff(
     return PolicyBundle(theta_p_log=t_p, s=s, tau=tau)
 
 
-def _scan_grid(i: int) -> float:
-    return -BRACKET_BOUND + i * _PIGOU_SCAN_STEP
+def _transfer_cutoff(locus_residual, decreasing: bool, s: float) -> float:
+    """The first sign change of the locus residual J on the scan grid, then Brent.
 
-
-def _last_positive_before_crossing(locus_residual, r_0: float):
-    """(i, J(t_i)) for the scan's sign-change cell [t_i, t_i+1] of a decreasing J.
-
-    Bisects the grid index between the two ends. Where the ends do not
-    bracket a sign change, or a probe is NaN or raises, it returns (0, r_0):
-    the scan then starts at the bottom of the grid, as it would without the
-    bisection, and meets that point in order or stops before it.
+    The grid is t_i = -BRACKET_BOUND + i * _PIGOU_SCAN_STEP, scanned up from
+    i = 0. Where J decreases, bisecting the grid index finds the scan's cell
+    first. Where the grid's ends do not bracket a sign change, or a probe is
+    NaN or raises, the scan starts at i = 0, as it would without the
+    bisection, and meets that cell in order or stops before it.
     """
-    lo, r_lo, hi = 0, r_0, _PIGOU_SCAN_CELLS
-    try:
-        if not (r_lo > 0.0 and locus_residual(_scan_grid(hi)) <= 0.0):
-            return 0, r_0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            r_mid = locus_residual(_scan_grid(mid))
-            if r_mid > 0.0:
-                lo, r_lo = mid, r_mid
-            elif r_mid <= 0.0:
-                hi = mid
-            else:
-                return 0, r_0
-    except (GatekeepError, ArithmeticError, ValueError):
-        return 0, r_0
-    return lo, r_lo
-
-
-def _scan_from(locus_residual, start: int, r_lo: float, s: float) -> float:
-    """The first sign change of the locus residual from grid index start up, then Brent."""
-    t_lo = _scan_grid(start)
+    grid = lambda i: -BRACKET_BOUND + i * _PIGOU_SCAN_STEP
+    start, r_start = 0, locus_residual(grid(0))
+    if decreasing:
+        lo, r_lo, hi = start, r_start, _PIGOU_SCAN_CELLS
+        try:
+            if r_lo > 0.0 and locus_residual(grid(hi)) <= 0.0:
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    r_mid = locus_residual(grid(mid))
+                    if r_mid > 0.0:
+                        lo, r_lo = mid, r_mid
+                    elif r_mid <= 0.0:
+                        hi = mid
+                    else:
+                        break
+                else:
+                    # no probe was NaN: the scan starts at the bisected cell
+                    start, r_start = lo, r_lo
+        except (GatekeepError, ArithmeticError, ValueError):
+            pass
+    t_lo, r_lo = grid(start), r_start
     for i in range(start + 1, _PIGOU_SCAN_CELLS + 1):
-        t_hi = _scan_grid(i)
+        t_hi = grid(i)
         r_hi = locus_residual(t_hi)
         if r_lo == 0.0:
             return t_lo
         if r_lo * r_hi < 0.0:
-            t_star, _, _ = _brent_root(locus_residual, t_lo, r_lo, t_hi, r_hi, 1e-12)
-            return t_star
+            return _brent_root(locus_residual, t_lo, r_lo, t_hi, r_hi, 1e-12)[0]
         t_lo, r_lo = t_hi, r_hi
     raise BracketFailureError(
         f"free entry admits no cutoff within [-{BRACKET_BOUND}, {BRACKET_BOUND}] "
@@ -179,22 +175,15 @@ def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
     if s == 0.0:
         # The zero-transfer system is the baseline system; reuse the monotone
         # solver so the two paths agree exactly.
-        eq = solve_equilibrium(prim, regime)
-        agg = compute_aggregates(prim, regime, eq.cutoffs)
-        return welfare_selection_burden(prim, agg.s_term, agg.b_term)
-    rho = regime.rho
-    a_s, _, r_a = _solve_activation_intercept(prim, rho, f_b - s)
-    locus_residual = _locus_fn(prim, regime, a_s)
-
-    # The cutoff is the first sign change of the locus residual J on the grid
-    # t_i = -BRACKET_BOUND + i * _PIGOU_SCAN_STEP, scanned up from i = 0. Along
-    # the locus J'(t) = c phi(t) - rho k exp(log S - k p*) with
-    # c = delta s / f - r_a, so for c <= 0 (every s < 0) J strictly decreases
-    # and bisecting the grid index finds the scan's cell. For c > 0, J can
-    # turn upward, so the scan runs in order.
-    i, r_i = 0, locus_residual(-BRACKET_BOUND)
-    if prim.delta * s / prim.f - r_a <= 0.0:
-        i, r_i = _last_positive_before_crossing(locus_residual, r_i)
-    t_star = _scan_from(locus_residual, i, r_i, s)
-    agg = compute_aggregates(prim, regime, LogCutoffs(t_star, rho * t_star + a_s, a_s))
+        cutoffs = solve_equilibrium(prim, regime).cutoffs
+    else:
+        rho = regime.rho
+        a_s, _, r_a = _solve_activation_intercept(prim, rho, f_b - s)
+        # Along the locus J'(t) = c phi(t) - rho k exp(log S - k p*) with
+        # c = delta s / f - r_a, so for c <= 0 (every s < 0) J strictly
+        # decreases. For c > 0, J can turn upward, so the scan runs in order.
+        decreasing = prim.delta * s / prim.f - r_a <= 0.0
+        t_star = _transfer_cutoff(_locus_fn(prim, regime, a_s), decreasing, s)
+        cutoffs = LogCutoffs(t_star, rho * t_star + a_s, a_s)
+    agg = compute_aggregates(prim, regime, cutoffs)
     return welfare_selection_burden(prim, agg.s_term, agg.b_term)

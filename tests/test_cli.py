@@ -248,13 +248,14 @@ def test_validate_zero_standard_error_is_not_a_match(tmp_path):
     assert row["z_score"] == "inf"
 
 
-def test_solver_failure_exit_code(tmp_path):
+def test_solver_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(BASE.replace("f_n = 0.005", "f_n = 1e30"))
     out = str(tmp_path / "bad.csv")
     assert main(["solve", "--config", str(path), "--out", out, "--quiet"]) == 2
     _, header, rows = _read(out)
     assert rows[0][-1].startswith("failed: BracketFailureError")
+    assert capsys.readouterr().err.startswith("failed: BracketFailureError: ")
 
 
 def test_missing_required_run_field(tmp_path):
@@ -278,6 +279,8 @@ def test_bad_grid_flag(cfg_path):
 @pytest.mark.parametrize("grid, message", [
     ("0.1:0.9", "grid must be start:stop:step, got '0.1:0.9'"),
     ("0.9:0.1:0.1", "grid must satisfy 0 < start < stop < 1, got 0.9:0.1:0.1"),
+    # a grid of unbounded length, not an endless sweep
+    ("0.1:0.9:inf", "grid step inf must be finite and take at most 100000 steps from 0.1 to 0.9"),
 ])
 def test_bad_grid_flag_is_a_config_error(grid, message, cfg_path):
     proc = _python(["-m", "gatekeep", "sweep", "--config", cfg_path, "--grid", grid, "--quiet"])

@@ -11,7 +11,7 @@ import re
 import pytest
 
 from gatekeep.cli import main
-from gatekeep.config import parse_config
+from gatekeep.config import MODES, parse_config
 from gatekeep.economy import Regime
 from gatekeep.equilibrium import melitz_limit_zero, solve_equilibrium
 from gatekeep.errors import GatekeepError
@@ -26,7 +26,6 @@ CONFIGS = {
     # an entry cost no firm can recoup: free entry has no root
     "no_entry": BASE.replace("f_n = 0.005", "f_n = 1e30") + f"mc_n = {MC_N}\n",
 }
-MODES = ("solve", "sweep", "optimum", "pigouvian", "limits", "validate")
 
 
 def _read_csv(path):

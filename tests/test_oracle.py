@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,19 @@ def test_sampling_validation():
         sample_log_population(1.2, 10, seed=1)
 
 
+@pytest.mark.parametrize("rho, n, message", [
+    (0.5, 0, "need at least one draw, got n=0"),
+    (1.2, 10, "rho must lie in (0, 1), got 1.2"),
+])
+def test_both_samplers_refuse_a_sample_with_the_same_message(rho, n, message):
+    # a draw record refuses an empty sample when it is built, not when an
+    # estimator first reads it
+    with pytest.raises(DomainError, match=re.escape(message)):
+        oracle.PopulationDraws(rho, n, 1)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        estimate_profit_given_signal(1.0, PRIM, rho, 0.3, n, seed=1)
+
+
 def test_estimates_match_closed_forms(solved):
     regime, eq, agg = solved(0.5)
     draws = sample_log_population(regime.rho, 10**6, seed=314)
@@ -292,6 +306,13 @@ def test_estimates_at_an_infinite_productivity_cutoff():
 def test_quadrature_bvn_arcsine():
     got = quadrature_reference("bvn", {"x": 0.0, "y": 0.0, "rho": 0.5})
     assert got == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("x, y", [(-math.inf, 0.3), (0.3, -math.inf), (-math.inf, -math.inf)])
+def test_quadrature_bvn_is_zero_at_a_minus_infinite_bound(x, y):
+    # at x = -inf the window below -_TAIL is empty; at y = -inf the integrand
+    # is 0.0 everywhere, and the first 21-point rule returns 0.0
+    assert quadrature_reference("bvn", {"x": x, "y": y, "rho": 0.5}) == 0.0
 
 
 def test_quadrature_unknown_quantity():

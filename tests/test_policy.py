@@ -382,3 +382,25 @@ def test_perfect_information_limit_cutoff_exceeds_zero_information_over_the_doma
     perfect = melitz_limit_perfect(prim, f_b_bar)
     zero = melitz_limit_zero(prim, prim.f_n + f_b_bar)
     assert perfect.p_star > zero.p_star, (perfect, zero)
+
+
+@given(economy=_ECONOMIES)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_pigouvian_welfare_is_flat_and_concave_at_zero_over_the_domain(economy):
+    # The sharp form of "Pigouvian transfers cannot correct the losses":
+    # dW/ds = 0 and d2W/ds2 < 0 at s = 0. With x = s / f_b, the central
+    # difference D(x) = (W(x f_b) - W(-x f_b)) / (2 x W(0)) is then O(x^2), so
+    # it shrinks about 100-fold from x = 1e-2 to x = 1e-3, where an O(s) error
+    # in W(s) keeps it at the same size. W's rounding, taken as 1e-12 W(0), is
+    # the floor of both checks: 5e-10 of D(1e-3), and 1e-12 W(0) of the second
+    # difference.
+    prim, regime = economy
+    f_b = regime.f_b
+    try:
+        w0 = pigouvian_welfare(prim, regime, 0.0)
+        w = {x: pigouvian_welfare(prim, regime, x * f_b) for x in (1e-2, -1e-2, 1e-3, -1e-3)}
+    except GatekeepError:
+        return
+    d = {x: (w[x] - w[-x]) / (2.0 * x * w0) for x in (1e-2, 1e-3)}
+    assert abs(d[1e-3]) <= abs(d[1e-2]) / 50.0 + 5e-10, (d, w0)
+    assert (w[1e-2] - 2.0 * w0 + w[-1e-2]) / abs(w0) <= 1e-12, (w, w0)
