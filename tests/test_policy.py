@@ -385,6 +385,18 @@ def test_perfect_information_limit_cutoff_exceeds_zero_information_over_the_doma
 
 
 @given(economy=_ECONOMIES)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_pigouvian_bisection_matches_the_ordered_scan_over_the_domain(economy):
+    # For s < 0 the locus residual strictly decreases, and pigouvian_welfare
+    # bisects the grid index; the ordered scan from t = -BRACKET_BOUND must
+    # give the same float, or the same error class and message.
+    prim, regime = economy
+    for s in (-0.5 * regime.f_b, -0.05 * regime.f_b):
+        expected = _outcome(_ordered_scan_welfare, prim, regime, s)
+        assert _outcome(pigouvian_welfare, prim, regime, s) == expected, s
+
+
+@given(economy=_ECONOMIES)
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_pigouvian_welfare_is_flat_and_concave_at_zero_over_the_domain(economy):
     # The sharp form of "Pigouvian transfers cannot correct the losses":
