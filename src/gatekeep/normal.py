@@ -11,18 +11,19 @@ Everything the closed-form economy layer needs reduces to these kernels:
 
 The bivariate CDF is a double-precision port of the Drezner-Wesolowsky
 scheme as refined by Genz (Gauss-Legendre quadrature on the arcsine
-transformation, with a separate expansion branch for ``|rho| >= 0.925``).
-Absolute accuracy is on the order of 5e-15 for ``|rho| <= 0.99``. The
-quadrature nodes depend on the correlation alone, so they are built once per
-``rho`` and the last few kept in a bounded table; each node is the same float
-expression as in the uncached rule, so results are identical to it bit for
-bit. One rule, ``_bvn_upper_pair``, evaluates two points per pass over the
-nodes: ``joint_tail_masses`` uses both to give the two masses of a
-free-entry residual, the tilted mass and the joint tail at one rho, and
-hands a NaN, infinite or far point to ``bvn_cdf``, which holds the guards and
-reductions, passes its one point twice and keeps the first value. All
-kernels here are pure functions: the node tables change how fast a value is
-computed, never the value.
+transformation, with a separate expansion branch for ``rho >= 0.925``). It
+serves the correlations the economy has, ``0 <= rho <= 1 - 1e-12``, and
+refuses the others. Absolute accuracy is on the order of 5e-15 for
+``rho <= 0.99``. The quadrature nodes depend on the correlation alone, so
+they are built once per ``rho`` and the last few kept in a bounded table;
+each node is the same float expression as in the uncached rule, so results
+are identical to it bit for bit. One rule, ``_bvn_upper_pair``, evaluates
+two points per pass over the nodes: ``joint_tail_masses`` uses both to give
+the two masses of a free-entry residual, the tilted mass and the joint tail
+at one rho, and hands a NaN, infinite or far point to ``bvn_cdf``, which
+holds the guards and reductions, passes its one point twice and keeps the
+first value. All kernels here are pure functions: the node tables change how
+fast a value is computed, never the value.
 
 Tilted moments are held in log space, so they are total on their
 mathematical domain; ``exp_tilt`` raises ``TiltOverflowError`` only where a
@@ -40,7 +41,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-#: correlations with |rho| above this are rejected as numerically singular
+#: correlations above this are rejected as numerically singular
 NEAR_SINGULAR_RHO = 1.0 - 1e-12
 
 #: ``bvn_cdf`` treats a finite argument at or beyond +/- this bound as +/-inf.
@@ -82,13 +83,12 @@ def log_std_normal_cdf(x: float) -> float:
 
 
 def _check_correlation(rho: float) -> None:
-    if math.isnan(rho):
-        raise DomainError("correlation must not be NaN")
-    if abs(rho) > NEAR_SINGULAR_RHO:
-        raise NearSingularCorrelationError(
-            f"|rho| = {abs(rho)!r} exceeds {NEAR_SINGULAR_RHO!r}; "
-            "use the univariate reduction"
-        )
+    if not 0.0 <= rho <= NEAR_SINGULAR_RHO:
+        if rho > NEAR_SINGULAR_RHO:
+            raise NearSingularCorrelationError(
+                f"rho = {rho!r} exceeds {NEAR_SINGULAR_RHO!r}; use the univariate reduction"
+            )
+        raise DomainError(f"correlation must lie in [0, {NEAR_SINGULAR_RHO!r}], got {rho!r}")
 
 
 #: correlations whose quadrature nodes are kept; a solve uses one rho throughout
@@ -97,7 +97,7 @@ _NODE_CACHE_SIZE = 8
 
 @lru_cache(maxsize=_NODE_CACHE_SIZE)
 def _arcsine_nodes(r: float):
-    """asin(r) and the (w, sn, 1 - sn^2) nodes of the |r| < 0.925 rule."""
+    """asin(r) and the (w, sn, 1 - sn^2) nodes of the r < 0.925 rule."""
     asr = math.asin(r)
     nodes = []
     for xi, wi in zip(_GL20_X, _GL20_W):
@@ -109,7 +109,7 @@ def _arcsine_nodes(r: float):
 
 @lru_cache(maxsize=_NODE_CACHE_SIZE)
 def _expansion_nodes(r: float):
-    """(1 - r)(1 + r), its root a, and the nodes of the |r| >= 0.925 expansion.
+    """(1 - r)(1 + r), its root a, and the nodes of the r >= 0.925 expansion.
 
     Each node is (a w / 2, xs, rs, 1 - rs, 2 (1 + rs)).
     """
@@ -126,7 +126,7 @@ def _expansion_nodes(r: float):
 
 
 def _expansion_head(h: float, k: float, hk: float, a_sq: float, a: float):
-    """(bs, c, d) of the |r| >= 0.925 expansion and its sum before the nodes."""
+    """(bs, c, d) of the r >= 0.925 expansion and its sum before the nodes."""
     bvn = 0.0
     bs = (h - k) ** 2
     c = (4.0 - hk) / 8.0
@@ -144,26 +144,9 @@ def _expansion_head(h: float, k: float, hk: float, a_sq: float, a: float):
     return bs, c, d, bvn
 
 
-def _expansion_tail(bvn: float, h: float, k: float, r: float) -> float:
-    """The upper tail from the expansion's sum (k already reflected for r < 0)."""
-    bvn = -bvn / (2.0 * math.pi)
-    if r > 0.0:
-        bvn += std_normal_cdf(-max(h, k))
-    else:
-        bvn = -bvn
-        if k > h:
-            # Phi(k) - Phi(h) by the smaller tails for h > 0, where Phi(k)
-            # and Phi(h) both round to 1 and their difference to nothing
-            if h > 0.0:
-                bvn += std_normal_cdf(-h) - std_normal_cdf(-k)
-            else:
-                bvn += std_normal_cdf(k) - std_normal_cdf(h)
-    return bvn
-
-
 def _bvn_upper_pair(h1: float, k1: float, h2: float, k2: float, r: float):
     """(P(X > h1, Y > k1), P(X > h2, Y > k2)) for standard bivariate normal
-    with correlation r, from one pass over the nodes.
+    with correlation 0 <= r <= 1 - 1e-12, from one pass over the nodes.
 
     Double-precision Drezner-Wesolowsky/Genz algorithm, 20-point
     Gauss-Legendre rule throughout; the nodes come from the per-r tables.
@@ -173,7 +156,7 @@ def _bvn_upper_pair(h1: float, k1: float, h2: float, k2: float, r: float):
     exp = math.exp
     hk1 = h1 * k1
     hk2 = h2 * k2
-    if abs(r) < 0.925:
+    if r < 0.925:
         hs1 = 0.5 * (h1 * h1 + k1 * k1)
         hs2 = 0.5 * (h2 * h2 + k2 * k2)
         asr, nodes = _arcsine_nodes(r)
@@ -185,10 +168,8 @@ def _bvn_upper_pair(h1: float, k1: float, h2: float, k2: float, r: float):
             bvn1 * asr / (4.0 * math.pi) + std_normal_cdf(-h1) * std_normal_cdf(-k1),
             bvn2 * asr / (4.0 * math.pi) + std_normal_cdf(-h2) * std_normal_cdf(-k2),
         )
-    # High-correlation branch: expand about |r| = 1 (|r| < 1 is guaranteed
-    # by the near-singular guard upstream).
-    if r < 0.0:
-        k1, hk1, k2, hk2 = -k1, -hk1, -k2, -hk2
+    # High-correlation branch: expand about r = 1 (r < 1 is guaranteed by
+    # the near-singular guard upstream).
     a_sq, a, nodes = _expansion_nodes(r)
     bs1, c1, d1, bvn1 = _expansion_head(h1, k1, hk1, a_sq, a)
     bs2, c2, d2, bvn2 = _expansion_head(h2, k2, hk2, a_sq, a)
@@ -203,7 +184,10 @@ def _bvn_upper_pair(h1: float, k1: float, h2: float, k2: float, r: float):
             sp = 1.0 + c2 * xs * (1.0 + d2 * xs)
             ep = exp(-hk2 * one_minus_rs / two_one_plus_rs) / rs
             bvn2 += awi * exp(asr2) * (ep - sp)
-    return _expansion_tail(bvn1, h1, k1, r), _expansion_tail(bvn2, h2, k2, r)
+    return (
+        std_normal_cdf(-max(h1, k1)) - bvn1 / (2.0 * math.pi),
+        std_normal_cdf(-max(h2, k2)) - bvn2 / (2.0 * math.pi),
+    )
 
 
 def bvn_cdf(x: float, y: float, rho: float) -> float:
@@ -211,7 +195,8 @@ def bvn_cdf(x: float, y: float, rho: float) -> float:
 
     Accepts +/-inf in either coordinate, and reduces it, like any argument
     at or beyond +/-``_FAR_ARGUMENT``, analytically before quadrature.
-    Raises ``NearSingularCorrelationError`` when ``|rho| > 1 - 1e-12``.
+    Raises ``DomainError`` for a NaN or negative rho, and
+    ``NearSingularCorrelationError`` when ``rho > 1 - 1e-12``.
     """
     _check_correlation(rho)
     if math.isnan(x) or math.isnan(y):

@@ -17,13 +17,14 @@ from .economy import LogCutoffs, Primitives, Regime, expected_profit_given_signa
 from .equilibrium import (
     BRACKET_BOUND,
     EquilibriumSolution,
+    _brent_eval,
     _brent_root,
     _locus_fn,
     _root_decreasing,
     _solve_activation_intercept,
     solve_equilibrium,
 )
-from .errors import BracketFailureError, DomainError, GatekeepError, InconsistentEquilibriumError
+from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError
 from .welfare import compute_aggregates, welfare_selection_burden
 from .normal import std_normal_cdf
 from .records import Record
@@ -117,41 +118,39 @@ def decentralize_cutoff(
 def _transfer_cutoff(locus_residual, decreasing: bool, s: float) -> float:
     """The first sign change of the locus residual J on the scan grid, then Brent.
 
-    The grid is t_i = -BRACKET_BOUND + i * _PIGOU_SCAN_STEP, scanned up from
-    i = 0. Where J decreases, bisecting the grid index finds the scan's cell
-    first. Where the grid's ends do not bracket a sign change, or a probe is
-    NaN or raises, the scan starts at i = 0, as it would without the
-    bisection, and meets that cell in order or stops before it.
+    The grid is t_i = -BRACKET_BOUND + i * _PIGOU_SCAN_STEP. Where J
+    decreases, its ends must bracket, J(t_0) > 0 >= J(t_n); bisecting the
+    grid index then finds the scan's cell, and Brent starts from it. Every
+    probe there goes through ``_brent_eval``, so a NaN raises
+    ``DomainError``. Where J can turn upward, the grid is scanned in order
+    from i = 0. On either path a cell brackets where r_lo * r_hi < 0 or its
+    upper residual is 0.0; with no such cell, ``BracketFailureError``.
     """
     grid = lambda i: -BRACKET_BOUND + i * _PIGOU_SCAN_STEP
-    start, r_start = 0, locus_residual(grid(0))
     if decreasing:
-        lo, r_lo, hi = start, r_start, _PIGOU_SCAN_CELLS
-        try:
-            if r_lo > 0.0 and locus_residual(grid(hi)) <= 0.0:
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    r_mid = locus_residual(grid(mid))
-                    if r_mid > 0.0:
-                        lo, r_lo = mid, r_mid
-                    elif r_mid <= 0.0:
-                        hi = mid
-                    else:
-                        break
+        lo, hi = 0, _PIGOU_SCAN_CELLS
+        r_lo = _brent_eval(locus_residual, grid(lo))
+        r_hi = _brent_eval(locus_residual, grid(hi))
+        if r_lo > 0.0 >= r_hi:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                r_mid = _brent_eval(locus_residual, grid(mid))
+                if r_mid > 0.0:
+                    lo, r_lo = mid, r_mid
                 else:
-                    # no probe was NaN: the scan starts at the bisected cell
-                    start, r_start = lo, r_lo
-        except (GatekeepError, ArithmeticError, ValueError):
-            pass
-    t_lo, r_lo = grid(start), r_start
-    for i in range(start + 1, _PIGOU_SCAN_CELLS + 1):
-        t_hi = grid(i)
-        r_hi = locus_residual(t_hi)
-        if r_lo == 0.0:
-            return t_lo
-        if r_lo * r_hi < 0.0:
-            return _brent_root(locus_residual, t_lo, r_lo, t_hi, r_hi, 1e-12)[0]
-        t_lo, r_lo = t_hi, r_hi
+                    hi, r_hi = mid, r_mid
+            if r_lo * r_hi < 0.0 or r_hi == 0.0:
+                return _brent_root(locus_residual, grid(lo), r_lo, grid(hi), r_hi, 1e-12)[0]
+    else:
+        t_lo, r_lo = grid(0), locus_residual(grid(0))
+        for i in range(1, _PIGOU_SCAN_CELLS + 1):
+            t_hi = grid(i)
+            r_hi = locus_residual(t_hi)
+            if r_lo == 0.0:
+                return t_lo
+            if r_lo * r_hi < 0.0:
+                return _brent_root(locus_residual, t_lo, r_lo, t_hi, r_hi, 1e-12)[0]
+            t_lo, r_lo = t_hi, r_hi
     raise BracketFailureError(
         f"free entry admits no cutoff within [-{BRACKET_BOUND}, {BRACKET_BOUND}] "
         f"under transfer s={s!r}"

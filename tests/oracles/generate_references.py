@@ -41,7 +41,7 @@ def main():
     lines.append("")
 
     grid_x = [-3.0, -1.5, -0.5, 0.0, 0.7, 1.2, 2.5]
-    grid_rho = [-0.99, -0.9, -0.6, -0.25, 0.0, 0.25, 0.6, 0.9, 0.99]
+    grid_rho = [0.0, 0.25, 0.6, 0.9, 0.99]
     lines.append("# (x, y, rho) -> Phi_rho(x, y)")
     lines.append("BVN_GRID = {")
     for rho in grid_rho:

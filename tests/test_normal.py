@@ -72,7 +72,7 @@ def test_bvn_independence_product():
 def test_bvn_arcsine_identity():
     # Phi_rho(0, 0) = 1/4 + arcsin(rho) / (2 pi)
     assert bvn_cdf(0.0, 0.0, 0.5) == pytest.approx(1.0 / 3.0, abs=5e-15)
-    for rho in (-0.8, -0.2, 0.3, 0.9):
+    for rho in (0.2, 0.3, 0.8, 0.9):
         expected = 0.25 + math.asin(rho) / (2.0 * math.pi)
         assert bvn_cdf(0.0, 0.0, rho) == pytest.approx(expected, abs=5e-15)
 
@@ -81,7 +81,7 @@ def test_bvn_infinite_arguments():
     assert bvn_cdf(math.inf, 0.7, 0.5) == std_normal_cdf(0.7)
     assert bvn_cdf(-0.2, math.inf, 0.5) == std_normal_cdf(-0.2)
     assert bvn_cdf(-math.inf, 0.7, 0.5) == 0.0
-    assert bvn_cdf(0.7, -math.inf, -0.5) == 0.0
+    assert bvn_cdf(0.7, -math.inf, 0.95) == 0.0
     assert bvn_cdf(math.inf, math.inf, 0.5) == 1.0
 
 
@@ -90,7 +90,7 @@ def test_bvn_infinite_arguments():
     [
         (0.3, 1e60, 0.95, 0.6179114221889526),  # Phi(0.3); the Genz rule gave NaN, clamped to 0
         (1e200, -1e200, 0.95, 0.0),  # (h - k) ** 2 overflowed
-        (-0.5, 1e308, -0.97, 0.3085375387259869),  # Phi(-0.5); also an overflow
+        (-0.5, 1e308, 0.97, 0.3085375387259869),  # Phi(-0.5); also an overflow
         (1e200, 1e200, 0.5, 1.0),  # inf - inf in the arcsine rule gave NaN, clamped to 0
     ],
 )
@@ -108,15 +108,19 @@ def test_bvn_huge_finite_arguments_take_their_limits(x, y, rho, want):
     ],
 )
 def test_bvn_negative_high_correlation_keeps_a_tiny_tail(x, y, rho, want):
-    # a mass far below the spacing of floats near 1 must not cancel away
-    assert bvn_cdf(x, y, rho) == bvn_cdf(y, x, rho)
-    assert abs(bvn_cdf(x, y, rho) - want) <= 1e-12 * want
+    # the kernel serves rho >= 0 only; a caller with a negative correlation
+    # reflects, Phi_rho(x, y) = Phi(x) - Phi_-rho(x, -y), and a mass far below
+    # the spacing of floats near 1 must not cancel away there
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(DomainError, match="correlation must lie in"):
+            bvn_cdf(a, b, rho)
+    assert abs(std_normal_cdf(x) - bvn_cdf(x, -y, -rho) - want) <= 1e-12 * want
 
 
 def test_bvn_far_bound_splits_genz_from_the_reduction():
     far = normal._FAR_ARGUMENT
     near = math.nextafter(far, 0.0)
-    for rho in (0.5, -0.5, 0.97, -0.97):
+    for rho in (0.0, 0.5, 0.925, 0.97):
         # just inside the bound the Genz rule still answers; at it, the limit does
         genz = min(1.0, max(0.0, _reference_bvn_upper(-near, 0.3, rho)))
         assert bvn_cdf(near, -0.3, rho) == genz
@@ -142,7 +146,7 @@ def test_bvn_frozen_point():
 @given(
     x=st.floats(min_value=-6.0, max_value=6.0),
     y=st.floats(min_value=-6.0, max_value=6.0),
-    rho=st.floats(min_value=-0.99, max_value=0.99),
+    rho=st.floats(min_value=0.0, max_value=0.99),
 )
 @settings(max_examples=150)
 def test_bvn_symmetric_and_bounded(x, y, rho):
@@ -153,7 +157,7 @@ def test_bvn_symmetric_and_bounded(x, y, rho):
 
 def test_bvn_monotone_in_each_argument():
     xs = [-2.5, -1.0, 0.0, 0.8, 2.0]
-    for rho in (-0.9, -0.3, 0.4, 0.95):
+    for rho in (0.3, 0.4, 0.9, 0.95):
         for y in (-1.2, 0.5):
             vals = [bvn_cdf(x, y, rho) for x in xs]
             assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
@@ -164,7 +168,7 @@ def test_bvn_monotone_in_each_argument():
 def test_bvn_near_singular_rejected():
     with pytest.raises(NearSingularCorrelationError):
         bvn_cdf(0.0, 0.0, 1.0 - 1e-13)
-    with pytest.raises(NearSingularCorrelationError):
+    with pytest.raises(DomainError, match="correlation must lie in"):
         bvn_cdf(0.0, 0.0, -(1.0 - 1e-13))
 
 
@@ -184,7 +188,7 @@ def _reference_bvn_upper(h, k, r):
     # recomputed on every call
     hk = h * k
     bvn = 0.0
-    if abs(r) < 0.925:
+    if r < 0.925:
         hs = 0.5 * (h * h + k * k)
         asr = math.asin(r)
         for xi, wi in zip(_GL20_X, _GL20_W):
@@ -193,9 +197,6 @@ def _reference_bvn_upper(h, k, r):
                 bvn += wi * math.exp((sn * hk - hs) / (1.0 - sn * sn))
         bvn = bvn * asr / (4.0 * math.pi) + _reference_cdf(-h) * _reference_cdf(-k)
         return bvn
-    if r < 0.0:
-        k = -k
-        hk = -hk
     a_sq = (1.0 - r) * (1.0 + r)
     a = math.sqrt(a_sq)
     bs = (h - k) ** 2
@@ -222,25 +223,17 @@ def _reference_bvn_upper(h, k, r):
                 ep = math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
                 bvn += a * wi * math.exp(asr1) * (ep - sp)
     bvn = -bvn / (2.0 * math.pi)
-    if r > 0.0:
-        bvn += _reference_cdf(-max(h, k))
-    else:
-        bvn = -bvn
-        if k > h:
-            if h > 0.0:
-                bvn += _reference_cdf(-h) - _reference_cdf(-k)
-            else:
-                bvn += _reference_cdf(k) - _reference_cdf(h)
+    bvn += _reference_cdf(-max(h, k))
     return bvn
 
 
 def _reference_bvn_cdf(x, y, rho):
     # bvn_cdf's guards and its reductions of infinite and far (>= 1e6)
     # arguments, in front of the table-free rule
-    if math.isnan(rho):
-        raise DomainError("correlation must not be NaN")
-    if abs(rho) > 1.0 - 1e-12:
+    if rho > 1.0 - 1e-12:
         raise NearSingularCorrelationError("near-singular correlation")
+    if not rho >= 0.0:
+        raise DomainError("correlation must lie in [0, 1 - 1e-12]")
     if math.isnan(x) or math.isnan(y):
         raise DomainError("bvn_cdf arguments must not be NaN")
     far = 1e6
@@ -259,19 +252,16 @@ def _assert_bit_exact(x, y, rho):
     assert math.copysign(1.0, got) == math.copysign(1.0, want), (x, y, rho)
 
 
-_BRANCH_EDGE = (
-    math.nextafter(0.925, 0.0), 0.925, math.nextafter(0.925, 1.0),
-    -math.nextafter(0.925, 0.0), -0.925, -math.nextafter(0.925, 1.0),
-)
+_BRANCH_EDGE = (math.nextafter(0.925, 0.0), 0.925, math.nextafter(0.925, 1.0))
 
 
 def test_bvn_node_tables_bit_exact_in_both_branches():
     rng = random.Random(20261018)
     rhos = (
-        [rng.uniform(-0.999, 0.999) for _ in range(60)]
-        + [s * rng.uniform(0.925, 1.0 - 1e-12) for s in (1.0, -1.0) for _ in range(20)]
+        [rng.uniform(0.0, 0.999) for _ in range(60)]
+        + [rng.uniform(0.925, 1.0 - 1e-12) for _ in range(40)]
         + list(_BRANCH_EDGE)
-        + [0.0, -0.0, 0.5, -0.5, 0.99, -0.99, 1.0 - 1e-12, -(1.0 - 1e-12)]
+        + [0.0, -0.0, 0.5, 0.99, 1.0 - 1e-12]
     )
     for rho in rhos:
         for _ in range(25):
@@ -281,7 +271,7 @@ def test_bvn_node_tables_bit_exact_in_both_branches():
 
 
 def test_bvn_node_tables_bit_exact_at_infinite_arguments():
-    for rho in (0.0, -0.0, 0.5, -0.97, *_BRANCH_EDGE):
+    for rho in (0.0, -0.0, 0.5, 0.97, *_BRANCH_EDGE):
         for inf in (math.inf, -math.inf):
             for other in (inf, -inf, -1.3, 0.0, 2.4):
                 _assert_bit_exact(inf, other, rho)
@@ -292,8 +282,8 @@ def test_bvn_node_tables_bit_exact_under_eviction():
     # more distinct correlations than the tables hold, visited round-robin,
     # so every call in the second and third rounds rebuilds evicted nodes
     rng = random.Random(7)
-    rhos = [rng.uniform(-0.999, 0.999) for _ in range(3 * normal._NODE_CACHE_SIZE)]
-    rhos += [s * rng.uniform(0.93, 0.999) for s in (1.0, -1.0) for _ in range(normal._NODE_CACHE_SIZE)]
+    rhos = [rng.uniform(0.0, 0.999) for _ in range(3 * normal._NODE_CACHE_SIZE)]
+    rhos += [rng.uniform(0.93, 0.999) for _ in range(2 * normal._NODE_CACHE_SIZE)]
     points = [(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(3)]
     for _ in range(3):
         for rho in rhos:
@@ -303,7 +293,7 @@ def test_bvn_node_tables_bit_exact_under_eviction():
 
 def test_bvn_node_tables_stay_bounded():
     for i in range(1000):
-        rho = -0.999 + 1.998 * i / 999
+        rho = 0.999 * i / 999
         bvn_cdf(0.3, -0.2, rho)
     for table in (normal._arcsine_nodes, normal._expansion_nodes):
         assert 0 < table.cache_info().currsize <= normal._NODE_CACHE_SIZE
@@ -344,10 +334,10 @@ def _assert_pair_exact(k, p, t, rho):
 def test_joint_tail_masses_bit_exact_in_both_branches():
     rng = random.Random(20261019)
     rhos = (
-        [rng.uniform(-0.999, 0.999) for _ in range(60)]
-        + [s * rng.uniform(0.925, 1.0 - 1e-12) for s in (1.0, -1.0) for _ in range(20)]
+        [rng.uniform(0.0, 0.999) for _ in range(60)]
+        + [rng.uniform(0.925, 1.0 - 1e-12) for _ in range(40)]
         + list(_BRANCH_EDGE)
-        + [0.0, -0.0, 0.5, -0.5, 0.99, -0.99, 1.0 - 1e-12, -(1.0 - 1e-12)]
+        + [0.0, -0.0, 0.5, 0.99, 1.0 - 1e-12]
     )
     for rho in rhos:
         for _ in range(25):
@@ -358,19 +348,19 @@ def test_joint_tail_masses_bit_exact_in_both_branches():
 
 
 def test_joint_tail_masses_bit_exact_where_the_expansion_nodes_show():
-    # at |r| >= 0.925 the node sum is a small correction to closed-form
-    # terms, so its last bits reach the result mostly at rho near -0.93 with
-    # cutoffs of opposite sign far out in the tails
+    # at r >= 0.925 the node sum is a small correction to closed-form
+    # terms, so its last bits reach the result mostly at rho near 0.93 with
+    # cutoffs of the same sign far out in the tails
     rng = random.Random(20261020)
     for _ in range(600):
         side = rng.choice((1.0, -1.0))
-        p, t = side * rng.uniform(7.0, 10.0), -side * rng.uniform(7.0, 10.0)
-        _assert_pair_exact(rng.uniform(0.0, 1.0), p, t, -rng.uniform(0.925, 0.94))
+        p, t = side * rng.uniform(7.0, 10.0), side * rng.uniform(7.0, 10.0)
+        _assert_pair_exact(rng.uniform(0.0, 1.0), p, t, rng.uniform(0.925, 0.94))
 
 
 def test_joint_tail_masses_bit_exact_at_infinite_and_huge_arguments():
     inf = math.inf
-    for rho in (0.0, -0.0, 0.5, -0.97, *_BRANCH_EDGE):
+    for rho in (0.0, -0.0, 0.5, 0.97, *_BRANCH_EDGE):
         for k in (0.0, 1.0, inf, -inf):
             for p, t in ((inf, 0.3), (-inf, 0.3), (0.3, inf), (-0.3, -inf), (inf, -inf), (-inf, -inf)):
                 _assert_pair_exact(k, p, t, rho)
@@ -385,7 +375,7 @@ def test_joint_tail_masses_equal_the_single_calls_beyond_the_far_bound():
         (1.0, -0.3, -1e60), (0.0, -1e200, 1e200), (1.0, 0.5, -1e308), (1.0, 1e308, 0.2),
         (2.0, -far, 0.1), (2.0, 0.1, far), (1.0, -(far - 1.0), 0.2), (1e7, 0.5, 0.2),
     )
-    for rho in (0.0, 0.5, 0.95, -0.97, *_BRANCH_EDGE):
+    for rho in (0.0, 0.5, 0.95, 0.97, *_BRANCH_EDGE):
         for k, p, t in points:
             # values, not error classes: every one of these has a limit
             want = _frozen_pair(k, p, t, rho)
@@ -398,7 +388,8 @@ def test_joint_tail_masses_raise_the_single_calls_errors():
     nan = math.nan
     for k, p, t, rho in ((nan, 0.1, 0.2, 0.5), (1.0, nan, 0.2, 0.5), (1.0, 0.1, nan, 0.5),
                          (1.0, 0.1, 0.2, nan), (1.0, 0.1, 0.2, 1.0), (1.0, 0.1, 0.2, -1.0),
-                         (1.0, 0.1, 0.2, 1.0 - 1e-13), (1.0, 0.1, 0.2, 2.0), (1.0, 0.1, 0.2, -math.inf)):
+                         (1.0, 0.1, 0.2, 1.0 - 1e-13), (1.0, 0.1, 0.2, 2.0), (1.0, 0.1, 0.2, -math.inf),
+                         (1.0, 0.1, 0.2, -0.5), (1.0, 0.1, 0.2, -5e-324)):
         want = _pair_outcome(lambda: _frozen_pair(k, p, t, rho))
         assert want in (DomainError, NearSingularCorrelationError)
         with pytest.raises(want):
@@ -407,7 +398,7 @@ def test_joint_tail_masses_raise_the_single_calls_errors():
 
 def test_joint_tail_masses_signed_zero_keys_share_values():
     # the values, signs included, must not depend on the sign of a zero argument
-    for rho in (0.3, -0.6, 0.95, -0.99, 0.0):
+    for rho in (0.3, 0.6, 0.95, 0.99, 0.0):
         for k in (1.0, 0.0):
             first = joint_tail_masses(k, 0.0, 0.0, rho)
             for p, t, r in ((-0.0, 0.0, rho), (0.0, -0.0, rho), (-0.0, -0.0, -rho if rho == 0.0 else rho)):
@@ -476,3 +467,5 @@ def test_tilted2_near_singular_rejected():
     for kernel in (joint_tail_masses, log_tilted_upper_tail2):
         with pytest.raises(NearSingularCorrelationError):
             kernel(1.0, 0.0, 0.0, 1.0 - 1e-13)
+        with pytest.raises(DomainError, match="correlation must lie in"):
+            kernel(1.0, 0.0, 0.0, -(1.0 - 1e-13))

@@ -285,15 +285,21 @@ def test_pigouvian_bisection_matches_the_ordered_scan(schedule, rho):
         assert isinstance(expected, float), (s, expected)
 
 
-def test_pigouvian_bisection_reports_the_scans_bracket_failure():
+def test_pigouvian_bisection_reports_the_scans_bracket_failure(monkeypatch):
     # f_n = 1e30: the locus residual is negative on the whole grid, so the
-    # bisection cannot bracket and the scan raises its own error.
+    # ends do not bracket; for s < 0 the search raises the scan's own error
+    # after its two end probes.
     prim = Primitives(sigma=2.0, f=0.15, f_n=1e30, delta=0.1)
     regime = Regime(0.5, SCHED)
+    fe, calls = equilibrium.fe_residual, []
+    monkeypatch.setattr(equilibrium, "fe_residual", lambda *args: calls.append(args) or fe(*args))
     for s in (-0.5 * regime.f_b, 0.25 * regime.f_b):
         expected = _outcome(_ordered_scan_welfare, prim, regime, s)
         assert expected[0] is BracketFailureError
+        calls.clear()
         assert _outcome(pigouvian_welfare, prim, regime, s) == expected
+        if s < 0.0:
+            assert len(calls) == 2
 
 
 @pytest.mark.parametrize("s_frac", [-0.5, -0.05, 0.05, 0.3])
@@ -317,13 +323,12 @@ def test_pigouvian_bisects_for_negative_transfers_and_scans_otherwise(rho, s_fra
 
 @pytest.mark.parametrize("failure", ["raise", "nan"])
 @pytest.mark.parametrize("window", [(20.0, 50.0), (50.0, 51.0)])
-def test_pigouvian_bisection_falls_back_to_the_scan_where_a_probe_fails(window, failure, monkeypatch):
-    # The cutoff lies below t = 10, so the scan never evaluates the window;
-    # a bisection probe in it (t = 25 mid-way, or the far end t = 50) raises
-    # or is NaN, and the scan from the bottom of the grid decides.
+def test_pigouvian_bisection_raises_where_a_probe_fails(window, failure, monkeypatch):
+    # The cutoff lies below t = 10, so the ordered scan never evaluates the
+    # window and still gives a value; a bisection probe in it (t = 25
+    # mid-way, or the far end t = 50) raises or is NaN, and so does the search.
     regime = Regime(0.5, SCHED)
     s = -0.5 * regime.f_b
-    expected = _ordered_scan_welfare(PRIM, regime, s)
     fe = equilibrium.fe_residual
 
     def failing(p_star, t_star, prim, regime):
@@ -334,7 +339,13 @@ def test_pigouvian_bisection_falls_back_to_the_scan_where_a_probe_fails(window, 
         return fe(p_star, t_star, prim, regime)
 
     monkeypatch.setattr(equilibrium, "fe_residual", failing)
-    assert pigouvian_welfare(PRIM, regime, s) == expected
+    assert isinstance(_ordered_scan_welfare(PRIM, regime, s), float)
+    if failure == "raise":
+        with pytest.raises(TiltOverflowError, match="probe outside the scan's reach"):
+            pigouvian_welfare(PRIM, regime, s)
+    else:
+        with pytest.raises(DomainError, match="root finder: residual is NaN"):
+            pigouvian_welfare(PRIM, regime, s)
 
 
 # The paper's policy claims across economies, not only at the benchmark one,
