@@ -94,25 +94,6 @@ def _run_solve(config: RunConfig) -> _Table:
     return _Table(SweepRecord.COLUMNS, [rec.row()], summary)
 
 
-def _sweep_svg(ok) -> str:
-    from .svgchart import line_chart_svg
-
-    rhos = [r.rho for r in ok]
-    series = []
-    for name, values in (
-        ("welfare", [r.agg.welfare for r in ok]),
-        ("operating mass", [r.agg.m for r in ok]),
-        ("avg productivity", [r.agg.phi_tilde for r in ok]),
-    ):
-        # positive: an ok point has welfare > 0, so m > 0 and phi_tilde > 0
-        top = max(values)
-        series.append((name, rhos, [v / top for v in values]))
-    return line_chart_svg(
-        series, x_label="verification precision", y_label="series / own max",
-        title="welfare, variety, and selection vs precision",
-    )
-
-
 def _run_sweep(config: RunConfig) -> _Table:
     grid = _require(config, "grid", "sweep")
     records = sweep_records(config.primitives, config.schedule, grid.points())
@@ -122,7 +103,9 @@ def _run_sweep(config: RunConfig) -> _Table:
         best = max(ok, key=lambda r: r.agg.welfare)
         summary = f"{len(ok)}/{len(records)} points solved; welfare argmax at rho={best.rho!r}"
         if config.svg is not None:
-            svg = _sweep_svg(ok)
+            from .svgchart import line_chart_svg
+
+            svg = line_chart_svg(ok)
     failures = tuple(f"rho={r.rho!r}: {r.status}" for r in records if not r.ok)
     return _Table(SweepRecord.COLUMNS, [r.row() for r in records], summary, failures, svg)
 

@@ -1,11 +1,15 @@
-"""Minimal static SVG line charts (axes, polylines, legend). No interactivity."""
+"""The sweep's static SVG line chart (axes, polylines, legend). No interactivity."""
 
 from __future__ import annotations
 
 _WIDTH, _HEIGHT = 720, 480
 _ML, _MR, _MT, _MB = 70, 30, 40, 55
-_PALETTE = ("#000000", "#1f77b4", "#d62728", "#2ca02c", "#9467bd")
-_DASHES = ("none", "8,4", "2,3", "6,2,2,2", "none")
+#: legend name, field of the aggregates, stroke color and dash attribute of each series
+_SERIES = (
+    ("welfare", "welfare", "#000000", ""),
+    ("operating mass", "m", "#1f77b4", ' stroke-dasharray="8,4"'),
+    ("avg productivity", "phi_tilde", "#d62728", ' stroke-dasharray="2,3"'),
+)
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -16,15 +20,21 @@ def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
-def line_chart_svg(series, x_label: str, y_label: str, title: str) -> str:
-    """Render (name, xs, ys) series of finite floats as a static SVG string.
+def line_chart_svg(records) -> str:
+    """Welfare, operating mass and average productivity of solved sweep
+    records, each over its own max, against precision, as a static SVG string.
 
-    Every label is drawn. A series of fewer than two points draws no
-    polyline, only its legend entry.
+    A chart of one record draws no polylines, only the legend.
     """
-    all_x = [x for _, xs, _ in series for x in xs]
-    all_y = [y for _, _, ys in series for y in ys]
-    x_lo, x_hi = min(all_x), max(all_x)
+    xs = [r.rho for r in records]
+    series = []
+    for name, field, color, dash_attr in _SERIES:
+        values = [getattr(r.agg, field) for r in records]
+        # positive: an ok point has welfare > 0, so m > 0 and phi_tilde > 0
+        top = max(values)
+        series.append((name, [v / top for v in values], color, dash_attr))
+    all_y = [y for _, ys, _, _ in series for y in ys]
+    x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -52,7 +62,8 @@ def line_chart_svg(series, x_label: str, y_label: str, title: str) -> str:
     ]
     parts.append(
         f'<text x="{_WIDTH / 2:.1f}" y="{_MT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>'
+        'font-family="sans-serif" font-size="15">welfare, variety, and selection vs precision'
+        "</text>"
     )
     for xt in _ticks(x_lo, x_hi):
         px = sx(xt)
@@ -75,18 +86,15 @@ def line_chart_svg(series, x_label: str, y_label: str, title: str) -> str:
         )
     parts.append(
         f'<text x="{_ML + plot_w / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+        'font-family="sans-serif" font-size="13">verification precision</text>'
     )
     parts.append(
         f'<text x="18" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">series / own max</text>'
     )
-    for idx, (name, xs, ys) in enumerate(series):
-        color = _PALETTE[idx % len(_PALETTE)]
-        dash = _DASHES[idx % len(_DASHES)]
+    for idx, (name, ys, color, dash_attr) in enumerate(series):
         points = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)]
-        dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
         if len(points) >= 2:
             parts.append(
                 f'<polyline points="{" ".join(points)}" fill="none" '

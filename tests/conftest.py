@@ -1,7 +1,9 @@
 import pytest
 
 from gatekeep import normal
-from gatekeep import PowerBoundedCost, Primitives, Regime, compute_aggregates, solve_equilibrium
+from gatekeep.economy import PowerBoundedCost, Primitives, Regime
+from gatekeep.equilibrium import solve_equilibrium
+from gatekeep.welfare import compute_aggregates
 
 
 @pytest.fixture(scope="session")

@@ -8,15 +8,15 @@ import math
 
 from hypothesis import strategies as st
 
-from gatekeep import (
+from gatekeep.economy import (
     ConstantCost,
     HyperbolicCost,
     PiecewiseLinearCost,
     PowerBoundedCost,
     Primitives,
     Regime,
-    solve_equilibrium,
 )
+from gatekeep.equilibrium import solve_equilibrium
 from gatekeep.errors import GatekeepError
 
 

@@ -11,14 +11,8 @@ Run from the repository root:  python tests/oracles/generate_goldens.py
 
 import mpmath as mp
 
-from gatekeep import (
-    PowerBoundedCost,
-    Primitives,
-    Regime,
-    melitz_limit_perfect,
-    melitz_limit_zero,
-    solve_equilibrium,
-)
+from gatekeep.economy import PowerBoundedCost, Primitives, Regime
+from gatekeep.equilibrium import melitz_limit_perfect, melitz_limit_zero, solve_equilibrium
 
 mp.mp.dps = 40
 

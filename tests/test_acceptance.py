@@ -12,31 +12,14 @@ import time
 
 import pytest
 
-from gatekeep import (
+from gatekeep.economy import (
     ConstantCost,
     HyperbolicCost,
     PiecewiseLinearCost,
     PowerBoundedCost,
     Primitives,
     Regime,
-    bounded_decline_certificate,
-    compute_aggregates,
-    estimate_aggregates,
-    estimate_profit_given_signal,
     expected_profit_given_signal,
-    find_optimal_precision,
-    intermediation_schedule,
-    log_welfare_derivative,
-    melitz_limit_perfect,
-    melitz_limit_zero,
-    pigouvian_welfare,
-    planner_cutoff,
-    quadrature_reference,
-    sample_log_population,
-    solve_equilibrium,
-    sweep_records,
-    welfare_selection_burden,
-    z_score,
 )
 from gatekeep.equilibrium import (
     FE_RESIDUAL_TOL,
@@ -44,6 +27,25 @@ from gatekeep.equilibrium import (
     _brent_root,
     _locus_fn,
     fe_stationarity,
+    melitz_limit_perfect,
+    melitz_limit_zero,
+    solve_equilibrium,
+)
+from gatekeep.oracle import (
+    estimate_aggregates,
+    estimate_profit_given_signal,
+    quadrature_reference,
+    sample_log_population,
+    z_score,
+)
+from gatekeep.policy import intermediation_schedule, pigouvian_welfare, planner_cutoff
+from gatekeep.welfare import (
+    bounded_decline_certificate,
+    compute_aggregates,
+    find_optimal_precision,
+    log_welfare_derivative,
+    sweep_records,
+    welfare_selection_burden,
 )
 
 FIG3 = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1, L=1.0)

@@ -598,26 +598,32 @@ def loaded():
              "gatekeep.policy")
     return [m for m in names if m in sys.modules]
 
+def ours():
+    return sorted(m for m in sys.modules if m.startswith("gatekeep."))
+
 cfg, val_cfg, out, svg = sys.argv[1:]
 import gatekeep
-seen = {"package": loaded()}
+seen = {"package": loaded(), "package_modules": ours()}
 from gatekeep import cli
 
 seen["import"] = numeric()
 seen["import_loaded"] = loaded()
+seen["cli_modules"] = ours()
 seen["sweep_code"] = cli.main(["sweep", "--config", cfg, "--out", out, "--svg", svg, "--quiet"])
 seen["sweep"] = numeric()
 seen["sweep_loaded"] = loaded()
-seen["oracle_before_validate"] = "gatekeep.oracle" in sys.modules
+seen["sweep_modules"] = ours()
 seen["validate_code"] = cli.main(["validate", "--config", val_cfg, "--out", out, "--quiet"])
-seen["oracle_after_validate"] = "gatekeep.oracle" in sys.modules
 seen["validate"] = sorted({m.split(".")[0] for m in numeric()})
-seen["policy_before_lookup"] = "gatekeep.policy" in sys.modules
-from gatekeep import McEstimate, estimate_aggregates, pigouvian_welfare, PolicyBundle
-seen["lazy"] = [f.__module__ for f in (McEstimate, estimate_aggregates, pigouvian_welfare,
-                                       PolicyBundle)]
+seen["validate_modules"] = ours()
+seen["pigouvian_code"] = cli.main(["pigouvian", "--config", cfg, "--out", out, "--quiet"])
+seen["pigouvian_modules"] = ours()
 print(json.dumps(seen))
 """
+
+#: what ``from gatekeep import cli`` loads: the solver and the config reader
+CLI_MODULES = ["gatekeep.cli", "gatekeep.config", "gatekeep.economy", "gatekeep.equilibrium",
+               "gatekeep.errors", "gatekeep.normal", "gatekeep.records", "gatekeep.welfare"]
 
 
 def test_solve_paths_load_no_numpy_or_scipy(cfg_path, tmp_path):
@@ -627,20 +633,23 @@ def test_solve_paths_load_no_numpy_or_scipy(cfg_path, tmp_path):
                     str(tmp_path / "out.svg")])
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
+    # the package holds only its version
     assert seen["package"] == []
+    assert seen["package_modules"] == []
     assert seen["import"] == []
     assert seen["import_loaded"] == []
+    assert seen["cli_modules"] == CLI_MODULES
     assert seen["sweep_code"] == 0
     assert seen["sweep"] == []
-    # the chart module loads with the first chart, and no mode loads policy but pigouvian
+    # the chart module loads with the first chart, the oracle with validate, and no mode
+    # loads policy but pigouvian
     assert seen["sweep_loaded"] == ["gatekeep.svgchart"]
-    assert not seen["oracle_before_validate"]
+    assert seen["sweep_modules"] == sorted(CLI_MODULES + ["gatekeep.svgchart"])
     assert seen["validate_code"] == 0
-    assert seen["oracle_after_validate"]
     assert seen["validate"] == ["numpy"]
-    assert not seen["policy_before_lookup"]
-    assert seen["lazy"] == ["gatekeep.oracle", "gatekeep.oracle", "gatekeep.policy",
-                            "gatekeep.policy"]
+    assert seen["validate_modules"] == sorted(seen["sweep_modules"] + ["gatekeep.oracle"])
+    assert seen["pigouvian_code"] == 0
+    assert seen["pigouvian_modules"] == sorted(seen["validate_modules"] + ["gatekeep.policy"])
 
 
 def test_unknown_package_attribute_raises():

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from gatekeep import GridSpec, PowerBoundedCost, Primitives, RunConfig, parse_config
 from gatekeep import config
-from gatekeep.config import config_hash, format_config
+from gatekeep.config import GridSpec, RunConfig, config_hash, format_config, parse_config
+from gatekeep.economy import PowerBoundedCost, Primitives
 from gatekeep.errors import ParseError, ValidationError
 from gatekeep.records import replace
 
@@ -81,6 +81,10 @@ def test_unknown_key_rejected_with_position():
 def test_unknown_section_rejected():
     with pytest.raises(ParseError, match="unknown section"):
         parse_config(FIG3_TEXT + "\n[extra]\nx = 1\n")
+    with pytest.raises(ParseError, match="^line 14, column 3: unterminated section header$"):
+        parse_config(FIG3_TEXT.replace("[run]", "  [run"))
+    with pytest.raises(ParseError, match=r"^line 18, column 1: duplicate section \[schedule\]$"):
+        parse_config(FIG3_TEXT + "[schedule]\n")
 
 
 def test_duplicate_key_rejected():
@@ -91,6 +95,10 @@ def test_duplicate_key_rejected():
 def test_key_outside_section_rejected():
     with pytest.raises(ParseError, match="outside any section"):
         parse_config("sigma = 2.0\n")
+    with pytest.raises(ParseError, match="^line 4, column 1: expected 'key = value'$"):
+        parse_config(FIG3_TEXT.replace("f = 0.15", "f 0.15"))
+    with pytest.raises(ParseError, match="^line 4, column 3: empty key$"):
+        parse_config(FIG3_TEXT.replace("f = 0.15", "  = 0.15"))
 
 
 def test_missing_required_key():
@@ -139,6 +147,10 @@ def test_schedule_missing_parameter():
     text = FIG3_TEXT.replace("kappa = 2.0\n", "")
     with pytest.raises(ValidationError, match="schedule.kappa is required"):
         parse_config(text)
+    with pytest.raises(ValidationError, match=r"^schedule\.kind is required$"):
+        parse_config(FIG3_TEXT.replace("kind = power_bounded\n", ""))
+    with pytest.raises(ValidationError, match=r"^schedule\.kind must be one of .*, got 'cubic'$"):
+        parse_config(FIG3_TEXT.replace("kind = power_bounded", "kind = cubic"))
 
 
 def test_grid_points_include_endpoints():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatekeep import (
+from gatekeep.economy import (
+    RHO_MAX,
+    RHO_MIN,
     ConstantCost,
     HyperbolicCost,
     PiecewiseLinearCost,
@@ -14,7 +16,6 @@ from gatekeep import (
     expected_joint_profit,
     expected_profit_given_signal,
 )
-from gatekeep.economy import RHO_MAX, RHO_MIN
 from gatekeep.errors import DomainError, NearSingularCorrelationError, TiltOverflowError
 from gatekeep.normal import SQRT_2PI, log_std_normal_cdf, std_normal_cdf
 from golden_values import PI_TILDE_QUAD
@@ -29,6 +30,10 @@ def test_primitives_validation():
         Primitives(sigma=2.0, f=-1.0, f_n=0.005, delta=0.1)
     with pytest.raises(DomainError):
         Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=1.5)
+    with pytest.raises(DomainError, match=r"^f_n must be positive, got 0\.0$"):
+        Primitives(sigma=2.0, f=0.15, f_n=0.0, delta=0.1)
+    with pytest.raises(DomainError, match=r"^L must be positive, got -1\.0$"):
+        Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1, L=-1.0)
     assert PRIM.L == 1.0
     assert PRIM.k == 1.0
 
@@ -84,6 +89,12 @@ def test_schedule_parameter_validation():
         PiecewiseLinearCost(0.9, 0.3, 1.0, 5.0)
     with pytest.raises(DomainError):
         PiecewiseLinearCost(0.3, 0.9, 5.0, 1.0)
+    with pytest.raises(DomainError, match=r"^kappa must be nonnegative, got -0\.5$"):
+        PowerBoundedCost(3.0, -0.5, 8.0)
+    with pytest.raises(DomainError, match=r"^alpha must be positive, got 0\.0$"):
+        PowerBoundedCost(3.0, 2.0, 0.0)
+    with pytest.raises(DomainError, match=r"^f_b0 must be positive, got 0\.0$"):
+        HyperbolicCost(0.0)
 
 
 def test_regime_clamps_rho():

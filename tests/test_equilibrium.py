@@ -3,20 +3,15 @@ import random
 
 import pytest
 
-from gatekeep import (
+from gatekeep import equilibrium
+from gatekeep.economy import (
     ConstantCost,
     PowerBoundedCost,
     Primitives,
     Regime,
-    compute_aggregates,
     expected_joint_profit,
     expected_profit_given_signal,
-    fe_residual,
-    melitz_limit_perfect,
-    melitz_limit_zero,
-    solve_equilibrium,
 )
-from gatekeep import equilibrium
 from gatekeep.equilibrium import (
     BRACKET_BOUND,
     FE_RESIDUAL_TOL,
@@ -27,10 +22,21 @@ from gatekeep.equilibrium import (
     _solve_activation_intercept,
     _survivor_entry_residual,
     activation_residual,
+    fe_residual,
     fe_stationarity,
+    melitz_limit_perfect,
+    melitz_limit_zero,
+    solve_equilibrium,
 )
-from gatekeep.errors import BracketFailureError, DomainError, IterationCapError, TiltOverflowError
+from gatekeep.errors import (
+    BracketFailureError,
+    DomainError,
+    InconsistentEquilibriumError,
+    IterationCapError,
+    TiltOverflowError,
+)
 from gatekeep.normal import exp_tilt, log_std_normal_cdf, std_normal_cdf
+from gatekeep.welfare import compute_aggregates
 from golden_values import AC_INTERCEPT, MELITZ_PERFECT_P_STAR, MELITZ_ZERO_P_STAR, P_STAR, T_STAR
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
@@ -101,6 +107,13 @@ def test_solve_equilibrium_golden_and_invariants(solved):
     c = eq.cutoffs
     assert c.p_star == pytest.approx(0.89 * c.t_star + c.a, abs=1e-12)
     assert all(i >= 1 for i in eq.iterations)
+
+
+def test_solve_refuses_a_root_off_the_free_entry_peak(monkeypatch):
+    # dH/dt at a converged root is float noise, never exactly 0.0
+    monkeypatch.setattr(equilibrium, "STATIONARITY_TOL", 0.0)
+    with pytest.raises(InconsistentEquilibriumError, match="^equilibrium is off the free-entry"):
+        solve_equilibrium(PRIM, Regime(0.5, SCHED))
 
 
 def test_solver_determinism():

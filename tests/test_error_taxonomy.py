@@ -5,19 +5,20 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatekeep import (
+from gatekeep.economy import (
+    RHO_MAX,
+    RHO_MIN,
     ConstantCost,
     HyperbolicCost,
     PiecewiseLinearCost,
     PowerBoundedCost,
     Primitives,
     Regime,
-    bvn_cdf,
-    compute_aggregates,
-    solve_equilibrium,
 )
-from gatekeep.economy import RHO_MAX, RHO_MIN
+from gatekeep.equilibrium import solve_equilibrium
 from gatekeep.errors import GatekeepError
+from gatekeep.normal import bvn_cdf
+from gatekeep.welfare import compute_aggregates
 
 # The parameter box of the solve_sweep benchmark workload (perfbench/workloads.py):
 # the neighbourhood of the paper's calibration, for each schedule kind.

@@ -6,24 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 
-from gatekeep import (
-    LogCutoffs,
-    PowerBoundedCost,
-    Primitives,
-    bvn_cdf,
-    compute_aggregates,
+from gatekeep import oracle
+from gatekeep.economy import LogCutoffs, PowerBoundedCost, Primitives, expected_profit_given_signal
+from gatekeep.errors import DomainError, GatekeepError, ToleranceNotMetError
+from gatekeep.normal import bvn_cdf, log_tilted_upper_tail2
+from gatekeep.oracle import (
+    _BLOCK,
+    _ndtr,
+    _qagse,
     estimate_aggregates,
     estimate_profit_given_signal,
-    expected_profit_given_signal,
     quadrature_reference,
     sample_log_population,
     simulate_operating_mass,
     z_score,
 )
-from gatekeep import oracle
-from gatekeep.errors import DomainError, GatekeepError
-from gatekeep.normal import log_tilted_upper_tail2
-from gatekeep.oracle import _BLOCK, _ndtr, _qagse
+from gatekeep.welfare import compute_aggregates
 
 from economies import economies, solved_or_none
 
@@ -320,6 +318,12 @@ def test_quadrature_unknown_quantity():
         quadrature_reference("nope", {})
 
 
+def test_quadrature_refuses_an_error_estimate_over_tolerance():
+    # 1.6e7 periods on [0, 1]: 200 subdivisions leave an error estimate of about 0.59
+    with pytest.raises(ToleranceNotMetError, match=r"^probe: quadrature error estimate 0\.5\d* "):
+        oracle._quad(lambda x: math.sin(1e8 * x), 0.0, 1.0, "probe")
+
+
 @pytest.mark.parametrize("quantity, params", [
     ("pi_tilde", {"prim": PRIM, "rho": 0.5, "p_star": -math.inf, "t": 1.0}),
     ("pi_tilde", {"prim": PRIM, "rho": 0.5, "p_star": 0.3, "t": math.inf}),
@@ -523,7 +527,9 @@ def test_qagse_invalid_tolerance():
 @pytest.mark.parametrize("rho", [0.89, 0.95])
 def test_qagse_matches_scipy_on_the_oracles_integrands(rho, monkeypatch):
     # every quadrature validate makes at benchmark.cfg, inner ones included
-    from gatekeep import Regime, compute_aggregates, solve_equilibrium
+    from gatekeep.economy import Regime
+    from gatekeep.equilibrium import solve_equilibrium
+    from gatekeep.welfare import compute_aggregates
 
     regime = Regime(rho, PowerBoundedCost(3.0, 2.0, 8.0))
     eq = solve_equilibrium(PRIM, regime)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatekeep import (
+from gatekeep import equilibrium
+from gatekeep.economy import (
     ConstantCost,
     HyperbolicCost,
     LogCutoffs,
@@ -12,24 +13,36 @@ from gatekeep import (
     PowerBoundedCost,
     Primitives,
     Regime,
-    compute_aggregates,
-    decentralize_cutoff,
     expected_profit_given_signal,
-    intermediation_schedule,
+)
+from gatekeep.equilibrium import (
+    BRACKET_BOUND,
+    _brent_root,
+    _locus_fn,
+    _solve_activation_intercept,
     melitz_limit_perfect,
     melitz_limit_zero,
+    solve_equilibrium,
+)
+from gatekeep.errors import (
+    BracketFailureError,
+    DomainError,
+    GatekeepError,
+    InconsistentEquilibriumError,
+    TiltOverflowError,
+)
+from gatekeep.normal import std_normal_cdf
+from gatekeep.oracle import quadrature_reference
+from gatekeep.policy import (
+    _PIGOU_SCAN_STEP,
+    decentralize_cutoff,
+    intermediation_schedule,
     pigouvian_welfare,
     planner_cutoff,
     planner_kernel,
-    quadrature_reference,
-    solve_equilibrium,
-    welfare_selection_burden,
 )
-from gatekeep import equilibrium
-from gatekeep.equilibrium import BRACKET_BOUND, _brent_root, _locus_fn, _solve_activation_intercept
-from gatekeep.errors import BracketFailureError, DomainError, GatekeepError, TiltOverflowError
-from gatekeep.normal import std_normal_cdf
-from gatekeep.policy import _PIGOU_SCAN_STEP
+from gatekeep.records import replace
+from gatekeep.welfare import compute_aggregates, welfare_selection_burden
 
 from economies import PRIMITIVES, economies, log_uniform, solved_or_none
 
@@ -68,6 +81,13 @@ def test_planner_cutoff_coincides_with_market(rho, solved):
     regime, eq, _ = solved(rho)
     t_p = planner_cutoff(PRIM, regime, eq)
     assert abs(t_p - eq.cutoffs.t_star) <= 1e-8
+
+
+def test_planner_cutoff_refuses_a_moved_market_cutoff(solved):
+    regime, eq, _ = solved(0.5)
+    moved = replace(eq, cutoffs=replace(eq.cutoffs, t_star=eq.cutoffs.t_star + 0.01))
+    with pytest.raises(InconsistentEquilibriumError, match=" deviates from market cutoff "):
+        planner_cutoff(PRIM, regime, moved)
 
 
 def test_planner_and_market_move_together():

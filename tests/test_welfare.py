@@ -4,23 +4,33 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from gatekeep import (
+from gatekeep import welfare
+from gatekeep.economy import (
     ConstantCost,
     HyperbolicCost,
+    LogCutoffs,
     PiecewiseLinearCost,
     PowerBoundedCost,
     Primitives,
     Regime,
+)
+from gatekeep.equilibrium import solve_equilibrium
+from gatekeep.errors import (
+    BracketFailureError,
+    DomainError,
+    GatekeepError,
+    InconsistentEquilibriumError,
+    KinkError,
+    TiltOverflowError,
+)
+from gatekeep.welfare import (
     bounded_decline_certificate,
     compute_aggregates,
     find_optimal_precision,
     log_welfare_derivative,
-    solve_equilibrium,
     sweep_records,
     welfare_selection_burden,
 )
-from gatekeep import welfare
-from gatekeep.errors import BracketFailureError, DomainError, GatekeepError, KinkError, TiltOverflowError
 
 from economies import economies
 
@@ -64,6 +74,23 @@ def test_aggregate_identities(rho, solved):
     assert agg.pi_breve == pytest.approx(
         PRIM.delta * (agg.p_theta * regime.f_b + PRIM.f_n), rel=1e-8
     )
+
+
+def test_aggregates_refuse_cutoffs_off_free_entry(solved):
+    # a point on the activation line past the free-entry root
+    regime, eq, _ = solved(0.5)
+    a = eq.cutoffs.a
+    t = eq.cutoffs.t_star + 0.5
+    with pytest.raises(InconsistentEquilibriumError, match="^free-entry identity violated by "):
+        compute_aggregates(PRIM, regime, LogCutoffs(t_star=t, p_star=regime.rho * t + a, a=a))
+
+
+def test_aggregates_refuse_welfare_forms_that_disagree(solved, monkeypatch):
+    # the three forms agree at any cutoffs, so only a negative tolerance fails them
+    regime, eq, _ = solved(0.5)
+    monkeypatch.setattr(welfare, "_IDENTITY_RTOL", -1.0)
+    with pytest.raises(InconsistentEquilibriumError, match="^welfare formulas disagree: "):
+        compute_aggregates(PRIM, regime, eq.cutoffs)
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.5, 0.89])
