@@ -18,12 +18,13 @@ concatenation equals numpy's one-shot draw of all n pairs. Estimates combine
 per-block moments (Chan, Golub & LeVeque 1979), so the memory of an estimate
 is one block whatever n is, and ``validate`` memory does not depend on
 ``mc_n``. Each call allocates its block-width arrays once and fills them in
-place block after block, so no block allocates, and a block that
-``blocks()`` yields is valid until the next one. No buffer outlives its call
-or is shared between calls. The block sums are numpy reductions, not BLAS
-calls, so no estimate depends on BLAS's thread count. numpy releases the GIL
-while it draws and reduces, so ``validate`` runs its two estimators on two
-threads.
+place block after block, so no block allocates: ``blocks()`` its three draw
+buffers, an estimator only its boolean masks, since it forms each term in a
+draw block it has spent. A yielded block is valid until the next one, and
+its consumer may overwrite it. No buffer outlives its call or is shared
+between calls. The block sums are numpy reductions, not BLAS calls, so no
+estimate depends on BLAS's thread count. numpy releases the GIL while it
+draws and reduces, so ``validate`` runs its two estimators on two threads.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class PopulationDraws(Record, namedtuple("PopulationDraws", "rho n seed")):
         not depend on how it is split into calls.
 
         Each call draws into its own three block-width buffers (t, z and p),
-        so the yielded arrays are views that the next block overwrites: copy
-        a block to keep it past the next step of the iteration.
+        and each step draws t and forms p again, so a consumer may overwrite
+        a yielded block, and the next step does: copy a block to keep it.
         """
         signals = np.random.default_rng(self.seed)
         noise = np.random.default_rng(self.seed)
@@ -116,21 +117,19 @@ class _Moments:
     """Running count, mean and sum of squared deviations over blocks of values.
 
     Blocks merge with the pairwise update of Chan, Golub & LeVeque (1979).
-    ``scratch`` is a float buffer at least as wide as any block, which holds
-    each block's deviations from its mean; moments that add blocks one after
-    another may share it.
+    ``add`` overwrites ``values`` with their squared deviations from the
+    block mean, so a caller passes a block it no longer needs.
     """
 
-    def __init__(self, scratch: np.ndarray) -> None:
+    def __init__(self) -> None:
         self.n = 0
         self.mean = 0.0
         self.m2 = 0.0
-        self._scratch = scratch
 
     def add(self, values: np.ndarray) -> None:
         size = int(values.size)
         mean = float(values.mean())
-        dev = np.subtract(values, mean, out=self._scratch[:size])
+        dev = np.subtract(values, mean, out=values)
         n = self.n + size
         delta = mean - self.mean
         # numpy's own sum of squares: np.dot would hand it to BLAS, whose
@@ -176,29 +175,27 @@ def estimate_aggregates(
     k = prim.k
     profit = p_star != -math.inf
 
-    # block-width buffers for this call alone: validate runs the two
-    # estimators on two threads
+    # the masks are this call's own buffers (validate runs two estimators
+    # at once); each term overwrites a draw it has spent: t, then p
     width = min(draws.n, _BLOCK)
-    scratch = np.empty(width)
-    v_buf = np.empty(width)
     pass_t_buf = np.empty(width, dtype=bool)
     pass_both_buf = np.empty(width, dtype=bool)
-    moments = {name: _Moments(scratch) for name in ("p_theta", "p_phi", "s_term", "pi_breve")}
+    moments = {name: _Moments() for name in ("p_theta", "p_phi", "s_term", "pi_breve")}
     for p, t in draws.blocks():
         size = t.size
-        v, pass_t, pass_both = v_buf[:size], pass_t_buf[:size], pass_both_buf[:size]
+        pass_t, pass_both = pass_t_buf[:size], pass_both_buf[:size]
         np.greater_equal(t, t_star, out=pass_t)
         np.greater_equal(p, p_star, out=pass_both)
         np.bitwise_and(pass_t, pass_both, out=pass_both)
-        v[...] = pass_t
-        moments["p_theta"].add(v)
-        v[...] = pass_both
-        moments["p_phi"].add(v)
-        np.multiply(k, p, out=v)
-        np.exp(v, out=v)
-        moments["s_term"].add(np.multiply(v, pass_both, out=v))
+        t[...] = pass_t
+        moments["p_theta"].add(t)
+        t[...] = pass_both
+        moments["p_phi"].add(t)
+        np.multiply(k, p, out=t)
+        np.exp(t, out=t)
+        moments["s_term"].add(np.multiply(t, pass_both, out=t))
         if profit:
-            moments["pi_breve"].add(_tilted_profit(prim.f, k, p, p_star, pass_both, v))
+            moments["pi_breve"].add(_tilted_profit(prim.f, k, p, p_star, pass_both, out=p))
 
     estimates = {name: m.estimate(draws.seed) for name, m in moments.items()}
     if not profit:
@@ -227,7 +224,7 @@ def estimate_profit_given_signal(
     width = min(n, _BLOCK)
     p_buf = np.empty(width)
     passed_buf = np.empty(width, dtype=bool)
-    profit = _Moments(np.empty(width))
+    profit = _Moments()
     for size in _block_sizes(n):
         p, passed = p_buf[:size], passed_buf[:size]
         rng.standard_normal(out=p)
@@ -235,7 +232,7 @@ def estimate_profit_given_signal(
         np.add(mean, p, out=p)
         np.greater_equal(p, p_star, out=passed)
         # the profit term overwrites the draws it is formed from
-        profit.add(_tilted_profit(prim.f, prim.k, p, p_star, passed, p))
+        profit.add(_tilted_profit(prim.f, prim.k, p, p_star, passed, out=p))
     return profit.estimate(seed)
 
 

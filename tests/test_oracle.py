@@ -31,9 +31,16 @@ PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 def _concat(draws):
     """All (p, t) pairs of a streamed draw, as two arrays.
 
-    Each block is a view that the next one overwrites, so it is copied.
+    Each block is a view that the next one overwrites, so it is copied. A
+    consumer may overwrite a block (the estimators form their terms in it),
+    so each is then filled with NaN.
     """
-    p, t = zip(*((p.copy(), t.copy()) for p, t in draws.blocks()))
+    copies = []
+    for p, t in draws.blocks():
+        copies.append((p.copy(), t.copy()))
+        p.fill(np.nan)
+        t.fill(np.nan)
+    p, t = zip(*copies)
     return np.concatenate(p), np.concatenate(t)
 
 
@@ -191,20 +198,45 @@ def test_estimators_on_two_threads_equal_sequential_runs(solved):
     assert concurrent == 3 * sequential
 
 
-def test_estimate_memory_does_not_grow_with_n(solved):
+def _traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees fn(*args) allocate.
+
+    A process's first draw imports numpy.random (about 12 block widths), so
+    that import is made before tracing starts.
+    """
+    np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _estimator_calls(solved, n):
+    """(function, args) of both estimators at n draws: the draws are built first."""
     regime, eq, _ = solved(0.5)
+    c = eq.cutoffs
+    return [
+        (estimate_aggregates, (sample_log_population(regime.rho, n, seed=31), PRIM, c)),
+        (estimate_profit_given_signal, (c.t_star + 0.5, PRIM, regime.rho, c.p_star, n, 32)),
+    ]
 
-    def peak(n):
-        draws = sample_log_population(regime.rho, n, seed=31)
-        tracemalloc.start()
-        try:
-            estimate_aggregates(draws, PRIM, eq.cutoffs)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    small, large = peak(4 * 10**5), peak(4 * 10**6)
-    assert large <= 1.1 * small, (small, large)
+def test_estimate_memory_does_not_grow_with_n(solved):
+    small, large = _estimator_calls(solved, 4 * 10**5), _estimator_calls(solved, 4 * 10**6)
+    for (fn, small_args), (_, large_args) in zip(small, large):
+        small_peak, large_peak = _traced_peak(fn, *small_args), _traced_peak(fn, *large_args)
+        assert large_peak <= 1.1 * small_peak, (fn.__name__, small_peak, large_peak)
+
+
+def test_estimators_hold_only_their_draw_buffers_and_masks(solved):
+    # block widths of bytes: 3 float64 draw buffers and 2 bool masks, or 1
+    # and 1, plus about 1.1 of numpy's casting buffers
+    budgets = {"estimate_aggregates": 28, "estimate_profit_given_signal": 11}
+    for fn, args in _estimator_calls(solved, 3 * _BLOCK + 17):
+        peak = _traced_peak(fn, *args)
+        assert peak <= budgets[fn.__name__] * _BLOCK, (fn.__name__, peak / _BLOCK)
 
 
 def test_oracle_imports_no_closed_form_kernel():
