@@ -96,7 +96,7 @@ class PowerBoundedCost(Record, namedtuple("PowerBoundedCost", "f_b0 kappa alpha"
         self = super().__new__(cls, *args, **kwargs)
         if not self.f_b0 > 0.0:
             raise DomainError(f"f_b0 must be positive, got {self.f_b0!r}")
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:
             raise DomainError(f"kappa must be nonnegative, got {self.kappa!r}")
         if not self.alpha > 0.0:
             raise DomainError(f"alpha must be positive, got {self.alpha!r}")

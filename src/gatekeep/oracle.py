@@ -7,9 +7,9 @@ imports no closed-form kernel (quadrature integrands use their own inline
 density and ``_ndtr``); the closed forms it is checked against are the
 aggregates the solver reports, so agreement is evidence rather than
 tautology. It needs numpy and nothing else: the quadratures run on
-standard-library ports of QUADPACK's ``qagse`` and Cephes' ``ndtr``, which
-return what ``scipy.integrate.quad`` and ``scipy.special.ndtr`` return, bit
-for bit.
+standard-library ports, bit for bit, of QUADPACK's ``qagse`` (the points
+``scipy.integrate.quad`` evaluates, and its value and error estimate) and
+of Cephes' ``ndtr`` (what ``scipy.special.ndtr`` returns).
 
 Sampling uses numpy's PCG64 generator (``numpy.random.default_rng``) seeded
 explicitly; identical (n, seed) reproduce identical draws and estimates, on
@@ -238,9 +238,9 @@ def estimate_profit_given_signal(
 
 # ---------------------------------------------------------------------------
 # Standard-library ports of the two library routines the quadratures use.
-# Each reproduces scipy's compiled routine bit for bit (tests/test_oracle.py
-# compares them with scipy), so the quadrature references do not depend on
-# which of the two computed them.
+# Each reproduces, bit for bit, what the quadratures read of scipy's compiled
+# routine (tests/test_oracle.py compares them), so the quadrature references
+# do not depend on which of the two computed them.
 
 #: Cephes erf/erfc coefficient tables (Cody 1969, Math. Comp. 23:631, as
 #: Moshier's Cephes ``ndtr.c`` gives them): erfc on [1, 8) is P/Q, erfc on
@@ -323,8 +323,8 @@ def _ndtr(a: float) -> float:
 
 # QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner 1983,
 # Springer), as ``scipy.integrate.quad`` runs it on a finite interval: dqagse
-# with dqk21, dqpsrt and dqelg. Machine constants are d1mach's: epsilon, the
-# smallest normal double and the largest double.
+# with dqk21, dqpsrt and dqelg, returning only result and abserr. Machine
+# constants are d1mach's: epsilon, the smallest normal and the largest double.
 _EPMACH = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
 _OFLOW = 1.7976931348623157e308
@@ -516,15 +516,13 @@ def _qelg(n: int, epstab: list, res3la: list, nres: int):
 
 
 def _qagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
-    """dqagse on the finite interval [a, b]: (result, abserr, neval, ier).
+    """dqagse on the finite interval [a, b]: (result, abserr).
 
     Globally adaptive bisection with the 21-point rule and epsilon
     extrapolation; ``scipy.integrate.quad(f, a, b, epsabs=epsabs,
-    epsrel=epsrel, limit=limit)`` returns the same result and abserr, and
-    its ``full_output`` the same neval and ier.
+    epsrel=epsrel, limit=limit)`` evaluates f at the same points, in the
+    same order, and returns the same result and abserr.
     """
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        return 0.0, 0.0, 0, 6
     alist = [0.0, a] + [0.0] * (limit - 1)
     blist = [0.0, b] + [0.0] * (limit - 1)
     rlist = [0.0] * (limit + 1)
@@ -539,8 +537,7 @@ def _qagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
 
     # first approximation, and the test on its accuracy
     result, abserr, defabs, resabs = _qk21(f, a, b)
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
+    errbnd = max(epsabs, epsrel * abs(result))
     last = 1
     rlist[1] = result
     elist[1] = abserr
@@ -550,7 +547,7 @@ def _qagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
     if limit == 1:
         ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return result, abserr, 21, ier
+        return result, abserr
 
     rlist2[1] = result
     errmax = abserr
@@ -564,7 +561,6 @@ def _qagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
     ktmin = 0
     extrap = noext = False
     iroff1 = iroff2 = iroff3 = 0
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
     small = erlarg = ertest = correc = 0.0
 
     # The loop leaves by one of dqagse's two exits: summing the subinterval
@@ -684,37 +680,23 @@ def _qagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
         small *= 0.5
         erlarg = errsum
 
-    divergence = False
     if not summed:
         # label 100: keep the extrapolated result, or fall back to the sum
         if abserr == _OFLOW:
             summed = True
-        elif ier + ierro == 0:
-            divergence = True
-        else:
+        elif ier + ierro != 0:
             if ierro == 3:
                 abserr += correc
-            if ier == 0:
-                ier = 3
             if result != 0.0 and area != 0.0:
                 summed = abserr / abs(result) > errsum / abs(area)
-                divergence = not summed
-            elif abserr > errsum:
-                summed = True
             else:
-                divergence = area != 0.0
+                summed = abserr > errsum
     if summed:
         result = 0.0
         for k in range(1, last + 1):
             result += rlist[k]
         abserr = errsum
-    elif divergence and not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
-        # errsum > 0 here, so the first test stands in for dividing by a zero area
-        if errsum > abs(area) or 0.01 > result / area or result / area > 100.0:
-            ier = 6
-    if ier > 2:
-        ier -= 1
-    return result, abserr, 42 * last - 21, ier
+    return result, abserr
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +731,7 @@ def _quad(fn, lo: float, hi: float, what: str) -> float:
     # held to the absolute tolerance.
     if not -math.inf < lo < hi < math.inf:
         raise DomainError(f"{what}: [{lo!r}, {hi!r}] is not a finite interval")
-    value, abserr, _, _ = _qagse(fn, lo, hi, 0.1 * _QUAD_TOL, 1e-12, 200)
+    value, abserr = _qagse(fn, lo, hi, 0.1 * _QUAD_TOL, 1e-12, 200)
     if abserr > max(_QUAD_TOL, 1e-11 * abs(value)):
         raise ToleranceNotMetError(
             f"{what}: quadrature error estimate {abserr!r} exceeds {_QUAD_TOL!r}"

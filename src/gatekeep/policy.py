@@ -119,12 +119,12 @@ def _transfer_cutoff(locus_residual, decreasing: bool, s: float) -> float:
     """The first sign change of the locus residual J on the scan grid, then Brent.
 
     The grid is t_i = -BRACKET_BOUND + i * _PIGOU_SCAN_STEP. Where J
-    decreases, its ends must bracket, J(t_0) > 0 >= J(t_n); bisecting the
-    grid index then finds the scan's cell, and Brent starts from it. Every
-    probe there goes through ``_brent_eval``, so a NaN raises
-    ``DomainError``. Where J can turn upward, the grid is scanned in order
-    from i = 0. On either path a cell brackets where r_lo * r_hi < 0 or its
-    upper residual is 0.0; with no such cell, ``BracketFailureError``.
+    decreases, its ends must bracket, J(t_0) > 0 >= J(t_n), and bisecting the
+    grid index finds the cell with r_lo * r_hi < 0 or r_hi == 0.0. Where J
+    can turn upward, the scan in order from i = 0 stops at a cell with
+    r_lo * r_hi < 0, or returns t_lo where r_lo == 0.0. Every probe goes
+    through ``_brent_eval``, so a NaN raises ``DomainError``; with no cell,
+    ``BracketFailureError``.
     """
     grid = lambda i: -BRACKET_BOUND + i * _PIGOU_SCAN_STEP
     if decreasing:
@@ -142,10 +142,10 @@ def _transfer_cutoff(locus_residual, decreasing: bool, s: float) -> float:
             if r_lo * r_hi < 0.0 or r_hi == 0.0:
                 return _brent_root(locus_residual, grid(lo), r_lo, grid(hi), r_hi, 1e-12)[0]
     else:
-        t_lo, r_lo = grid(0), locus_residual(grid(0))
+        t_lo, r_lo = grid(0), _brent_eval(locus_residual, grid(0))
         for i in range(1, _PIGOU_SCAN_CELLS + 1):
             t_hi = grid(i)
-            r_hi = locus_residual(t_hi)
+            r_hi = _brent_eval(locus_residual, t_hi)
             if r_lo == 0.0:
                 return t_lo
             if r_lo * r_hi < 0.0:

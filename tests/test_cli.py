@@ -331,6 +331,18 @@ def test_negative_seed_is_a_config_error(route, tmp_path, capsys):
     assert "config error: run.seed must be non-negative, got -5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("kappa = 2.0", "kappa must be nonnegative, got nan"),
+    ("alpha = 8.0", "alpha must be positive, got nan"),
+])
+def test_nan_schedule_parameter_is_a_config_error(line, message, tmp_path, capsys):
+    # refused when the config is read, not left to fail every point
+    path = tmp_path / "nan.cfg"
+    path.write_text(BASE.replace(line, line.split()[0] + " = nan"))
+    assert main(["solve", "--config", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("args, message", [
     ([], "the following arguments are required: mode, --config"),
     (["dance", "--config", "x.cfg"], "argument mode: invalid choice: 'dance'"),

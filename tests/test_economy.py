@@ -91,6 +91,8 @@ def test_schedule_parameter_validation():
         PiecewiseLinearCost(0.3, 0.9, 5.0, 1.0)
     with pytest.raises(DomainError, match=r"^kappa must be nonnegative, got -0\.5$"):
         PowerBoundedCost(3.0, -0.5, 8.0)
+    with pytest.raises(DomainError, match=r"^kappa must be nonnegative, got nan$"):
+        PowerBoundedCost(3.0, math.nan, 8.0)
     with pytest.raises(DomainError, match=r"^alpha must be positive, got 0\.0$"):
         PowerBoundedCost(3.0, 2.0, 0.0)
     with pytest.raises(DomainError, match=r"^f_b0 must be positive, got 0\.0$"):

@@ -368,6 +368,22 @@ def test_pigouvian_bisection_raises_where_a_probe_fails(window, failure, monkeyp
             pigouvian_welfare(PRIM, regime, s)
 
 
+def test_pigouvian_scan_raises_where_a_probe_is_nan(monkeypatch):
+    # For s > 0 the scan walks up from t = -50; without the NaN check it
+    # would walk past NaN residuals at t in [-45, -40) and still give a value.
+    regime = Regime(0.5, SCHED)
+    s = 0.3 * regime.f_b
+    fe = equilibrium.fe_residual
+
+    def failing(p_star, t_star, prim, regime):
+        return math.nan if -45.0 <= t_star < -40.0 else fe(p_star, t_star, prim, regime)
+
+    monkeypatch.setattr(equilibrium, "fe_residual", failing)
+    assert isinstance(_ordered_scan_welfare(PRIM, regime, s), float)
+    with pytest.raises(DomainError, match="root finder: residual is NaN"):
+        pigouvian_welfare(PRIM, regime, s)
+
+
 # The paper's policy claims across economies, not only at the benchmark one,
 # over the domain of tests/economies.py. hypothesis derives a derandomized
 # test's examples from its source, so these names keep the two tests below,
