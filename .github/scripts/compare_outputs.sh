@@ -17,7 +17,10 @@
 #   tests/test_cli.py's fuzz configs (any positive double, sigma up to
 #   1e300), which reach the overflow paths of the closed forms and the
 #   oracle. Each has a sweep grid of at most 5 points, 5 transfers,
-#   rho <= 0.99 and mc_n <= 5000, so validate's quadratures stay short.
+#   rho <= 0.99 and mc_n <= 5000, so validate's quadratures stay short;
+# - then SCALED_DOWN_CONFIGS domain economies from the same generator with
+#   every cost and L near 1e-250, whose outputs must not depend on that
+#   scale.
 # It then requires the same set of files on both sides: every CSV, SVG,
 # stdout and stderr byte-identical (a warning's source location aside), and
 # every exit code equal. A Python
@@ -41,6 +44,8 @@ from pathlib import Path
 
 DOMAIN_CONFIGS = 48
 FAMILIES = ("domain", "scaled", "extreme")
+# drawn after the 48 above, so that each of those keeps its text
+SCALED_DOWN_CONFIGS = 8
 SEED = 20261019
 
 bench_path, out = Path(sys.argv[1]), Path(sys.argv[2])
@@ -88,14 +93,20 @@ def economy(family):
     # "domain": tests/economies.py's ranges; "scaled": a domain economy with
     # every cost and L at a level near the double limit, which leaves its
     # cutoffs where they were and puts its profits near 1e300; "extreme": the
-    # fuzz configs' ranges, each draw on its own
+    # fuzz configs' ranges, each draw on its own; "scaled_down": a domain
+    # economy with every cost and L near 1e-250
     if family == "extreme":
         cost = number = extreme_positive
         sigma = 1.0 + rng.choice([log_uniform(0.1, 10.0), 10.0 ** rng.uniform(-15.0, 300.0)])
         primitives = {"sigma": sigma, "f": cost(), "f_n": cost(),
                       "delta": rng.uniform(1e-9, 1.0 - 1e-9), "L": cost()}
     else:
-        level = 10.0 ** rng.uniform(250.0, 299.0) if family == "scaled" else 1.0
+        if family == "scaled":
+            level = 10.0 ** rng.uniform(250.0, 299.0)
+        elif family == "scaled_down":
+            level = 10.0 ** rng.uniform(-260.0, -240.0)
+        else:
+            level = 1.0
         number = lambda: log_uniform(1e-3, 10.0)
         cost = lambda: level * number()
         primitives = {"sigma": rng.uniform(1.2, 8.0), "f": cost(),
@@ -130,6 +141,8 @@ def economy(family):
 for i in range(DOMAIN_CONFIGS):
     family = FAMILIES[i % len(FAMILIES)]
     configs[f"{family}_{i // len(FAMILIES):02d}"] = economy(family)
+for i in range(SCALED_DOWN_CONFIGS):
+    configs[f"scaled_down_{i:02d}"] = economy("scaled_down")
 
 for name, text in configs.items():
     (out / f"{name}.cfg").write_text(text, encoding="utf-8")

@@ -29,10 +29,6 @@ from .welfare import compute_aggregates, welfare_selection_burden
 from .normal import std_normal_cdf
 from .records import Record
 
-#: minimum gap between a transfer and the activation cost; beyond it the
-#: cutoff structure degenerates (activation becomes unconditional)
-TRANSFER_GAP = 1e-6
-
 _PLANNER_MARKET_TOL = 1e-8
 _PIGOU_SCAN_STEP = 0.05
 _PIGOU_SCAN_CELLS = int(round(2.0 * BRACKET_BOUND / _PIGOU_SCAN_STEP))
@@ -160,24 +156,18 @@ def _transfer_cutoff(locus_residual, decreasing: bool, s: float) -> float:
 def pigouvian_welfare(prim: Primitives, regime: Regime, s: float) -> float:
     """Equilibrium welfare under a per-activation transfer s.
 
-    The transfer shifts the activation condition to an effective cost
-    f_b - s; the matching entry fee restores free entry at the original
-    resource cost, so the free-entry residual keeps the true f_b. Welfare is
-    evaluated through the selection-over-burden form.
+    The transfer shifts the activation condition to an effective cost f_b - s,
+    which the activation stage refuses with ``DomainError`` unless positive; the
+    matching entry fee restores free entry at the original resource cost, so the
+    free-entry residual keeps the true f_b. Welfare is the selection-over-burden form.
     """
-    f_b = regime.f_b
-    if s >= f_b - TRANSFER_GAP:
-        raise DomainError(
-            f"transfer s={s!r} must stay below f_b - {TRANSFER_GAP} = {f_b - TRANSFER_GAP!r}; "
-            "activation would become unconditional"
-        )
     if s == 0.0:
         # The zero-transfer system is the baseline system; reuse the monotone
         # solver so the two paths agree exactly.
         cutoffs = solve_equilibrium(prim, regime).cutoffs
     else:
         rho = regime.rho
-        a_s, _, r_a = _solve_activation_intercept(prim, rho, f_b - s)
+        a_s, _, r_a = _solve_activation_intercept(prim, rho, regime.f_b - s)
         # Along the locus J'(t) = c phi(t) - rho k exp(log S - k p*) with
         # c = delta s / f - r_a, so for c <= 0 (every s < 0) J strictly
         # decreases. For c > 0, J can turn upward, so the scan runs in order.

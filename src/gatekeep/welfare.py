@@ -63,9 +63,17 @@ def welfare_selection_burden(prim: Primitives, s_term: float, b_term: float) -> 
 
     W = [((sigma-1)/sigma)^(sigma-1) * (L/delta) * S/B]^(1/(sigma-1))
     """
-    k = prim.k
-    base = ((prim.sigma - 1.0) / prim.sigma) ** k * (prim.L / prim.delta) * s_term / b_term
-    return _power(base, 1.0 / k, "welfare from selection over burden")
+    base = ((prim.sigma - 1.0) / prim.sigma) ** prim.k * (prim.L / prim.delta) * s_term / b_term
+    return _welfare_root(prim, base, s_term, b_term, "welfare from selection over burden")
+
+
+def _welfare_root(prim: Primitives, base: float, s_term: float, b_term: float, what: str) -> float:
+    """base ** (1/k) for base = ((sigma-1)/sigma)^k (L/delta) S/B; where that float
+    product is non-finite or 0.0, the root of its logs of L, delta, S and B."""
+    if base == 0.0 or not math.isfinite(base):
+        log_base = math.log(prim.L) - math.log(prim.delta) + math.log(s_term) - math.log(b_term)
+        return exp_tilt(math.log((prim.sigma - 1.0) / prim.sigma) + log_base / prim.k, what)
+    return _power(base, 1.0 / prim.k, what)
 
 
 def _power(base: float, exponent: float, what: str) -> float:
@@ -80,7 +88,8 @@ def _power(base: float, exponent: float, what: str) -> float:
 
 
 def _rel_close(x: float, y: float, rtol: float) -> bool:
-    return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
+    """x and y agree within rtol relative; never where either is inf or NaN."""
+    return math.isfinite(x) and math.isfinite(y) and abs(x - y) <= rtol * max(abs(x), abs(y))
 
 
 def compute_aggregates(prim: Primitives, regime: Regime, cutoffs: LogCutoffs) -> Aggregates:
@@ -106,11 +115,15 @@ def compute_aggregates(prim: Primitives, regime: Regime, cutoffs: LogCutoffs) ->
     m = p_phi * m_e / prim.delta
 
     w_variety_quality = (prim.sigma - 1.0) / prim.sigma * _power(m, 1.0 / k, "variety term") * phi_tilde
-    w_master = _power(
-        ((prim.sigma - 1.0) / prim.sigma) ** k * (m_e / prim.delta) * s_term, 1.0 / k,
+    w_master = _welfare_root(
+        prim, ((prim.sigma - 1.0) / prim.sigma) ** k * (m_e / prim.delta) * s_term, s_term, b_term,
         "welfare from the master formula",
     )
     w_ratio = welfare_selection_burden(prim, s_term, b_term)
+    if w_variety_quality == 0.0:
+        raise InconsistentEquilibriumError(
+            f"welfare underflows to 0.0 at cutoffs ({t_star!r}, {p_star!r})"
+        )
     if not (
         _rel_close(w_variety_quality, w_master, _IDENTITY_RTOL)
         and _rel_close(w_variety_quality, w_ratio, _IDENTITY_RTOL)
@@ -119,13 +132,10 @@ def compute_aggregates(prim: Primitives, regime: Regime, cutoffs: LogCutoffs) ->
             f"welfare formulas disagree: {w_variety_quality!r}, {w_master!r}, {w_ratio!r}"
         )
     free_entry_gap = pi_breve - prim.delta * (p_theta * regime.f_b + prim.f_n)
-    if abs(free_entry_gap) > _IDENTITY_RTOL * max(1.0, abs(pi_breve)):
+    scale = min(max(1.0, abs(pi_breve)), max(prim.f, prim.delta * regime.f_b, abs(pi_breve)))
+    if abs(free_entry_gap) > _IDENTITY_RTOL * scale:
         raise InconsistentEquilibriumError(
             f"free-entry identity violated by {free_entry_gap!r}; cutoffs are not an equilibrium"
-        )
-    if w_variety_quality == 0.0:
-        raise InconsistentEquilibriumError(
-            f"welfare underflows to 0.0 at cutoffs ({t_star!r}, {p_star!r})"
         )
     return Aggregates(
         p_theta=p_theta,

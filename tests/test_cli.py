@@ -441,13 +441,36 @@ rho = 0.8226039481423504
 """
 
 
+#: the operating mass M underflows to the subnormal 5e-324, which puts the
+#: variety-quality form of W = 9.7e-21 1.2% off the master and ratio forms
+SUBNORMAL_MASS_CFG = """\
+[primitives]
+sigma = 10.006863942407314
+f = 6.546258963027804e+293
+f_n = 0.6180364713692482
+delta = 0.9891313332417414
+L = 4.8008666141417696e-29
+
+[schedule]
+kind = power_bounded
+f_b0 = 0.0018579348075470788
+kappa = 0.0
+alpha = 1.0535369155525279e-256
+
+[run]
+rho = 0.46420090343104026
+"""
+
+
 @pytest.mark.parametrize("text, error", [
     # residuals near 1e-300 underflowed Brent's interpolation denominator
     # (ZeroDivisionError); the solved cutoffs then fail the free-entry identity
     (UNDERFLOW_CFG, "InconsistentEquilibriumError"),
     # m ** (1/k) at k = 0.0013 raised a bare OverflowError
     (POWER_OVERFLOW_CFG, "TiltOverflowError"),
-], ids=["brent_underflow", "welfare_power_overflow"])
+    # W = 9.7e-21 is below 1, and the welfare cross-check is relative
+    (SUBNORMAL_MASS_CFG, "InconsistentEquilibriumError"),
+], ids=["brent_underflow", "welfare_power_overflow", "subnormal_mass"])
 def test_float_range_edges_are_solver_failures(text, error, tmp_path):
     path = tmp_path / "edge.cfg"
     path.write_text(text)
@@ -509,6 +532,29 @@ def test_sweep_refuses_an_economy_whose_welfare_underflows(tmp_path):
     assert not svg.exists()
 
 
+#: (L / delta) S overflows the ratio form's float product at s = f_b/2,
+#: where W = 1.6e31 is a double below W(0)
+INF_PRODUCT_CFG = """\
+[primitives]
+sigma = 8.943326798492073
+f = 0.9918483233357253
+f_n = 1.7588614036134926
+delta = 0.2951665975787614
+L = 7.635766662987013e+299
+
+[schedule]
+kind = power_bounded
+f_b0 = 5.803623377729946e+73
+kappa = 2.981188230705238e+211
+alpha = 2.1508116002336917e+290
+
+[run]
+rho = 0.47313280772649824
+grid = 0.4:0.5:0.05
+s_points = 11
+"""
+
+
 def _positive(lo=-3.0, hi=1.0):
     # log-uniform on [10^lo, 10^hi], where economies tend to solve, and the
     # whole positive range with its extremes
@@ -562,15 +608,22 @@ def _config_texts(draw):
 @pytest.mark.parametrize("mode", MODES)
 @given(text=_config_texts())
 @example(text=VALIDATE_OVERFLOW_CFG)
+@example(text=INF_PRODUCT_CFG)
 @settings(max_examples=12, derandomize=True, deadline=None)
 def test_every_mode_exits_with_a_code_on_any_valid_config(mode, text, tmp_path_factory):
     root = tmp_path_factory.getbasetemp()
-    path = root / "fuzz.cfg"
+    path, out = root / "fuzz.cfg", root / "fuzz.csv"
     path.write_text(text)
-    args = [mode, "--config", str(path), "--out", str(root / "fuzz.csv"), "--quiet"]
+    out.unlink(missing_ok=True)
+    args = [mode, "--config", str(path), "--out", str(out), "--quiet"]
     if mode == "sweep":
         args += ["--svg", str(root / "fuzz.svg")]
     assert main(args) in (0, 1, 2, 3)
+    if mode in ("solve", "sweep", "pigouvian") and out.exists():
+        # a welfare reported as ok is a positive double, never inf or 0.0
+        _, header, rows = _read(out)
+        w, status = header.index("W"), header.index("status")
+        assert all(0.0 < float(r[w]) < math.inf for r in rows if r[status] == "ok")
 
 
 ORACLE_IMPORT_SCRIPT = """

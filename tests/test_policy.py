@@ -192,11 +192,14 @@ def test_pigouvian_concave_at_zero(solved):
 
 
 def test_pigouvian_transfer_domain(solved):
+    # the activation stage refuses a transfer that leaves no positive
+    # activation cost; just below f_b the economy still solves, at lower welfare
     regime, _, _ = solved(0.5)
-    with pytest.raises(DomainError):
-        pigouvian_welfare(PRIM, regime, regime.f_b)
-    with pytest.raises(DomainError):
-        pigouvian_welfare(PRIM, regime, regime.f_b - 1e-7)
+    for s in (regime.f_b, math.nextafter(regime.f_b, math.inf)):
+        with pytest.raises(DomainError, match="^activation cost must be positive"):
+            pigouvian_welfare(PRIM, regime, s)
+    near = pigouvian_welfare(PRIM, regime, regime.f_b * (1.0 - 1e-12))
+    assert 0.0 < near < pigouvian_welfare(PRIM, regime, 0.0)
 
 
 def test_decentralization_fixed_point(solved):
@@ -463,3 +466,48 @@ def test_pigouvian_welfare_is_flat_and_concave_at_zero_over_the_domain(economy):
     d = {x: (w[x] - w[-x]) / (2.0 * x * w0) for x in (1e-2, 1e-3)}
     assert abs(d[1e-3]) <= abs(d[1e-2]) / 50.0 + 5e-10, (d, w0)
     assert (w[1e-2] - 2.0 * w0 + w[-1e-2]) / abs(w0) <= 1e-12, (w, w0)
+
+
+#: the schedule fields in cost units; rho_low, rho_high, kappa and alpha are not
+_COST_FIELDS = ("f_b", "f_b0", "f_low", "f_high")
+
+
+def _at_cost_scale(prim, regime, lam):
+    """The economy with f, f_n, L and the schedule's cost levels times lam."""
+    schedule = regime.schedule
+    costs = {name: lam * value for name, value in schedule._asdict().items() if name in _COST_FIELDS}
+    return (replace(prim, f=lam * prim.f, f_n=lam * prim.f_n, L=lam * prim.L),
+            Regime(regime.rho, replace(schedule, **costs)))
+
+
+def _solve_and_transfers(prim, regime):
+    """The solve's (t*, p*, W) and (W,) at s = -f_b/2, 0, f_b/2; the error class where one raises."""
+    def solve():
+        cutoffs = solve_equilibrium(prim, regime).cutoffs
+        return cutoffs.t_star, cutoffs.p_star, compute_aggregates(prim, regime, cutoffs).welfare
+
+    runs = [solve] + [lambda s=s: (pigouvian_welfare(prim, regime, s),)
+                      for s in (-regime.f_b / 2.0, 0.0, regime.f_b / 2.0)]
+    outcomes = []
+    for run in runs:
+        try:
+            outcomes.append(run())
+        except GatekeepError as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
+@given(economy=_ECONOMIES)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_solve_and_transfers_do_not_depend_on_the_cost_scale_over_the_domain(economy):
+    # With f, f_n, L and every activation cost times lam, each residual (a
+    # ratio to f) and W (a function of L / B) is unchanged: no outcome may
+    # change class, and each value may move by rounding only.
+    prim, regime = economy
+    expected = _solve_and_transfers(prim, regime)
+    for lam in (1e-250, 1e-8, 1e8, 1e250):
+        for want, got in zip(expected, _solve_and_transfers(*_at_cost_scale(prim, regime, lam))):
+            if isinstance(want, tuple) and isinstance(got, tuple):
+                assert all(math.isclose(g, w, rel_tol=1e-12) for g, w in zip(got, want)), lam
+            else:
+                assert got == want, lam

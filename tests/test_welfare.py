@@ -23,6 +23,7 @@ from gatekeep.errors import (
     KinkError,
     TiltOverflowError,
 )
+from gatekeep.records import replace
 from gatekeep.welfare import (
     bounded_decline_certificate,
     compute_aggregates,
@@ -32,7 +33,7 @@ from gatekeep.welfare import (
     welfare_selection_burden,
 )
 
-from economies import economies
+from economies import economies, log_uniform, solved_or_none
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
 SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
@@ -83,6 +84,18 @@ def test_aggregates_refuse_cutoffs_off_free_entry(solved):
     t = eq.cutoffs.t_star + 0.5
     with pytest.raises(InconsistentEquilibriumError, match="^free-entry identity violated by "):
         compute_aggregates(PRIM, regime, LogCutoffs(t_star=t, p_star=regime.rho * t + a, a=a))
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-8, 1e-12])
+def test_free_entry_identity_refuses_at_every_cost_scale(lam):
+    # the calibration with f, f_n, L and f_b0 times lam; its cutoffs moved
+    # 0.5 along the activation line miss free entry by the same share
+    prim = Primitives(sigma=2.0, f=0.15 * lam, f_n=0.005 * lam, delta=0.1, L=lam)
+    regime = Regime(0.89, PowerBoundedCost(3.0 * lam, 2.0, 8.0))
+    cutoffs = solve_equilibrium(prim, regime).cutoffs
+    a, t = cutoffs.a, cutoffs.t_star + 0.5
+    with pytest.raises(InconsistentEquilibriumError, match="^free-entry identity violated by "):
+        compute_aggregates(prim, regime, LogCutoffs(t_star=t, p_star=regime.rho * t + a, a=a))
 
 
 def test_aggregates_refuse_welfare_forms_that_disagree(solved, monkeypatch):
@@ -155,6 +168,28 @@ def test_elasticity_identity_over_the_domain(economy):
         return
     gap = d.dlogW - (d.dlogS - d.dlogB) / prim.k
     assert abs(gap) <= 1e-4 * max(1.0, abs(d.dlogW)), (d, gap)
+
+
+@given(economy=economies(), L=log_uniform(1e-300, 1e300))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_only_welfare_depends_on_L_over_the_domain(economy, L):
+    # L enters no residual, so the cutoffs keep their bits, and W scales as
+    # L^(1/k) (with 1/k rounded as welfare rounds it) wherever that W is
+    # within [1e-300, 1e300]
+    prim, regime = economy
+    eq = solved_or_none(prim, regime)
+    if eq is None:
+        return
+    try:
+        w = compute_aggregates(prim, regime, eq.cutoffs).welfare
+    except GatekeepError:
+        return
+    at_l = replace(prim, L=L)
+    cutoffs = solve_equilibrium(at_l, regime).cutoffs
+    assert cutoffs == eq.cutoffs
+    if abs(math.log(w) + math.log(L) / prim.k) <= math.log(1e300):
+        w_at_l = compute_aggregates(at_l, regime, cutoffs).welfare
+        assert math.isclose(w_at_l / L ** (1.0 / prim.k), w, rel_tol=1e-14), (w_at_l, w)
 
 
 def test_log_derivative_negative_past_optimum():
