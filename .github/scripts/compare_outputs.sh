@@ -5,13 +5,14 @@
 #
 # Runs the six gatekeep modes from each tree's src/ on configs that one
 # Python table below writes:
-# - the head tree's benchmark.cfg and six variants of it: sigma = 60 and
+# - the head tree's benchmark.cfg and seven variants of it: sigma = 60 and
 #   f_n = 1e30; rho = 0.95 with 401 transfers (about 200 of them negative,
-#   so pigouvian bisects in bvn_cdf's high-correlation branch); two validate
-#   sample sizes at the edges of the oracle's 65536-draw block buffers
-#   (mc_n = 1000, narrower than one block, and mc_n = 65537, one full block
-#   then a one-draw block); and a one-point sweep grid, whose chart has
-#   legend entries but no polyline;
+#   so pigouvian bisects in bvn_cdf's high-correlation branch); three
+#   validate sample sizes at the edges of the oracle's 65536-draw block
+#   buffers (mc_n = 1000, narrower than one block; mc_n = 65537, one full
+#   block then a one-draw block; and mc_n = 131072, two full blocks, so the
+#   noise stream's prefetch has no next block to fill); and a one-point
+#   sweep grid, whose chart has legend entries but no polyline;
 # - DOMAIN_CONFIGS economies drawn by random.Random(SEED): half over the
 #   domain of tests/economies.py, half over the extreme ranges of
 #   tests/test_cli.py's fuzz configs (any positive double, sigma up to
@@ -66,6 +67,7 @@ configs = {
     "high_rho": variant(r"^rho = 0\.89$", "rho = 0.95\ns_points = 401"),
     "mc_n_1000": bench + "mc_n = 1000\n",
     "mc_n_65537": bench + "mc_n = 65537\n",
+    "mc_n_131072": bench + "mc_n = 131072\n",
     "one_point": variant(r"^grid = .*$", "grid = 0.5:0.505:0.01"),
 }
 

@@ -24,7 +24,10 @@ draw block it has spent. A yielded block is valid until the next one, and
 its consumer may overwrite it. No buffer outlives its call or is shared
 between calls. The block sums are numpy reductions, not BLAS calls, so no
 estimate depends on BLAS's thread count. numpy releases the GIL while it
-draws and reduces, so ``validate`` runs its two estimators on two threads.
+draws and reduces, so ``validate`` runs its two estimators on three threads:
+the main thread draws t and computes the aggregates' estimates, the
+sampler's helper thread draws their noise stream, and a pool thread
+computes ``pi_tilde``'s. Each ``blocks()`` call still holds three buffers.
 """
 
 from __future__ import annotations
@@ -81,27 +84,51 @@ class PopulationDraws(Record, namedtuple("PopulationDraws", "rho n seed")):
         discards the n signal normals to reach z; numpy's normal stream does
         not depend on how it is split into calls.
 
+        The calling thread draws t and forms p. A helper thread owns the
+        second generator: it draws the n discarded normals, then each z
+        block, so the next z fills while the caller draws t and while the
+        consumer works on the yielded block. Each generator draws its stream
+        in the same order as on one thread, so every block is the same. The
+        caller waits for each z before it forms p, and so re-raises an error
+        of the helper; closing the generator waits for the helper to finish.
+
         Each call draws into its own three block-width buffers (t, z and p),
         and each step draws t and forms p again, so a consumer may overwrite
         a yielded block, and the next step does: copy a block to keep it.
         """
+        # imported here, as numpy.random is on the first draw: a process that
+        # imports the oracle but never samples pays for neither
+        from concurrent.futures import ThreadPoolExecutor
+
         signals = np.random.default_rng(self.seed)
         noise = np.random.default_rng(self.seed)
-        width = min(self.n, _BLOCK)
+        n = self.n
+        width = min(n, _BLOCK)
         t_buf, z_buf, p_buf = np.empty(width), np.empty(width), np.empty(width)
-        for size in _block_sizes(self.n):
-            noise.standard_normal(out=z_buf[:size])
+
+        def skip_then_fill() -> None:
+            for size in _block_sizes(n):
+                noise.standard_normal(out=z_buf[:size])
+            noise.standard_normal(out=z_buf[:width])
+
         rho = self.rho
         sd = math.sqrt(1.0 - rho * rho)
-        for size in _block_sizes(self.n):
-            t, z, p = t_buf[:size], z_buf[:size], p_buf[:size]
-            signals.standard_normal(out=t)
-            noise.standard_normal(out=z)
-            # rho*t + sd*z, evaluated as that expression evaluates it
-            np.multiply(rho, t, out=p)
-            np.multiply(sd, z, out=z)
-            np.add(p, z, out=p)
-            yield p, t
+        with ThreadPoolExecutor(1) as helper:
+            z_filled = helper.submit(skip_then_fill)
+            for start in range(0, n, _BLOCK):
+                size = min(_BLOCK, n - start)
+                t, z, p = t_buf[:size], z_buf[:size], p_buf[:size]
+                signals.standard_normal(out=t)
+                z_filled.result()
+                # rho*t + sd*z, evaluated as that expression evaluates it
+                np.multiply(rho, t, out=p)
+                np.multiply(sd, z, out=z)
+                np.add(p, z, out=p)
+                # z is spent: the helper fills the next block into it
+                rest = n - start - size
+                if rest:
+                    z_filled = helper.submit(noise.standard_normal, out=z_buf[:min(_BLOCK, rest)])
+                yield p, t
 
 
 def sample_log_population(rho: float, n: int, seed: int) -> PopulationDraws:

@@ -248,6 +248,32 @@ def test_validate_zero_standard_error_is_not_a_match(tmp_path):
     assert row["z_score"] == "inf"
 
 
+@pytest.mark.parametrize("column", ["quad_delta", "z_score"])
+def test_validate_nan_cell_is_a_mismatch(column, tmp_path, monkeypatch):
+    # one NaN cell, every other cell within its limit: a NaN is never the
+    # largest |z| or delta, so the run must fail on the cell itself
+    from gatekeep import oracle
+
+    quadrature, z_score = oracle.quadrature_reference, oracle.z_score
+    if column == "quad_delta":
+        monkeypatch.setattr(oracle, "quadrature_reference", lambda quantity, params: (
+            math.nan if quantity == "pi_breve" else quadrature(quantity, params)))
+    else:
+        # pi_tilde's estimate is the one drawn at the config's seed + 1
+        monkeypatch.setattr(oracle, "z_score", lambda closed, est: (
+            math.nan if est.seed == 100 else z_score(closed, est)))
+    path = tmp_path / "val.cfg"
+    path.write_text(BASE + "mc_n = 200000\n")
+    out = str(tmp_path / "val.csv")
+    assert main(["validate", "--config", str(path), "--out", out, "--quiet"]) == 3
+    _, header, rows = _read(out)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert [cell[column] for cell in cells].count("nan") == 1
+    for cell in cells:
+        for name, limit in (("z_score", 4.0), ("quad_delta", 1e-8)):
+            assert cell[name] == "nan" or abs(float(cell[name])) <= limit, cell
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(BASE.replace("f_n = 0.005", "f_n = 1e30"))

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -72,14 +74,78 @@ def test_sampling_deterministic_under_seed():
     assert not np.array_equal(a_p, c_p)
 
 
-@pytest.mark.parametrize("n", [3 * _BLOCK + 17, 1000])
+def _assert_one_shot(draws):
+    p, t = _concat(draws)
+    p0, t0 = _one_shot(draws.rho, draws.n, draws.seed)
+    assert np.array_equal(p, p0) and np.array_equal(t, t0)
+
+
+# the helper thread fills the next z block before a block is yielded: these
+# sizes end on a one-draw block, on a full one, and have no next block at all
+@pytest.mark.parametrize("n", [1, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK,
+                               3 * _BLOCK + 17])
 def test_blocks_equal_one_shot_draw(n):
     draws = sample_log_population(0.7, n, seed=11)
     assert draws.n == n
     assert all(p.size <= _BLOCK for p, _ in draws.blocks())
-    p, t = _concat(draws)
-    p0, t0 = _one_shot(0.7, n, seed=11)
-    assert np.array_equal(p, p0) and np.array_equal(t, t0)
+    _assert_one_shot(draws)
+
+
+@pytest.mark.parametrize("stop", ["break", "raise", "close"])
+def test_blocks_stopped_mid_stream_end_their_helper(stop):
+    # the consumer stops while the helper fills the second z block: the
+    # helper ends with the stream, and the next call draws the same blocks
+    draws = sample_log_population(0.7, 3 * _BLOCK + 17, seed=11)
+    before = threading.active_count()
+    if stop == "break":
+        for _ in draws.blocks():
+            assert threading.active_count() == before + 1
+            break
+    elif stop == "raise":
+        with pytest.raises(KeyError):
+            for _ in draws.blocks():
+                raise KeyError(stop)
+    else:
+        blocks = draws.blocks()
+        next(blocks)
+        blocks.close()
+    assert threading.active_count() == before
+    _assert_one_shot(draws)
+
+
+def test_blocks_on_more_threads_than_cores_equal_one_shot_draws():
+    # four consumers, each with its helper, switching as often as the
+    # interpreter allows: a z block read before its fill ends would show
+    from concurrent.futures import ThreadPoolExecutor
+
+    draws = [sample_log_population(0.7, 2 * _BLOCK + 17, seed=seed) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(draws)) as pool:
+            list(pool.map(_assert_one_shot, draws, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_blocks_raise_an_error_of_the_helper(monkeypatch):
+    consumer = threading.current_thread()
+    default_rng = np.random.default_rng
+
+    class HelperFails:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, out):
+            if threading.current_thread() is not consumer:
+                raise MemoryError("helper")
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", HelperFails)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="helper"):
+        next(sample_log_population(0.7, 1000, seed=11).blocks())
+    assert threading.active_count() == before
 
 
 def _assert_matches(est, values):
