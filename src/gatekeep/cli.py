@@ -18,8 +18,10 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 
 from . import __version__
 from .config import GridSpec, MODES, RunConfig, config_hash, parse_config
@@ -163,17 +165,61 @@ def _run_limits(config: RunConfig) -> _Table:
     )
 
 
-def _run_validate(config: RunConfig) -> _Table:
-    # numpy loads here, on the one mode that needs it
-    from concurrent.futures import ThreadPoolExecutor
+@contextmanager
+def _forked(fn):
+    """Run fn() in a child process forked now; yield a function that returns its value.
 
-    from .oracle import (
-        estimate_aggregates,
-        estimate_profit_given_signal,
-        quadrature_reference,
-        sample_log_population,
-        z_score,
-    )
+    That function waits for the child, and returns fn's value or raises the
+    exception fn raised: the child sends either back pickled through a pipe,
+    then leaves by ``os._exit``, so it runs none of this process's clean-up.
+    Leaving the block reaps the child on every path. Fork while this is the
+    process's one thread: a child has only the forking thread, and no lock
+    that another thread held is ever released in it. Where ``os.fork`` does
+    not exist, the function calls fn in process.
+    """
+    if not hasattr(os, "fork"):
+        yield fn
+        return
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            import pickle
+
+            os.close(read)
+            try:
+                outcome = fn()
+            except Exception as exc:
+                outcome = exc
+            # pickled whole first: what cannot be pickled sends nothing
+            data = pickle.dumps(outcome)
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write)
+
+    def result():
+        import pickle
+
+        with open(read, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        if not data:
+            raise RuntimeError(f"forked process {pid} ended without sending a result")
+        outcome = pickle.loads(data)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    try:
+        yield result
+    finally:
+        os.close(read)
+        os.waitpid(pid, 0)
+
+
+def _run_validate(config: RunConfig) -> _Table:
+    from . import quadrature
 
     prim = config.primitives
     regime = Regime(_require(config, "rho", "validate"), config.schedule)
@@ -183,33 +229,52 @@ def _run_validate(config: RunConfig) -> _Table:
     rho, t_star, p_star = regime.rho, eq.cutoffs.t_star, eq.cutoffs.p_star
     # expected profit at one representative signal, against its own MC
     t_probe = t_star + 0.5
-    # The two estimators run concurrently (numpy releases the GIL as it draws
-    # and reduces): this thread draws t and forms the aggregates' estimates,
-    # the sampler's helper thread draws their noise stream, and the pool
-    # thread estimates pi_tilde. An error in the aggregates still takes
-    # precedence.
-    with ThreadPoolExecutor(1) as pool:
-        pi_tilde = pool.submit(
-            estimate_profit_given_signal, t_probe, prim, rho, p_star, config.mc_n, config.seed + 1
-        )
-        estimates = estimate_aggregates(
-            sample_log_population(rho, config.mc_n, config.seed), prim, eq.cutoffs
-        )
-        estimates["pi_tilde"] = pi_tilde.result()
     at_cutoffs = {"rho": rho, "p_star": p_star, "t_star": t_star}
+    requests = [
+        ("bvn", {"x": -t_star, "y": math.inf, "rho": rho}),
+        ("bvn", {"x": -p_star, "y": -t_star, "rho": rho}),
+        ("S", {"k": prim.k, **at_cutoffs}),
+        ("pi_breve", {"prim": prim, **at_cutoffs}),
+        ("pi_tilde", {"prim": prim, "rho": rho, "p_star": p_star, "t": t_probe}),
+    ]
+
+    def references():
+        return [quadrature.quadrature_reference(quantity, params) for quantity, params in requests]
+
+    # The quadratures are pure Python, so a child process computes them,
+    # forked before numpy loads, while the process has one thread. Here the
+    # two Monte Carlo estimators run concurrently (numpy releases the GIL as
+    # it draws and reduces): this thread draws t and forms the aggregates'
+    # estimates, the sampler's helper thread draws their noise stream, and
+    # the pool thread estimates pi_tilde. An error in the aggregates takes
+    # precedence, then one in pi_tilde, then the first quadrature's.
+    with _forked(references) as quadratures:
+        # numpy loads here, on the one mode that needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        from .oracle import (
+            estimate_aggregates, estimate_profit_given_signal, sample_log_population, z_score,
+        )
+
+        with ThreadPoolExecutor(1) as pool:
+            pi_tilde = pool.submit(
+                estimate_profit_given_signal, t_probe, prim, rho, p_star, config.mc_n,
+                config.seed + 1,
+            )
+            estimates = estimate_aggregates(
+                sample_log_population(rho, config.mc_n, config.seed), prim, eq.cutoffs
+            )
+            estimates["pi_tilde"] = pi_tilde.result()
+        quads = quadratures()
     checks = [
-        ("p_theta", agg.p_theta,
-         quadrature_reference("bvn", {"x": -t_star, "y": math.inf, "rho": rho})),
-        ("p_phi", agg.p_phi,
-         quadrature_reference("bvn", {"x": -p_star, "y": -t_star, "rho": rho})),
-        ("s_term", agg.s_term, quadrature_reference("S", {"k": prim.k, **at_cutoffs})),
-        ("pi_breve", agg.pi_breve, quadrature_reference("pi_breve", {"prim": prim, **at_cutoffs})),
-        ("pi_tilde", expected_profit_given_signal(prim, rho, p_star, t_probe),
-         quadrature_reference(
-             "pi_tilde", {"prim": prim, "rho": rho, "p_star": p_star, "t": t_probe})),
+        ("p_theta", agg.p_theta),
+        ("p_phi", agg.p_phi),
+        ("s_term", agg.s_term),
+        ("pi_breve", agg.pi_breve),
+        ("pi_tilde", expected_profit_given_signal(prim, rho, p_star, t_probe)),
     ]
     rows = []
-    for name, closed, quad in checks:
+    for (name, closed), quad in zip(checks, quads):
         mc = estimates[name]
         z = z_score(closed, mc)
         rows.append([name, closed, mc.mean, mc.std_error, z, quad, closed - quad])

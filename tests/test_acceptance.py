@@ -34,11 +34,11 @@ from gatekeep.equilibrium import (
 from gatekeep.oracle import (
     estimate_aggregates,
     estimate_profit_given_signal,
-    quadrature_reference,
     sample_log_population,
     z_score,
 )
 from gatekeep.policy import intermediation_schedule, pigouvian_welfare, planner_cutoff
+from gatekeep.quadrature import quadrature_reference
 from gatekeep.welfare import (
     bounded_decline_certificate,
     compute_aggregates,

@@ -211,11 +211,17 @@ def test_validate_csv_does_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _assert_no_child_left():
+    # validate reaps the child it forks on every path
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_validate_error_precedence(tmp_path, monkeypatch, capsys):
-    # the two estimators run at once; their errors still rank aggregates,
-    # then pi_tilde, then quadrature
-    from gatekeep import oracle
-    from gatekeep.errors import ToleranceNotMetError
+    # the two estimators run at once, and the quadratures in a forked child;
+    # their errors still rank aggregates, then pi_tilde, then quadrature
+    from gatekeep import oracle, quadrature
+    from gatekeep.errors import TiltOverflowError, ToleranceNotMetError
 
     def failing(stage):
         def fail(*args, **kwargs):
@@ -225,12 +231,96 @@ def test_validate_error_precedence(tmp_path, monkeypatch, capsys):
     path = tmp_path / "val.cfg"
     path.write_text(BASE + "mc_n = 2000\n")
     args = ["validate", "--config", str(path), "--out", str(tmp_path / "val.csv"), "--quiet"]
-    for stage, name in (("quadrature", "quadrature_reference"),
-                        ("pi_tilde", "estimate_profit_given_signal"),
-                        ("aggregates", "estimate_aggregates")):
-        monkeypatch.setattr(oracle, name, failing(stage))
+
+    def fails_with(line):
         assert main(args) == 2
-        assert capsys.readouterr().err == f"solver failure: ToleranceNotMetError: {stage}\n"
+        assert capsys.readouterr().err == f"solver failure: {line}\n"
+        _assert_no_child_left()
+
+    for module, stage, name in ((quadrature, "quadrature", "quadrature_reference"),
+                                (oracle, "pi_tilde", "estimate_profit_given_signal"),
+                                (oracle, "aggregates", "estimate_aggregates")):
+        monkeypatch.setattr(module, name, failing(stage))
+        fails_with(f"ToleranceNotMetError: {stage}")
+    # the aggregates' Monte Carlo and a quadrature, pi_tilde's estimate passing
+    monkeypatch.undo()
+    monkeypatch.setattr(quadrature, "quadrature_reference", failing("quadrature"))
+    monkeypatch.setattr(oracle, "estimate_aggregates", failing("aggregates"))
+    fails_with("ToleranceNotMetError: aggregates")
+    # two quadratures: the first in row order, each error with its class
+    monkeypatch.undo()
+    reference = quadrature.quadrature_reference
+
+    def later_rows_fail(quantity, params):
+        if quantity == "S":
+            raise TiltOverflowError("S")
+        if quantity == "pi_breve":
+            raise ToleranceNotMetError("pi_breve")
+        return reference(quantity, params)
+
+    monkeypatch.setattr(quadrature, "quadrature_reference", later_rows_fail)
+    fails_with("TiltOverflowError: S")
+
+
+def test_validate_without_fork_writes_the_same_csv(tmp_path, monkeypatch):
+    # where os.fork does not exist, the quadratures run in process
+    path = tmp_path / "val.cfg"
+    path.write_text(BASE + "mc_n = 70000\n")
+    outputs = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / f"val_{fork}.csv"
+        assert main(["validate", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        _assert_no_child_left()
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_validate_child_that_sends_nothing_is_an_error(tmp_path, monkeypatch):
+    # a child that ends without a result (killed, say) fails the run, reaped
+    from gatekeep import quadrature
+
+    monkeypatch.setattr(quadrature, "quadrature_reference", lambda quantity, params: os._exit(1))
+    path = tmp_path / "val.cfg"
+    path.write_text(BASE + "mc_n = 2000\n")
+    with pytest.raises(RuntimeError, match="ended without sending a result"):
+        main(["validate", "--config", str(path), "--out", str(tmp_path / "val.csv"), "--quiet"])
+    _assert_no_child_left()
+
+
+FORK_THREADS_SCRIPT = """
+import json, os, runpy, sys
+
+fork, threads = os.fork, []
+
+def counted_fork():
+    # num_threads, field 20 of /proc/self/stat
+    with open("/proc/self/stat") as fh:
+        threads.append(int(fh.read().rsplit(")", 1)[1].split()[17]))
+    return fork()
+
+os.fork = counted_fork
+sys.argv[0] = "gatekeep"
+try:
+    runpy.run_module("gatekeep", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(json.dumps({"code": exc.code, "threads": threads}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads Linux's /proc")
+def test_validate_forks_while_single_threaded(tmp_path):
+    # a fresh python -m gatekeep validate forks before numpy loads, and with
+    # it BLAS's threads: a child of a threaded process could inherit a lock
+    # that no thread of its own releases (and Python 3.12+ warns). Python
+    # 3.13 clears that warning even under -W error, so the count is read here
+    path = tmp_path / "val.cfg"
+    path.write_text(BASE + "mc_n = 20000\n")
+    proc = _python(["-c", FORK_THREADS_SCRIPT, "validate", "--config", str(path),
+                    "--out", str(tmp_path / "val.csv"), "--quiet"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "threads": [1]}
 
 
 def test_validate_zero_standard_error_is_not_a_match(tmp_path):
@@ -252,12 +342,12 @@ def test_validate_zero_standard_error_is_not_a_match(tmp_path):
 def test_validate_nan_cell_is_a_mismatch(column, tmp_path, monkeypatch):
     # one NaN cell, every other cell within its limit: a NaN is never the
     # largest |z| or delta, so the run must fail on the cell itself
-    from gatekeep import oracle
+    from gatekeep import oracle, quadrature
 
-    quadrature, z_score = oracle.quadrature_reference, oracle.z_score
+    reference, z_score = quadrature.quadrature_reference, oracle.z_score
     if column == "quad_delta":
-        monkeypatch.setattr(oracle, "quadrature_reference", lambda quantity, params: (
-            math.nan if quantity == "pi_breve" else quadrature(quantity, params)))
+        monkeypatch.setattr(quadrature, "quadrature_reference", lambda quantity, params: (
+            math.nan if quantity == "pi_breve" else reference(quantity, params)))
     else:
         # pi_tilde's estimate is the one drawn at the config's seed + 1
         monkeypatch.setattr(oracle, "z_score", lambda closed, est: (
@@ -655,26 +745,31 @@ def test_every_mode_exits_with_a_code_on_any_valid_config(mode, text, tmp_path_f
 ORACLE_IMPORT_SCRIPT = """
 import json, sys
 
-def scipy():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(*packages):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
 
+import gatekeep.quadrature
+
+seen = {"quadrature": loaded("numpy", "scipy")}
 import gatekeep.oracle
 from gatekeep import cli
 
-seen = {"oracle": scipy()}
+seen["oracle"] = loaded("scipy")
 seen["validate_code"] = cli.main(["validate", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"])
-seen["validate"] = scipy()
+seen["validate"] = loaded("scipy")
 print(json.dumps(seen))
 """
 
 
 def test_oracle_import_loads_no_scipy(tmp_path):
-    # the quadratures run on the oracle's own QUADPACK and ndtr ports
+    # the quadratures run on their own QUADPACK and ndtr ports, and need no numpy
     val_cfg = tmp_path / "val.cfg"
     val_cfg.write_text(BASE + "mc_n = 20000\n")
     proc = _python(["-c", ORACLE_IMPORT_SCRIPT, str(val_cfg), str(tmp_path / "out.csv")])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"oracle": [], "validate_code": 0, "validate": []}
+    assert json.loads(proc.stdout) == {
+        "quadrature": [], "oracle": [], "validate_code": 0, "validate": [],
+    }
 
 
 COLD_IMPORT_SCRIPT = """
@@ -704,6 +799,10 @@ seen["sweep_code"] = cli.main(["sweep", "--config", cfg, "--out", out, "--svg", 
 seen["sweep"] = numeric()
 seen["sweep_loaded"] = loaded()
 seen["sweep_modules"] = ours()
+# validate forks its quadrature child before numpy loads
+import gatekeep.quadrature
+seen["quadrature"] = numeric()
+seen["quadrature_modules"] = ours()
 seen["validate_code"] = cli.main(["validate", "--config", val_cfg, "--out", out, "--quiet"])
 seen["validate"] = sorted({m.split(".")[0] for m in numeric()})
 seen["validate_modules"] = ours()
@@ -732,13 +831,17 @@ def test_solve_paths_load_no_numpy_or_scipy(cfg_path, tmp_path):
     assert seen["cli_modules"] == CLI_MODULES
     assert seen["sweep_code"] == 0
     assert seen["sweep"] == []
-    # the chart module loads with the first chart, the oracle with validate, and no mode
-    # loads policy but pigouvian
+    # the chart module loads with the first chart, the two oracles with validate
+    # (the quadratures with no numpy), and no mode loads policy but pigouvian
     assert seen["sweep_loaded"] == ["gatekeep.svgchart"]
     assert seen["sweep_modules"] == sorted(CLI_MODULES + ["gatekeep.svgchart"])
+    assert seen["quadrature"] == []
+    assert seen["quadrature_modules"] == sorted(seen["sweep_modules"] + ["gatekeep.quadrature"])
     assert seen["validate_code"] == 0
     assert seen["validate"] == ["numpy"]
-    assert seen["validate_modules"] == sorted(seen["sweep_modules"] + ["gatekeep.oracle"])
+    assert seen["validate_modules"] == sorted(
+        seen["sweep_modules"] + ["gatekeep.oracle", "gatekeep.quadrature"]
+    )
     assert seen["pigouvian_code"] == 0
     assert seen["pigouvian_modules"] == sorted(seen["validate_modules"] + ["gatekeep.policy"])
 

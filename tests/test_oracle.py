@@ -8,21 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 
-from gatekeep import oracle
+from gatekeep import oracle, quadrature
 from gatekeep.economy import LogCutoffs, PowerBoundedCost, Primitives, expected_profit_given_signal
 from gatekeep.errors import DomainError, GatekeepError, ToleranceNotMetError
 from gatekeep.normal import bvn_cdf, log_tilted_upper_tail2
 from gatekeep.oracle import (
     _BLOCK,
-    _ndtr,
-    _qagse,
     estimate_aggregates,
     estimate_profit_given_signal,
-    quadrature_reference,
     sample_log_population,
-    simulate_operating_mass,
     z_score,
 )
+from gatekeep.quadrature import _ndtr, _qagse, quadrature_reference
 from gatekeep.welfare import compute_aggregates
 
 from economies import economies, solved_or_none
@@ -267,9 +264,12 @@ def test_estimators_on_two_threads_equal_sequential_runs(solved):
 def _traced_peak(fn, *args):
     """Peak bytes that tracemalloc sees fn(*args) allocate.
 
-    A process's first draw imports numpy.random (about 12 block widths), so
-    that import is made before tracing starts.
+    A process's first draw imports numpy.random (about 12 block widths), and
+    ``blocks()`` imports ``concurrent.futures.ThreadPoolExecutor`` (about 9),
+    so both imports are made before tracing starts.
     """
+    from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+
     np.random.default_rng(0)
     tracemalloc.start()
     try:
@@ -306,11 +306,11 @@ def test_estimators_hold_only_their_draw_buffers_and_masks(solved):
 
 
 def test_oracle_imports_no_closed_form_kernel():
-    import gatekeep.oracle as oracle
-
-    for name in ("bvn_cdf", "log_tilted_upper_tail2", "expected_joint_profit",
-                 "std_normal_cdf", "joint_tail_masses"):
-        assert not hasattr(oracle, name), name
+    # both oracles: the Monte Carlo estimators and the quadratures
+    for module in (oracle, quadrature):
+        for name in ("bvn_cdf", "log_tilted_upper_tail2", "expected_joint_profit",
+                     "std_normal_cdf", "joint_tail_masses"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_sampling_validation():
@@ -419,7 +419,7 @@ def test_quadrature_unknown_quantity():
 def test_quadrature_refuses_an_error_estimate_over_tolerance():
     # 1.6e7 periods on [0, 1]: 200 subdivisions leave an error estimate of about 0.59
     with pytest.raises(ToleranceNotMetError, match=r"^probe: quadrature error estimate 0\.5\d* "):
-        oracle._quad(lambda x: math.sin(1e8 * x), 0.0, 1.0, "probe")
+        quadrature._quad(lambda x: math.sin(1e8 * x), 0.0, 1.0, "probe")
 
 
 @pytest.mark.parametrize("quantity, params", [
@@ -512,6 +512,34 @@ def test_tilted_moment_matches_mc_grid():
             se = float(values.std(ddof=1) / math.sqrt(n))
             closed = math.exp(log_tilted_upper_tail2(k, p_c, t_c, rho))
             assert abs(closed - mean) <= 4.0 * se, (rho, k, p_c, t_c)
+
+
+def simulate_operating_mass(prim: Primitives, rho: float, cutoffs: LogCutoffs, seed: int = 0):
+    """Simulate the death-renewal firm count at a fixed experimentation flow.
+
+    Each of 10 000 periods spawns a cohort of 200 experimenters whose (p, t)
+    pairs are drawn fresh; those passing both cutoffs become operating firms,
+    and incumbents die with per-period probability delta. Returns (mean
+    operating count over the periods after a 1 000-period burn-in,
+    batch-means standard error over 20 batches).
+    """
+    n_exp, periods, burn_in, n_batches = 200, 10_000, 1_000, 20
+    rng = np.random.default_rng(seed)
+    sd = math.sqrt(1.0 - rho * rho)
+    counts = np.empty(periods - burn_in, dtype=float)
+    stock = 0
+    for period in range(periods):
+        t = rng.standard_normal(n_exp)
+        p = rho * t + sd * rng.standard_normal(n_exp)
+        entrants = int(((t >= cutoffs.t_star) & (p >= cutoffs.p_star)).sum())
+        deaths = rng.binomial(stock, prim.delta) if stock > 0 else 0
+        stock = stock - deaths + entrants
+        if period >= burn_in:
+            counts[period - burn_in] = stock
+    batches = counts[: (counts.size // n_batches) * n_batches].reshape(n_batches, -1)
+    means = batches.mean(axis=1)
+    se = float(means.std(ddof=1) / math.sqrt(n_batches))
+    return float(counts.mean()), se
 
 
 def test_steady_state_flow_condition(solved):
@@ -632,7 +660,7 @@ def test_qagse_matches_scipy_on_the_oracles_integrands(rho, monkeypatch):
         calls.append(want[2])
         return want[:2]
 
-    monkeypatch.setattr(oracle, "_qagse", checked)
+    monkeypatch.setattr(quadrature, "_qagse", checked)
     t_star, p_star = eq.cutoffs.t_star, eq.cutoffs.p_star
     at = {"rho": rho, "p_star": p_star, "t_star": t_star}
     values = [
@@ -658,7 +686,8 @@ def _ndtr_points():
               *rng.uniform(-1.5, 1.5, 20_000)]
     # branch edges: |a| = 1 (ndtr), sqrt(2) (erf/erfc at 1), 8 sqrt(2) (erfc's
     # P/Q and R/S), the underflow of exp(-z*z), where erfc's tail reaches 0
-    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * oracle._MAXLOG), 37.5, 38.5]
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * quadrature._MAXLOG),
+             37.5, 38.5]
     for edge in edges:
         for e in (edge, -edge):
             for direction in (math.inf, -math.inf):

@@ -32,7 +32,6 @@ from gatekeep.errors import (
     TiltOverflowError,
 )
 from gatekeep.normal import std_normal_cdf
-from gatekeep.oracle import quadrature_reference
 from gatekeep.policy import (
     _PIGOU_SCAN_STEP,
     decentralize_cutoff,
@@ -41,6 +40,7 @@ from gatekeep.policy import (
     planner_cutoff,
     planner_kernel,
 )
+from gatekeep.quadrature import quadrature_reference
 from gatekeep.records import replace
 from gatekeep.welfare import compute_aggregates, welfare_selection_burden
 
