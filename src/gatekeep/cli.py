@@ -33,6 +33,7 @@ from .welfare import (
     SweepRecord, compute_aggregates, failure_status, find_optimal_precision, sweep_records,
 )
 
+#: validate's pass rule, per cell: every |z| and every |quadrature delta|
 MC_Z_LIMIT = 4.0
 QUAD_DELTA_LIMIT = 1e-8
 
@@ -50,7 +51,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(config: RunConfig, columns, rows, path: str | None) -> None:
+def _write_csv(config: RunConfig, columns, rows) -> None:
     buffer = io.StringIO()
     buffer.write(
         f"# gatekeep {__version__} config_sha256={config_hash(config)} seed={config.seed}\r\n"
@@ -60,10 +61,10 @@ def _write_csv(config: RunConfig, columns, rows, path: str | None) -> None:
     for row in rows:
         writer.writerow([_cell(v) for v in row])
     text = buffer.getvalue()
-    if path is None:
+    if config.out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
+        with open(config.out, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -218,28 +219,39 @@ def _forked(fn):
         os.waitpid(pid, 0)
 
 
+ValidateCheck = namedtuple("ValidateCheck", "name closed_form quantity params")
+
+
+def validate_checks(prim, rho: float, cutoffs, agg) -> tuple:
+    """validate's five checks in CSV order; agg holds the closed forms a solve reports.
+
+    Each row's closed_form() is checked against its Monte Carlo estimate and
+    against quadrature_reference(quantity, params). pi_tilde's estimate is
+    drawn at its row's params["t"], and its closed form computed when called.
+    """
+    t_star, p_star = cutoffs.t_star, cutoffs.p_star
+    at_cutoffs = {"rho": rho, "p_star": p_star, "t_star": t_star}
+    probe = {"prim": prim, "rho": rho, "p_star": p_star, "t": t_star + 0.5}
+    return tuple(ValidateCheck(*row) for row in (
+        ("p_theta", lambda: agg.p_theta, "bvn", {"x": -t_star, "y": math.inf, "rho": rho}),
+        ("p_phi", lambda: agg.p_phi, "bvn", {"x": -p_star, "y": -t_star, "rho": rho}),
+        ("s_term", lambda: agg.s_term, "S", {"k": prim.k, **at_cutoffs}),
+        ("pi_breve", lambda: agg.pi_breve, "pi_breve", {"prim": prim, **at_cutoffs}),
+        ("pi_tilde", lambda: expected_profit_given_signal(**probe), "pi_tilde", probe),
+    ))
+
+
 def _run_validate(config: RunConfig) -> _Table:
     from . import quadrature
 
     prim = config.primitives
     regime = Regime(_require(config, "rho", "validate"), config.schedule)
     eq = solve_equilibrium(prim, regime)
-    # the closed forms are the aggregates a solve reports
-    agg = compute_aggregates(prim, regime, eq.cutoffs)
-    rho, t_star, p_star = regime.rho, eq.cutoffs.t_star, eq.cutoffs.p_star
-    # expected profit at one representative signal, against its own MC
-    t_probe = t_star + 0.5
-    at_cutoffs = {"rho": rho, "p_star": p_star, "t_star": t_star}
-    requests = [
-        ("bvn", {"x": -t_star, "y": math.inf, "rho": rho}),
-        ("bvn", {"x": -p_star, "y": -t_star, "rho": rho}),
-        ("S", {"k": prim.k, **at_cutoffs}),
-        ("pi_breve", {"prim": prim, **at_cutoffs}),
-        ("pi_tilde", {"prim": prim, "rho": rho, "p_star": p_star, "t": t_probe}),
-    ]
+    rho, p_star = regime.rho, eq.cutoffs.p_star
+    checks = validate_checks(prim, rho, eq.cutoffs, compute_aggregates(prim, regime, eq.cutoffs))
 
     def references():
-        return [quadrature.quadrature_reference(quantity, params) for quantity, params in requests]
+        return [quadrature.quadrature_reference(c.quantity, c.params) for c in checks]
 
     # The quadratures are pure Python, so a child process computes them,
     # forked before numpy loads, while the process has one thread. Here the
@@ -247,7 +259,8 @@ def _run_validate(config: RunConfig) -> _Table:
     # it draws and reduces): this thread draws t and forms the aggregates'
     # estimates, the sampler's helper thread draws their noise stream, and
     # the pool thread estimates pi_tilde. An error in the aggregates takes
-    # precedence, then one in pi_tilde, then the first quadrature's.
+    # precedence, then one in pi_tilde, then the first quadrature's, then
+    # pi_tilde's closed form.
     with _forked(references) as quadratures:
         # numpy loads here, on the one mode that needs it
         from concurrent.futures import ThreadPoolExecutor
@@ -258,26 +271,19 @@ def _run_validate(config: RunConfig) -> _Table:
 
         with ThreadPoolExecutor(1) as pool:
             pi_tilde = pool.submit(
-                estimate_profit_given_signal, t_probe, prim, rho, p_star, config.mc_n,
-                config.seed + 1,
+                estimate_profit_given_signal, checks[-1].params["t"], prim, rho, p_star,
+                config.mc_n, config.seed + 1,
             )
             estimates = estimate_aggregates(
                 sample_log_population(rho, config.mc_n, config.seed), prim, eq.cutoffs
             )
             estimates["pi_tilde"] = pi_tilde.result()
         quads = quadratures()
-    checks = [
-        ("p_theta", agg.p_theta),
-        ("p_phi", agg.p_phi),
-        ("s_term", agg.s_term),
-        ("pi_breve", agg.pi_breve),
-        ("pi_tilde", expected_profit_given_signal(prim, rho, p_star, t_probe)),
-    ]
     rows = []
-    for (name, closed), quad in zip(checks, quads):
-        mc = estimates[name]
-        z = z_score(closed, mc)
-        rows.append([name, closed, mc.mean, mc.std_error, z, quad, closed - quad])
+    for check, quad in zip(checks, quads):
+        closed, mc = check.closed_form(), estimates[check.name]
+        rows.append([check.name, closed, mc.mean, mc.std_error, z_score(closed, mc), quad,
+                     closed - quad])
     worst_z = max(0.0, *(abs(row[4]) for row in rows))
     worst_delta = max(0.0, *(abs(row[6]) for row in rows))
     # each cell is tested, so a NaN z or delta fails the run
@@ -306,7 +312,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     (unless quiet) and the failure lines, and returns the process exit code."""
     try:
         table = _RUNNERS[config.mode](config)
-        _write_csv(config, table.columns, table.rows, config.out)
+        _write_csv(config, table.columns, table.rows)
         if table.svg is not None:
             with open(config.svg, "w") as fh:
                 fh.write(table.svg)
@@ -358,7 +364,3 @@ def main(argv=None) -> int:
         print(f"config error: {flag}{exc}", file=sys.stderr)
         return 1
     return run(config, quiet=args.quiet)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

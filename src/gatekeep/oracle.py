@@ -47,8 +47,8 @@ from .records import Record
 _BLOCK = 1 << 16
 
 
-class McEstimate(Record, namedtuple("McEstimate", "mean std_error n seed")):
-    """A Monte Carlo sample mean with its standard error and provenance."""
+class McEstimate(Record, namedtuple("McEstimate", "mean std_error")):
+    """A Monte Carlo sample mean with its standard error."""
 
 
 def _block_sizes(n: int):
@@ -161,9 +161,9 @@ class _Moments:
         self.mean += delta * (size / n)
         self.n = n
 
-    def estimate(self, seed: int) -> McEstimate:
+    def estimate(self) -> McEstimate:
         se = math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n) if self.n > 1 else 0.0
-        return McEstimate(mean=self.mean, std_error=se, n=self.n, seed=seed)
+        return McEstimate(mean=self.mean, std_error=se)
 
 
 def _tilted_profit(f: float, k: float, p: np.ndarray, p_star: float, passed: np.ndarray,
@@ -220,12 +220,10 @@ def estimate_aggregates(
         if profit:
             moments["pi_breve"].add(_tilted_profit(prim.f, k, p, p_star, pass_both, out=p))
 
-    estimates = {name: m.estimate(draws.seed) for name, m in moments.items()}
+    estimates = {name: m.estimate() for name, m in moments.items()}
     if not profit:
         # Profit relative to a zero productivity cutoff is infinite.
-        estimates["pi_breve"] = McEstimate(
-            mean=math.inf, std_error=0.0, n=draws.n, seed=draws.seed
-        )
+        estimates["pi_breve"] = McEstimate(mean=math.inf, std_error=0.0)
     return estimates
 
 
@@ -240,7 +238,7 @@ def estimate_profit_given_signal(
     """
     _check_sample(rho, n)
     if p_star == -math.inf:
-        return McEstimate(mean=math.inf, std_error=0.0, n=n, seed=seed)
+        return McEstimate(mean=math.inf, std_error=0.0)
     rng = np.random.default_rng(seed)
     sd = math.sqrt(1.0 - rho * rho)
     mean = rho * t
@@ -256,4 +254,4 @@ def estimate_profit_given_signal(
         np.greater_equal(p, p_star, out=passed)
         # the profit term overwrites the draws it is formed from
         profit.add(_tilted_profit(prim.f, prim.k, p, p_star, passed, out=p))
-    return profit.estimate(seed)
+    return profit.estimate()

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from gatekeep.cli import MC_Z_LIMIT, QUAD_DELTA_LIMIT, validate_checks
 from gatekeep.economy import (
     ConstantCost,
     HyperbolicCost,
@@ -19,7 +20,6 @@ from gatekeep.economy import (
     PowerBoundedCost,
     Primitives,
     Regime,
-    expected_profit_given_signal,
 )
 from gatekeep.equilibrium import (
     FE_RESIDUAL_TOL,
@@ -153,50 +153,20 @@ def test_criterion_2_equilibrium_quality(fig3_sweep, oracle_solutions):
 def test_criterion_3_oracle_equivalence(oracle_solutions):
     with criterion(3, "Monte Carlo and quadrature equivalence"):
         for idx, (prim, regime, eq) in enumerate(oracle_solutions):
-            c = eq.cutoffs
-            rho, k = regime.rho, prim.k
+            c, rho = eq.cutoffs, regime.rho
             draws = sample_log_population(rho, MC_N, seed=SEED + idx)
-            agg = compute_aggregates(prim, regime, eq.cutoffs)
-            for name, est in estimate_aggregates(draws, prim, c).items():
-                z = z_score(getattr(agg, name), est)
-                assert abs(z) <= 4.0, (idx, name, z)
-            t_probe = c.t_star + 0.5
-            closed_pt = expected_profit_given_signal(prim, rho, c.p_star, t_probe)
-            est = estimate_profit_given_signal(t_probe, prim, rho, c.p_star, MC_N, seed=SEED + 100 + idx)
-            assert abs(closed_pt - est.mean) <= 4.0 * est.std_error, idx
-
             # the closed forms are the aggregates a solve reports
-            quad_checks = [
-                (
-                    agg.p_theta,
-                    quadrature_reference("bvn", {"x": -c.t_star, "y": math.inf, "rho": rho}),
-                ),
-                (
-                    agg.p_phi,
-                    quadrature_reference("bvn", {"x": -c.p_star, "y": -c.t_star, "rho": rho}),
-                ),
-                (
-                    agg.s_term,
-                    quadrature_reference(
-                        "S", {"k": k, "rho": rho, "p_star": c.p_star, "t_star": c.t_star}
-                    ),
-                ),
-                (
-                    agg.pi_breve,
-                    quadrature_reference(
-                        "pi_breve",
-                        {"prim": prim, "rho": rho, "p_star": c.p_star, "t_star": c.t_star},
-                    ),
-                ),
-                (
-                    closed_pt,
-                    quadrature_reference(
-                        "pi_tilde", {"prim": prim, "rho": rho, "p_star": c.p_star, "t": t_probe}
-                    ),
-                ),
-            ]
-            for closed, reference in quad_checks:
-                assert abs(closed - reference) <= 1e-8, idx
+            checks = validate_checks(prim, rho, c, compute_aggregates(prim, regime, c))
+            estimates = estimate_aggregates(draws, prim, c)
+            estimates["pi_tilde"] = estimate_profit_given_signal(
+                checks[-1].params["t"], prim, rho, c.p_star, MC_N, seed=SEED + 100 + idx
+            )
+            for name, closed_form, quantity, params in checks:
+                closed = closed_form()
+                z = z_score(closed, estimates[name])
+                assert abs(z) <= MC_Z_LIMIT, (idx, name, z)
+                quad = quadrature_reference(quantity, params)
+                assert abs(closed - quad) <= QUAD_DELTA_LIMIT, (idx, name)
 
 
 def test_criterion_4_welfare_identities(fig3_sweep):

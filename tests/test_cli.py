@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gatekeep
-from gatekeep.cli import _build_parser, main
+from gatekeep.cli import MC_Z_LIMIT, QUAD_DELTA_LIMIT, _build_parser, main
 from gatekeep.config import MODES
 from gatekeep.welfare import SweepRecord
 
@@ -174,8 +174,8 @@ def test_validate_mode_passes(cfg_path, tmp_path):
     names = [r[0] for r in rows]
     assert names == ["p_theta", "p_phi", "s_term", "pi_breve", "pi_tilde"]
     for row in rows:
-        assert abs(float(row[4])) <= 4.0  # z-score column
-        assert abs(float(row[6])) <= 1e-8  # quadrature delta column
+        assert abs(float(row[4])) <= MC_Z_LIMIT  # z-score column
+        assert abs(float(row[6])) <= QUAD_DELTA_LIMIT  # quadrature delta column
 
 
 def test_validate_scores_the_aggregates_solve_prints(tmp_path):
@@ -349,9 +349,12 @@ def test_validate_nan_cell_is_a_mismatch(column, tmp_path, monkeypatch):
         monkeypatch.setattr(quadrature, "quadrature_reference", lambda quantity, params: (
             math.nan if quantity == "pi_breve" else reference(quantity, params)))
     else:
-        # pi_tilde's estimate is the one drawn at the config's seed + 1
+        # pi_tilde's z-score is the one on the estimate of expected profit at a signal
+        estimate, drawn = oracle.estimate_profit_given_signal, []
+        monkeypatch.setattr(oracle, "estimate_profit_given_signal", lambda *args: (
+            drawn.append(estimate(*args)) or drawn[-1]))
         monkeypatch.setattr(oracle, "z_score", lambda closed, est: (
-            math.nan if est.seed == 100 else z_score(closed, est)))
+            math.nan if est is drawn[0] else z_score(closed, est)))
     path = tmp_path / "val.cfg"
     path.write_text(BASE + "mc_n = 200000\n")
     out = str(tmp_path / "val.csv")
@@ -360,7 +363,7 @@ def test_validate_nan_cell_is_a_mismatch(column, tmp_path, monkeypatch):
     cells = [dict(zip(header, row)) for row in rows]
     assert [cell[column] for cell in cells].count("nan") == 1
     for cell in cells:
-        for name, limit in (("z_score", 4.0), ("quad_delta", 1e-8)):
+        for name, limit in (("z_score", MC_Z_LIMIT), ("quad_delta", QUAD_DELTA_LIMIT)):
             assert cell[name] == "nan" or abs(float(cell[name])) <= limit, cell
 
 

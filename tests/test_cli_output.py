@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from gatekeep.cli import main
+from gatekeep.cli import MC_Z_LIMIT, QUAD_DELTA_LIMIT, main
 from gatekeep.config import MODES, parse_config
 from gatekeep.economy import Regime
 from gatekeep.equilibrium import melitz_limit_zero, solve_equilibrium
@@ -80,9 +80,10 @@ def _expected(mode, config, header, rows):
         gap = float(p["perfect_info"]) - float(p["zero_precision"])
         return 0, (f"zero-precision p*={p['zero_precision']}, perfect-information "
                    f"p*={p['perfect_info']} (selection gap {gap!r})"), []
-    worst_z = max(abs(float(r[col["z_score"]])) for r in rows)
-    worst_delta = max(abs(float(r[col["quad_delta"]])) for r in rows)
-    passed = worst_z <= 4.0 and worst_delta <= 1e-8
+    z = [abs(float(r[col["z_score"]])) for r in rows]
+    delta = [abs(float(r[col["quad_delta"]])) for r in rows]
+    worst_z, worst_delta = max(0.0, *z), max(0.0, *delta)
+    passed = all(a <= MC_Z_LIMIT and b <= QUAD_DELTA_LIMIT for a, b in zip(z, delta))
     return (0 if passed else 3), (
         f"validation at rho={config.rho!r}, n={config.mc_n}: max |z| = {worst_z:.3f}, "
         f"max quadrature delta = {worst_delta:.3e} -> {'ok' if passed else 'MISMATCH'}"

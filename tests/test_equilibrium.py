@@ -116,6 +116,15 @@ def test_solve_refuses_a_root_off_the_free_entry_peak(monkeypatch):
         solve_equilibrium(PRIM, Regime(0.5, SCHED))
 
 
+def test_solve_refuses_residuals_that_drift_from_zero(monkeypatch):
+    # both residuals at this converged root are float noise, not exactly 0.0
+    eq = solve_equilibrium(PRIM, Regime(0.5, SCHED))
+    assert eq.ac_residual != 0.0 and eq.fe_residual != 0.0
+    monkeypatch.setattr(equilibrium, "FE_RESIDUAL_TOL", 0.0)
+    with pytest.raises(InconsistentEquilibriumError, match="^solver drift: residuals"):
+        solve_equilibrium(PRIM, Regime(0.5, SCHED))
+
+
 def test_solver_determinism():
     a = solve_equilibrium(PRIM, Regime(0.5, SCHED))
     b = solve_equilibrium(PRIM, Regime(0.5, SCHED))

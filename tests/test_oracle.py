@@ -9,6 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 
 from gatekeep import oracle, quadrature
+from gatekeep.cli import QUAD_DELTA_LIMIT, validate_checks
 from gatekeep.economy import LogCutoffs, PowerBoundedCost, Primitives, expected_profit_given_signal
 from gatekeep.errors import DomainError, GatekeepError, ToleranceNotMetError
 from gatekeep.normal import bvn_cdf, log_tilted_upper_tail2
@@ -147,7 +148,6 @@ def test_blocks_raise_an_error_of_the_helper(monkeypatch):
 
 def _assert_matches(est, values):
     n = values.size
-    assert est.n == n
     assert est.mean == pytest.approx(float(values.mean()), rel=1e-12)
     assert est.std_error == pytest.approx(float(values.std(ddof=1) / math.sqrt(n)), rel=1e-12)
 
@@ -182,8 +182,8 @@ def _in_blocks(values):
     return (values[start:start + _BLOCK] for start in range(0, values.size, _BLOCK))
 
 
-def _reference_estimate(blocks, seed):
-    """(mean, std_error, n, seed) of blocks of values, merged as the estimators merge them."""
+def _reference_estimate(blocks):
+    """(mean, std_error) of blocks of values, merged as the estimators merge them."""
     n, mean, m2 = 0, 0.0, 0.0
     for values in blocks:
         size = int(values.size)
@@ -195,7 +195,7 @@ def _reference_estimate(blocks, seed):
         mean += delta * (size / total)
         n = total
     se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-    return mean, se, n, seed
+    return mean, se
 
 
 def _reference_aggregates(prim, rho, n, seed, cutoffs):
@@ -208,18 +208,18 @@ def _reference_aggregates(prim, rho, n, seed, cutoffs):
         "s_term": np.exp(prim.k * p) * pass_both,
         "pi_breve": prim.f * (np.exp(prim.k * (p - cutoffs.p_star)) - 1.0) * pass_both,
     }
-    return {name: _reference_estimate(_in_blocks(values), seed) for name, values in terms.items()}
+    return {name: _reference_estimate(_in_blocks(values)) for name, values in terms.items()}
 
 
 def _reference_profit(prim, t, rho, p_star, n, seed):
     p = rho * t + math.sqrt(1.0 - rho * rho) * np.random.default_rng(seed).standard_normal(n)
     values = prim.f * (np.exp(prim.k * (p - p_star)) - 1.0) * (p >= p_star)
-    return _reference_estimate(_in_blocks(values), seed)
+    return _reference_estimate(_in_blocks(values))
 
 
 def _assert_bit_equal(got, want):
     # == on the floats: every bit, not an approximation
-    assert (got.mean, got.std_error, got.n, got.seed) == want, (got, want)
+    assert (got.mean, got.std_error) == want, (got, want)
 
 
 #: k = 2.7: at the benchmark's k = 1 every product with k is exact, so a
@@ -394,7 +394,7 @@ def test_estimates_at_an_infinite_productivity_cutoff():
     assert (est.mean, est.std_error) == (0.0, 0.0)
     est = estimate_profit_given_signal(1.0, PRIM, 0.5, math.inf, 1000, seed=1)
     assert (est.mean, est.std_error) == (0.0, 0.0)
-    inf = oracle.McEstimate(math.inf, 0.0, 1000, 3)
+    inf = oracle.McEstimate(math.inf, 0.0)
     assert estimate_aggregates(draws, PRIM, LogCutoffs(0.2, -math.inf, 0.0))["pi_breve"] == inf
     assert estimate_profit_given_signal(1.0, PRIM, 0.5, -math.inf, 1000, seed=3) == inf
 
@@ -438,36 +438,15 @@ def test_quadrature_refuses_an_unbounded_interval(quantity, params):
 
 @pytest.mark.parametrize("rho", [0.1, 0.5, 0.89, 0.97])
 def test_closed_forms_match_quadrature(rho, solved):
-    # the closed forms are the aggregates a solve reports
+    # validate's checks, and expected profit at a second signal, t = 1
     _, eq, agg = solved(rho)
     c = eq.cutoffs
-    k = PRIM.k
-    checks = [
-        (
-            agg.p_phi,
-            quadrature_reference("bvn", {"x": -c.p_star, "y": -c.t_star, "rho": rho}),
-        ),
-        (
-            agg.s_term,
-            quadrature_reference(
-                "S", {"k": k, "rho": rho, "p_star": c.p_star, "t_star": c.t_star}
-            ),
-        ),
-        (
-            agg.pi_breve,
-            quadrature_reference(
-                "pi_breve", {"prim": PRIM, "rho": rho, "p_star": c.p_star, "t_star": c.t_star}
-            ),
-        ),
-        (
-            expected_profit_given_signal(PRIM, rho, c.p_star, 1.0),
-            quadrature_reference(
-                "pi_tilde", {"prim": PRIM, "rho": rho, "p_star": c.p_star, "t": 1.0}
-            ),
-        ),
-    ]
-    for closed, reference in checks:
-        assert closed == pytest.approx(reference, abs=1e-8)
+    checks = [(closed_form(), quantity, params)
+              for _, closed_form, quantity, params in validate_checks(PRIM, rho, c, agg)]
+    checks.append((expected_profit_given_signal(PRIM, rho, c.p_star, 1.0), "pi_tilde",
+                   {"prim": PRIM, "rho": rho, "p_star": c.p_star, "t": 1.0}))
+    for closed, quantity, params in checks:
+        assert closed == pytest.approx(quadrature_reference(quantity, params), abs=QUAD_DELTA_LIMIT)
 
 
 # no shrink phase: shrinking a failure through 0.12 s quadratures took minutes
@@ -482,23 +461,13 @@ def test_closed_forms_match_quadrature_over_the_domain(economy):
     if eq is None:
         return
     agg = compute_aggregates(prim, regime, eq.cutoffs)
-    c, rho = eq.cutoffs, regime.rho
-    at_cutoffs = {"rho": rho, "p_star": c.p_star, "t_star": c.t_star}
-    t_probe = c.t_star + 0.5
-    checks = [
-        ("p_theta", agg.p_theta, "bvn", {"x": -c.t_star, "y": math.inf, "rho": rho}),
-        ("p_phi", agg.p_phi, "bvn", {"x": -c.p_star, "y": -c.t_star, "rho": rho}),
-        ("s_term", agg.s_term, "S", {"k": prim.k, **at_cutoffs}),
-        ("pi_breve", agg.pi_breve, "pi_breve", {"prim": prim, **at_cutoffs}),
-        ("pi_tilde", expected_profit_given_signal(prim, rho, c.p_star, t_probe), "pi_tilde",
-         {"prim": prim, "rho": rho, "p_star": c.p_star, "t": t_probe}),
-    ]
-    for name, closed, quantity, params in checks:
+    for name, closed_form, quantity, params in validate_checks(prim, regime.rho, eq.cutoffs, agg):
+        closed = closed_form()
         try:
             quad = quadrature_reference(quantity, params)
         except GatekeepError:
             continue
-        assert abs(closed - quad) <= 1e-8 * max(1.0, abs(quad)), (name, closed, quad)
+        assert abs(closed - quad) <= QUAD_DELTA_LIMIT * max(1.0, abs(quad)), (name, closed, quad)
 
 
 def test_tilted_moment_matches_mc_grid():
@@ -661,19 +630,10 @@ def test_qagse_matches_scipy_on_the_oracles_integrands(rho, monkeypatch):
         return want[:2]
 
     monkeypatch.setattr(quadrature, "_qagse", checked)
-    t_star, p_star = eq.cutoffs.t_star, eq.cutoffs.p_star
-    at = {"rho": rho, "p_star": p_star, "t_star": t_star}
-    values = [
-        quadrature_reference("bvn", {"x": -t_star, "y": math.inf, "rho": rho}),
-        quadrature_reference("bvn", {"x": -p_star, "y": -t_star, "rho": rho}),
-        quadrature_reference("S", {"k": PRIM.k, **at}),
-        quadrature_reference("pi_breve", {"prim": PRIM, **at}),
-        quadrature_reference("pi_tilde", {"prim": PRIM, "rho": rho, "p_star": p_star,
-                                          "t": t_star + 0.5}),
-    ]
-    closed = [agg.p_theta, agg.p_phi, agg.s_term, agg.pi_breve,
-              expected_profit_given_signal(PRIM, rho, p_star, t_star + 0.5)]
-    assert values == pytest.approx(closed, abs=1e-8)
+    checks = validate_checks(PRIM, rho, eq.cutoffs, agg)
+    values = [quadrature_reference(check.quantity, check.params) for check in checks]
+    closed = [check.closed_form() for check in checks]
+    assert values == pytest.approx(closed, abs=QUAD_DELTA_LIMIT)
     # the outer integrals of S and pi_breve run each inner one through scipy
     # a second time, so there are more checks than validate's 341 calls
     assert len(calls) > 300

@@ -34,6 +34,7 @@ from gatekeep.errors import (
 from gatekeep.normal import std_normal_cdf
 from gatekeep.policy import (
     _PIGOU_SCAN_STEP,
+    _transfer_cutoff,
     decentralize_cutoff,
     intermediation_schedule,
     pigouvian_welfare,
@@ -385,6 +386,17 @@ def test_pigouvian_scan_raises_where_a_probe_is_nan(monkeypatch):
     assert isinstance(_ordered_scan_welfare(PRIM, regime, s), float)
     with pytest.raises(DomainError, match="root finder: residual is NaN"):
         pigouvian_welfare(PRIM, regime, s)
+
+
+def test_transfer_cutoff_returns_a_grid_point_where_the_residual_is_zero():
+    # a residual that is exactly 0.0 at grid point 403 and changes sign
+    # there: the ordered scan returns that point, and so does bisection's Brent
+    root = -BRACKET_BOUND + 403 * _PIGOU_SCAN_STEP
+    probes = []
+    residual = lambda t: probes.append(t) or root - t
+    assert _transfer_cutoff(residual, False, 1.0) == root
+    assert probes == [-BRACKET_BOUND + i * _PIGOU_SCAN_STEP for i in range(405)]
+    assert _transfer_cutoff(residual, True, -1.0) == root
 
 
 # The paper's policy claims across economies, not only at the benchmark one,

@@ -53,7 +53,7 @@ RECORDS = [
         columns=("s", "W"), rows=((0.0, 1.0),), summary="done", failures=("s=1.0: failed",),
         svg=None, code=0,
     )),
-    (oracle.McEstimate, dict(mean=0.5, std_error=0.01, n=1000, seed=7)),
+    (oracle.McEstimate, dict(mean=0.5, std_error=0.01)),
     (oracle.PopulationDraws, dict(rho=0.5, n=1000, seed=7)),
 ]
 

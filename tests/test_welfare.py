@@ -241,6 +241,11 @@ def test_optimal_precision_raises_the_class_the_points_failed_with():
         find_optimal_precision(bad_prim, SCHED, [0.3, 0.6])
 
 
+def test_optimal_precision_refuses_an_empty_grid():
+    with pytest.raises(BracketFailureError, match="^no grid point admits an equilibrium$"):
+        find_optimal_precision(PRIM, SCHED, [])
+
+
 def test_optimal_precision_mixed_failures_take_the_first_class(monkeypatch):
     errors = [TiltOverflowError("a"), BracketFailureError("b"), TiltOverflowError("c")]
     records = [
