@@ -26,7 +26,8 @@
 # stdout and stderr byte-identical (a warning's source location aside), and
 # every exit code equal. A Python
 # traceback in any stderr of the head tree fails the comparison whatever
-# the base printed.
+# the base printed. Each config and mode whose files moved is then listed
+# with its base and head exit codes and the head's first stderr line.
 set -euo pipefail
 
 base=$(cd "$1" && pwd)
@@ -182,9 +183,19 @@ if grep -l Traceback "$work"/head/*/*.stderr >&2; then
 fi
 diff <(cd "$work/base" && find . -type f | sort) <(cd "$work/head" && find . -type f | sort)
 failed=0
+moved=()
 while read -r file; do
-  cmp "$work/base/$file" "$work/head/$file" || failed=1
+  if ! cmp "$work/base/$file" "$work/head/$file"; then
+    failed=1
+    # config/mode: each mode's files are named <mode>.<kind>
+    name=$(basename "$file")
+    moved+=("$(dirname "${file#./}")/${name%%.*}")
+  fi
 done < <(cd "$work/base" && find . -type f | sort)
+for run in $(printf '%s\n' "${moved[@]}" | sort -u); do
+  echo "moved $run: exit $(cat "$work/base/$run.code") -> $(cat "$work/head/$run.code"):" \
+    "$(head -n 1 "$work/head/$run.stderr")"
+done
 count=$(cd "$work/base" && find . -type f | wc -l)
 configs=$(find "$cfgs" -name '*.cfg' | wc -l)
 if [ "$failed" -ne 0 ]; then

@@ -173,12 +173,12 @@ def _forked(fn):
     That function waits for the child, and returns fn's value or raises the
     exception fn raised: the child sends either back pickled through a pipe,
     then leaves by ``os._exit``, so it runs none of this process's clean-up.
-    Leaving the block reaps the child on every path. Fork while this is the
-    process's one thread: a child has only the forking thread, and no lock
-    that another thread held is ever released in it. Where ``os.fork`` does
-    not exist, the function calls fn in process.
+    Leaving the block reaps the child on every path. It forks only a process
+    that has not loaded numpy, whose BLAS starts threads: a child has only the
+    forking thread, and no lock another thread held is ever released in it.
+    Otherwise, or where ``os.fork`` does not exist, the function calls fn here.
     """
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or "numpy" in sys.modules:
         yield fn
         return
     read, write = os.pipe()

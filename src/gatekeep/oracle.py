@@ -1,11 +1,11 @@
 """The Monte Carlo oracle: estimators of the closed-form quantities.
 
 Monte Carlo estimates from raw bivariate-normal draws, and ``z_score`` to
-compare an estimate with a value computed elsewhere. It imports no
-closed-form kernel; the closed forms it is checked against are the
-aggregates the solver reports, so agreement is evidence rather than
-tautology. It is the one gatekeep module that loads numpy. The quadrature
-oracle, which needs no numpy, is ``gatekeep.quadrature``.
+compare an estimate with a value computed elsewhere. It imports no solver
+module; the closed forms it is checked against are the aggregates the
+solver reports, so agreement is evidence rather than tautology. It is the
+one gatekeep module that loads numpy. The quadrature oracle, which needs no
+numpy, is ``gatekeep.quadrature``.
 
 Sampling uses numpy's PCG64 generator (``numpy.random.default_rng``) seeded
 explicitly; identical (n, seed) reproduce identical draws and estimates, on
@@ -39,7 +39,6 @@ from .quadrature import quadrature_reference  # noqa: F401
 
 import numpy as np
 
-from .economy import LogCutoffs, Primitives
 from .errors import DomainError
 from .records import Record
 
@@ -185,9 +184,7 @@ def z_score(closed_form: float, est: McEstimate) -> float:
     return 0.0 if closed_form == est.mean else math.inf
 
 
-def estimate_aggregates(
-    draws: PopulationDraws, prim: Primitives, cutoffs: LogCutoffs
-) -> dict[str, McEstimate]:
+def estimate_aggregates(draws: PopulationDraws, prim, cutoffs) -> dict[str, McEstimate]:
     """Sample estimates of the tail probabilities, selection term, and profit.
 
     Returns ``{name: McEstimate}`` for p_theta, p_phi, s_term and pi_breve.
@@ -228,7 +225,7 @@ def estimate_aggregates(
 
 
 def estimate_profit_given_signal(
-    t: float, prim: Primitives, rho: float, p_star: float, n: int, seed: int
+    t: float, prim, rho: float, p_star: float, n: int, seed: int
 ) -> McEstimate:
     """Monte Carlo of expected flow profit conditional on a log signal t.
 

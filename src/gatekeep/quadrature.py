@@ -2,21 +2,20 @@
 
 ``quadrature_reference`` integrates the bivariate-normal densities of the
 closed-form quantities directly, with no shared code: the integrands use
-their own inline density and ``_ndtr``, and the module imports no
-closed-form kernel. It needs the standard library alone, not numpy: the
-quadratures run on standard-library ports, bit for bit, of QUADPACK's
-``qagse`` (the points ``scipy.integrate.quad`` evaluates, and its value and
-error estimate) and of Cephes' ``ndtr`` (what ``scipy.special.ndtr``
-returns). So ``validate`` can run them in a process forked before numpy
-loads (``gatekeep.cli``), beside the Monte Carlo oracle of
-``gatekeep.oracle``.
+their own inline density and ``_ndtr``, and the module imports no solver
+module, only ``gatekeep.errors``. It needs the standard library alone, not
+numpy: the quadratures run on standard-library ports, bit for bit, of
+QUADPACK's ``qagse`` (the points ``scipy.integrate.quad`` evaluates, and
+its value and error estimate) and of Cephes' ``ndtr`` (what
+``scipy.special.ndtr`` returns). So ``validate`` can run them in a process
+forked before numpy loads (``gatekeep.cli``), beside the Monte Carlo oracle
+of ``gatekeep.oracle``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .economy import Primitives
 from .errors import DomainError, TiltOverflowError, ToleranceNotMetError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -499,13 +498,14 @@ def _norm_pdf(x: float) -> float:
 
 def _tilted_density(scale: float, x: float, minus: float, z: float, sd: float, what: str) -> float:
     # scale (exp(x) - minus) phi(z) / sd. Where exp(x) or the product
-    # overflows, minus is far below the last bit of exp(x), so it is dropped
-    # and the Gaussian exponent is folded into the one exp
+    # overflows (inf, or inf * 0.0 = nan in the far tail), minus is far below
+    # the last bit of exp(x), so it is dropped and the Gaussian exponent is
+    # folded into the one exp
     try:
         value = scale * (math.exp(x) - minus) * _norm_pdf(z) / sd
     except OverflowError:
         value = math.inf
-    if value == math.inf:
+    if not value < math.inf:
         try:
             value = scale * math.exp(x - 0.5 * z * z - _LOG_SQRT_2PI) / sd
         except OverflowError:
@@ -522,7 +522,9 @@ def _quad(fn, lo: float, hi: float, what: str) -> float:
     if not -math.inf < lo < hi < math.inf:
         raise DomainError(f"{what}: [{lo!r}, {hi!r}] is not a finite interval")
     value, abserr = _qagse(fn, lo, hi, 0.1 * _QUAD_TOL, 1e-12, 200)
-    if abserr > max(_QUAD_TOL, 1e-11 * abs(value)):
+    if not math.isfinite(value):
+        raise ToleranceNotMetError(f"{what}: quadrature value {value!r} is not a finite number")
+    if not abserr <= max(_QUAD_TOL, 1e-11 * abs(value)):  # a NaN estimate too
         raise ToleranceNotMetError(
             f"{what}: quadrature error estimate {abserr!r} exceeds {_QUAD_TOL!r}"
         )
@@ -541,7 +543,7 @@ def _quad_bvn(x: float, y: float, rho: float) -> float:
     return _quad(integrand, -_TAIL, hi, "bvn")
 
 
-def _profit_inner(prim: Primitives, rho: float, p_star: float, t: float) -> float:
+def _profit_inner(prim, rho: float, p_star: float, t: float) -> float:
     # E[f (e^{k(p - p*)} - 1) 1{p >= p*} | t] with p | t ~ N(rho t, 1 - rho^2)
     k = prim.k
     s2 = 1.0 - rho * rho

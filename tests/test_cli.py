@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,8 +219,9 @@ def _assert_no_child_left():
 
 
 def test_validate_error_precedence(tmp_path, monkeypatch, capsys):
-    # the two estimators run at once, and the quadratures in a forked child;
-    # their errors still rank aggregates, then pi_tilde, then quadrature
+    # the two estimators run at once (the quadratures after them, in process,
+    # since pytest has loaded numpy); their errors rank aggregates, then
+    # pi_tilde, then quadrature. A forked child's error is tested below
     from gatekeep import oracle, quadrature
     from gatekeep.errors import TiltOverflowError, ToleranceNotMetError
 
@@ -263,7 +265,9 @@ def test_validate_error_precedence(tmp_path, monkeypatch, capsys):
 
 
 def test_validate_without_fork_writes_the_same_csv(tmp_path, monkeypatch):
-    # where os.fork does not exist, the quadratures run in process
+    # where os.fork does not exist, the quadratures run in process; so they
+    # do under pytest, which has loaded numpy (forked and in-process runs are
+    # compared in a fresh interpreter below)
     path = tmp_path / "val.cfg"
     path.write_text(BASE + "mc_n = 70000\n")
     outputs = []
@@ -277,22 +281,68 @@ def test_validate_without_fork_writes_the_same_csv(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-def test_validate_child_that_sends_nothing_is_an_error(tmp_path, monkeypatch):
-    # a child that ends without a result (killed, say) fails the run, reaped
-    from gatekeep import quadrature
+#: validate in a fresh interpreter, whose forked child ends without a result
+#: (killed, say) or sends back the error of a quadrature (argv[1])
+CHILD_SCRIPT = """
+import json, os, sys
+from gatekeep import cli, quadrature
+from gatekeep.errors import TiltOverflowError
 
-    monkeypatch.setattr(quadrature, "quadrature_reference", lambda quantity, params: os._exit(1))
+reference = quadrature.quadrature_reference
+
+def send_nothing(quantity, params):
+    os._exit(1)
+
+def fail_at_s(quantity, params):
+    if quantity == "S":
+        raise TiltOverflowError(quantity)
+    return reference(quantity, params)
+
+quadrature.quadrature_reference = {"nothing": send_nothing, "error": fail_at_s}[sys.argv[1]]
+try:
+    seen = {"code": cli.main(sys.argv[2:])}
+except RuntimeError as exc:
+    seen = {"error": str(exc)}
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    seen["reaped"] = True
+print(json.dumps(seen))
+"""
+
+
+def _validate_with_child(tmp_path, child):
+    # a fresh interpreter forks: pytest's own has loaded numpy, and would run
+    # the quadratures, and a child's os._exit, in process
     path = tmp_path / "val.cfg"
     path.write_text(BASE + "mc_n = 2000\n")
-    with pytest.raises(RuntimeError, match="ended without sending a result"):
-        main(["validate", "--config", str(path), "--out", str(tmp_path / "val.csv"), "--quiet"])
-    _assert_no_child_left()
+    proc = _python(["-c", CHILD_SCRIPT, child, "validate", "--config", str(path),
+                    "--out", str(tmp_path / "val.csv"), "--quiet"])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a child")
+def test_validate_child_that_sends_nothing_is_an_error(tmp_path):
+    # a child that ends without a result (killed, say) fails the run, reaped
+    seen, stderr = _validate_with_child(tmp_path, "nothing")
+    assert re.fullmatch(r"forked process \d+ ended without sending a result", seen.pop("error"))
+    assert seen == {"reaped": True}
+    assert stderr == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a child")
+def test_validate_child_error_is_the_runs_error(tmp_path):
+    # the child's error comes back with its class and fails the run, reaped
+    seen, stderr = _validate_with_child(tmp_path, "error")
+    assert seen == {"code": 2, "reaped": True}
+    assert stderr == "solver failure: TiltOverflowError: S\n"
 
 
 FORK_THREADS_SCRIPT = """
 import json, os, runpy, sys
 
-fork, threads = os.fork, []
+fork, threads, codes = os.fork, [], []
 
 def counted_fork():
     # num_threads, field 20 of /proc/self/stat
@@ -301,12 +351,26 @@ def counted_fork():
     return fork()
 
 os.fork = counted_fork
-sys.argv[0] = "gatekeep"
-try:
-    runpy.run_module("gatekeep", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    print(json.dumps({"code": exc.code, "threads": threads}))
+# one python -m gatekeep run per --out path given after the arguments
+args, outs = sys.argv[1:sys.argv.index("--out")], sys.argv[sys.argv.index("--out") + 1:]
+for out in outs:
+    sys.argv = ["gatekeep", *args, "--out", out]
+    try:
+        runpy.run_module("gatekeep", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps({"codes": codes, "threads": threads}))
 """
+
+
+def _fork_threads(tmp_path, runs, *flags):
+    path = tmp_path / "val.cfg"
+    path.write_text(BASE + "mc_n = 20000\n")
+    outs = [tmp_path / f"val{i}.csv" for i in range(runs)]
+    proc = _python([*flags, "-c", FORK_THREADS_SCRIPT, "validate", "--config", str(path),
+                    "--quiet", "--out", *map(str, outs)])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), [out.read_bytes() for out in outs]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads Linux's /proc")
@@ -315,12 +379,18 @@ def test_validate_forks_while_single_threaded(tmp_path):
     # it BLAS's threads: a child of a threaded process could inherit a lock
     # that no thread of its own releases (and Python 3.12+ warns). Python
     # 3.13 clears that warning even under -W error, so the count is read here
-    path = tmp_path / "val.cfg"
-    path.write_text(BASE + "mc_n = 20000\n")
-    proc = _python(["-c", FORK_THREADS_SCRIPT, "validate", "--config", str(path),
-                    "--out", str(tmp_path / "val.csv"), "--quiet"])
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"code": 0, "threads": [1]}
+    seen, _ = _fork_threads(tmp_path, 1)
+    assert seen == {"codes": [0], "threads": [1]}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads Linux's /proc")
+def test_second_validate_in_a_process_does_not_fork(tmp_path):
+    # once numpy has loaded, validate runs its quadratures in process, and
+    # writes the bytes that the forked run wrote
+    flags = ["-W", "error::DeprecationWarning"] if sys.version_info >= (3, 12) else []
+    seen, csvs = _fork_threads(tmp_path, 2, *flags)
+    assert seen == {"codes": [0, 0], "threads": [1]}
+    assert csvs[0] == csvs[1]
 
 
 def test_validate_zero_standard_error_is_not_a_match(tmp_path):
@@ -624,6 +694,46 @@ seed = 3
 """
 
 
+#: one of the two in 300 fuzz configs on which pi_breve's quadrature, with
+#: 268 of its 854 inner integrals NaN, was reported as the number nan
+NAN_QUADRATURE_CFG = """\
+[primitives]
+sigma = 3.0
+f = 9.324281025749343e+299
+f_n = 1.0
+delta = 0.1491729864726037
+L = 1.7689962138901264e+299
+
+[schedule]
+kind = piecewise_linear
+rho_low = 0.7950520457726243
+rho_high = 0.9580466006629399
+f_low = 1.010128218189875e-116
+f_high = 3.0708186799407375
+
+[run]
+rho = 0.32208074469434833
+mc_n = 1286
+seed = 61124
+"""
+
+
+def test_validate_reports_no_nan_quadrature(tmp_path, capsys):
+    # the inner integrands fold inf * 0.0 in their far tails, so every inner
+    # integral is finite; a NaN one would be refused. The run still fails:
+    # no draw reaches a mass of 2.8e-300, so the z-scores are inf
+    path = tmp_path / "nan.cfg"
+    path.write_text(NAN_QUADRATURE_CFG)
+    out = str(tmp_path / "nan.csv")
+    assert main(["validate", "--config", str(path), "--out", out]) == 3
+    summary = capsys.readouterr().out
+    assert summary.endswith("max |z| = inf, max quadrature delta = 8.549e-14 -> MISMATCH\n")
+    _, header, rows = _read(out)
+    cells = {row[0]: dict(zip(header, row)) for row in rows}
+    assert math.isfinite(float(cells["pi_breve"]["quad_value"]))
+    assert abs(float(cells["pi_breve"]["quad_delta"])) <= QUAD_DELTA_LIMIT
+
+
 def test_validate_quadrature_overflow_is_no_traceback(tmp_path, capsys):
     path = tmp_path / "overflow.cfg"
     path.write_text(VALIDATE_OVERFLOW_CFG)
@@ -753,8 +863,11 @@ def loaded(*packages):
 
 import gatekeep.quadrature
 
-seen = {"quadrature": loaded("numpy", "scipy")}
+seen = {"quadrature": loaded("numpy", "scipy"), "quadrature_modules": loaded("gatekeep")}
 import gatekeep.oracle
+
+seen["oracle_modules"] = loaded("gatekeep")
+seen["oracle_numpy"] = "numpy" in sys.modules
 from gatekeep import cli
 
 seen["oracle"] = loaded("scipy")
@@ -765,13 +878,17 @@ print(json.dumps(seen))
 
 
 def test_oracle_import_loads_no_scipy(tmp_path):
-    # the quadratures run on their own QUADPACK and ndtr ports, and need no numpy
+    # the quadratures run on their own QUADPACK and ndtr ports, and need no
+    # numpy; neither oracle loads a solver module, not even for an annotation
     val_cfg = tmp_path / "val.cfg"
     val_cfg.write_text(BASE + "mc_n = 20000\n")
     proc = _python(["-c", ORACLE_IMPORT_SCRIPT, str(val_cfg), str(tmp_path / "out.csv")])
     assert proc.returncode == 0, proc.stderr
+    quadrature_modules = ["gatekeep", "gatekeep.errors", "gatekeep.quadrature"]
     assert json.loads(proc.stdout) == {
-        "quadrature": [], "oracle": [], "validate_code": 0, "validate": [],
+        "quadrature": [], "quadrature_modules": quadrature_modules,
+        "oracle_modules": sorted(quadrature_modules + ["gatekeep.oracle", "gatekeep.records"]),
+        "oracle_numpy": True, "oracle": [], "validate_code": 0, "validate": [],
     }
 
 

@@ -422,6 +422,27 @@ def test_quadrature_refuses_an_error_estimate_over_tolerance():
         quadrature._quad(lambda x: math.sin(1e8 * x), 0.0, 1.0, "probe")
 
 
+@pytest.mark.parametrize("fn, hi", [
+    (lambda x: math.nan if x > 0.5 else 1.0, 1.0),
+    (lambda x: math.inf if x > 0.5 else 1.0, 1.0),
+    # finite everywhere, with an integral past the double range
+    (lambda x: 1.5e308, 2.0),
+], ids=["nan", "inf", "overflow"])
+def test_quadrature_refuses_a_value_that_is_not_finite(fn, hi):
+    # a NaN or infinite integral, inner or outer, is no reference value
+    with pytest.raises(ToleranceNotMetError, match=r"^probe: quadrature value (nan|inf) "):
+        quadrature._quad(fn, 0.0, hi, "probe")
+
+
+def test_tilted_density_folds_a_nan_product():
+    # f exp(x) overflows while phi(z) underflows: inf * 0.0 is nan, and the
+    # folded exponent gives the finite value
+    assert quadrature._tilted_density(1e300, 700.0, 1.0, 39.0, 1.0, "x") == 2.118819253509351e+273
+    # a finite product keeps its bits
+    assert quadrature._tilted_density(2.0, 3.0, 1.0, 0.5, 0.8, "x") == (
+        2.0 * (math.exp(3.0) - 1.0) * (math.exp(-0.125) / math.sqrt(2.0 * math.pi)) / 0.8)
+
+
 @pytest.mark.parametrize("quantity, params", [
     ("pi_tilde", {"prim": PRIM, "rho": 0.5, "p_star": -math.inf, "t": 1.0}),
     ("pi_tilde", {"prim": PRIM, "rho": 0.5, "p_star": 0.3, "t": math.inf}),
