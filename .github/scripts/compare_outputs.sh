@@ -13,14 +13,10 @@
 #   block then a one-draw block; and mc_n = 131072, two full blocks, so the
 #   noise stream's prefetch has no next block to fill); and a one-point
 #   sweep grid, whose chart has legend entries but no polyline;
-# - DOMAIN_CONFIGS economies drawn by random.Random(SEED): half over the
-#   domain of tests/economies.py, half over the extreme ranges of
-#   tests/test_cli.py's fuzz configs (any positive double, sigma up to
-#   1e300), which reach the overflow paths of the closed forms and the
-#   oracle. Each has a sweep grid of at most 5 points, 5 transfers,
-#   rho <= 0.99 and mc_n <= 5000, so validate's quadratures stay short;
-# - then SCALED_DOWN_CONFIGS domain economies from the same generator with
-#   every cost and L near 1e-250, whose outputs must not depend on that
+# - DOMAIN_CONFIGS economies drawn from random.Random(SEED) by the head
+#   tree's tests/families.py, a third each of its domain, scaled and extreme
+#   families, then SCALED_DOWN_CONFIGS of its scaled_down family from the
+#   same generator; the outputs of a scaled economy must not depend on its
 #   scale.
 # It then requires the same set of files on both sides: every CSV, SVG,
 # stdout and stderr byte-identical (a warning's source location aside), and
@@ -37,12 +33,14 @@ rm -rf "$work"
 mkdir -p "$work/configs"
 cfgs="$work/configs"
 
-python3 - "$head/benchmark.cfg" "$cfgs" <<'EOF'
-import math
+python3 - "$head/benchmark.cfg" "$cfgs" "$head/tests" <<'EOF'
 import random
 import re
 import sys
 from pathlib import Path
+
+sys.path.insert(0, sys.argv[3])
+from families import economy
 
 DOMAIN_CONFIGS = 48
 FAMILIES = ("domain", "scaled", "extreme")
@@ -74,78 +72,11 @@ configs = {
 
 rng = random.Random(SEED)
 
-
-def log_uniform(lo, hi):
-    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
-
-
-def unit():
-    return rng.uniform(0.01, 0.99)
-
-
-def extreme_positive():
-    # typical, anywhere in the double range, or near its top
-    return rng.choice([
-        lambda: log_uniform(1e-3, 10.0),
-        lambda: max(5e-324, 10.0 ** rng.uniform(-323.0, 300.0)),
-        lambda: 10.0 ** rng.uniform(290.0, 300.0),
-    ])()
-
-
-def economy(family):
-    # "domain": tests/economies.py's ranges; "scaled": a domain economy with
-    # every cost and L at a level near the double limit, which leaves its
-    # cutoffs where they were and puts its profits near 1e300; "extreme": the
-    # fuzz configs' ranges, each draw on its own; "scaled_down": a domain
-    # economy with every cost and L near 1e-250
-    if family == "extreme":
-        cost = number = extreme_positive
-        sigma = 1.0 + rng.choice([log_uniform(0.1, 10.0), 10.0 ** rng.uniform(-15.0, 300.0)])
-        primitives = {"sigma": sigma, "f": cost(), "f_n": cost(),
-                      "delta": rng.uniform(1e-9, 1.0 - 1e-9), "L": cost()}
-    else:
-        if family == "scaled":
-            level = 10.0 ** rng.uniform(250.0, 299.0)
-        elif family == "scaled_down":
-            level = 10.0 ** rng.uniform(-260.0, -240.0)
-        else:
-            level = 1.0
-        number = lambda: log_uniform(1e-3, 10.0)
-        cost = lambda: level * number()
-        primitives = {"sigma": rng.uniform(1.2, 8.0), "f": cost(),
-                      "f_n": level * log_uniform(1e-5, 1.0), "delta": rng.uniform(0.01, 0.5),
-                      "L": level}
-    kind = rng.choice(["constant", "power_bounded", "piecewise_linear", "hyperbolic"])
-    if kind == "constant":
-        schedule = {"f_b": cost()}
-    elif kind == "power_bounded":
-        schedule = {"f_b0": cost(), "kappa": rng.choice([0.0, number()]), "alpha": number()}
-    elif kind == "piecewise_linear":
-        rho_low, rho_high = sorted((unit(), unit()))
-        f_low, f_high = sorted((cost(), cost()))
-        schedule = {"rho_low": rho_low, "rho_high": rho_high, "f_low": f_low, "f_high": f_high}
-    else:
-        schedule = {"f_b0": cost()}
-    start, stop = sorted((unit(), unit()))
-    run = {"rho": rng.uniform(0.0, 0.99) if family == "extreme" else rng.uniform(0.05, 0.97),
-           "grid": f"{start}:{stop}:{(stop - start) / rng.randint(1, 4)}",
-           "s_points": 5, "mc_n": rng.randint(1, 5000), "seed": rng.randint(0, 2**32)}
-    for key in ("f_e0", "f_b_bar"):
-        if rng.random() < 0.5:
-            run[key] = cost()
-    lines = []
-    for name, entries in (("primitives", primitives), ("schedule", {"kind": kind, **schedule}),
-                          ("run", run)):
-        # str of a float is its shortest round-tripping repr
-        lines += [f"[{name}]", *(f"{key} = {value}" for key, value in entries.items())]
-    return "\n".join(lines) + "\n"
-
-
 for i in range(DOMAIN_CONFIGS):
     family = FAMILIES[i % len(FAMILIES)]
-    configs[f"{family}_{i // len(FAMILIES):02d}"] = economy(family)
+    configs[f"{family}_{i // len(FAMILIES):02d}"] = economy(family, rng)
 for i in range(SCALED_DOWN_CONFIGS):
-    configs[f"scaled_down_{i:02d}"] = economy("scaled_down")
+    configs[f"scaled_down_{i:02d}"] = economy("scaled_down", rng)
 
 for name, text in configs.items():
     (out / f"{name}.cfg").write_text(text, encoding="utf-8")

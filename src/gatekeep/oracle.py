@@ -39,7 +39,7 @@ from .quadrature import quadrature_reference  # noqa: F401
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TiltOverflowError
 from .records import Record
 
 #: draws per Monte Carlo block: bounds the memory of every estimate
@@ -141,14 +141,30 @@ class _Moments:
     Blocks merge with the pairwise update of Chan, Golub & LeVeque (1979).
     ``add`` overwrites ``values`` with their squared deviations from the
     block mean, so a caller passes a block it no longer needs.
+
+    The moments are kept in units of 2^exponent, fixed at the first block
+    with a nonzero value: 0 where that block's largest |value| lies in
+    [2^-400, 2^400), else that value's binary exponent. A power of two
+    scales exactly, so the squares neither overflow near the top of the
+    double range nor underflow near its bottom. Only the blocks up to the
+    first nonzero one cost an extra pass, and in the normal range nothing
+    is scaled.
     """
 
     def __init__(self) -> None:
         self.n = 0
         self.mean = 0.0
         self.m2 = 0.0
+        self.exponent = None
 
     def add(self, values: np.ndarray) -> None:
+        if self.exponent is None:
+            top = max(float(values.max()), -float(values.min()))
+            if top > 0.0:
+                exponent = math.frexp(top)[1]
+                self.exponent = 0 if -400 < exponent <= 400 else exponent
+        if self.exponent:
+            np.multiply(values, math.ldexp(1.0, -self.exponent), out=values)
         size = int(values.size)
         mean = float(values.mean())
         dev = np.subtract(values, mean, out=values)
@@ -162,7 +178,14 @@ class _Moments:
 
     def estimate(self) -> McEstimate:
         se = math.sqrt(self.m2 / (self.n - 1)) / math.sqrt(self.n) if self.n > 1 else 0.0
-        return McEstimate(mean=self.mean, std_error=se)
+        exponent = self.exponent or 0
+        try:
+            return McEstimate(math.ldexp(self.mean, exponent), math.ldexp(se, exponent))
+        except OverflowError:
+            raise TiltOverflowError(
+                f"Monte Carlo estimate {self.mean!r} (standard error {se!r}) times "
+                f"2^{exponent} exceeds the double range"
+            ) from None
 
 
 def _tilted_profit(f: float, k: float, p: np.ndarray, p_star: float, passed: np.ndarray,

@@ -498,16 +498,17 @@ def _norm_pdf(x: float) -> float:
 
 def _tilted_density(scale: float, x: float, minus: float, z: float, sd: float, what: str) -> float:
     # scale (exp(x) - minus) phi(z) / sd. Where exp(x) or the product
-    # overflows (inf, or inf * 0.0 = nan in the far tail), minus is far below
-    # the last bit of exp(x), so it is dropped and the Gaussian exponent is
-    # folded into the one exp
+    # overflows (inf, or inf * 0.0 = nan in the far tail), x > 0, and the
+    # factor exp(x) - minus = exp(x + log1p(-minus exp(-x))) and the Gaussian
+    # are folded into the one exp
     try:
         value = scale * (math.exp(x) - minus) * _norm_pdf(z) / sd
     except OverflowError:
         value = math.inf
     if not value < math.inf:
         try:
-            value = scale * math.exp(x - 0.5 * z * z - _LOG_SQRT_2PI) / sd
+            value = scale * math.exp(
+                x + math.log1p(-minus * math.exp(-x)) - 0.5 * z * z - _LOG_SQRT_2PI) / sd
         except OverflowError:
             value = math.inf
         if value == math.inf:

@@ -1,45 +1,44 @@
-"""Hypothesis strategies over a domain of economies, shared by the tests that
-check the paper's claims and the closed forms across it: sigma 1.2-8, f
-1e-3-10, f_n 1e-5-1, delta 0.01-0.5, every schedule kind, rho 0.05-0.97. An
-economy that raises a GatekeepError has no claim to check; once it solves,
-the claim must hold."""
+"""Hypothesis strategies over the domain of economies, shared by the tests that
+check the paper's claims and the closed forms across it.
+
+They map a hypothesis-controlled random.Random through the "domain" family of
+tests/families.py, the sampler that compare_outputs.sh and census.py draw
+with. hypothesis's random repeats values, so it draws equal piecewise
+breakpoints or grid ends; a text that does not parse is rejected. An economy
+that raises a GatekeepError has no claim to check; once it solves, the claim
+must hold."""
 
 import math
 
 from hypothesis import strategies as st
 
-from gatekeep.economy import (
-    ConstantCost,
-    HyperbolicCost,
-    PiecewiseLinearCost,
-    PowerBoundedCost,
-    Primitives,
-    Regime,
-)
+from gatekeep.config import parse_config
+from gatekeep.economy import Regime
 from gatekeep.equilibrium import solve_equilibrium
 from gatekeep.errors import GatekeepError
+
+from families import economy
 
 
 def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
-SCALE = log_uniform(1e-3, 10.0)
-SCHEDULES = st.one_of(
-    st.builds(ConstantCost, SCALE),
-    st.builds(PowerBoundedCost, SCALE, st.one_of(st.just(0.0), SCALE), SCALE),
-    st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2, unique=True).flatmap(
-        lambda rhos: st.lists(SCALE, min_size=2, max_size=2).map(
-            lambda fs: PiecewiseLinearCost(*sorted(rhos), *sorted(fs)))),
-    st.builds(HyperbolicCost, SCALE),
-)
-PRIMITIVES = st.builds(Primitives, st.floats(1.2, 8.0), SCALE, log_uniform(1e-5, 1.0),
-                       st.floats(0.01, 0.5))
+def _parsed(rng):
+    try:
+        return parse_config(economy("domain", rng))
+    except GatekeepError:
+        return None
+
+
+_CONFIGS = st.randoms(use_true_random=False).map(_parsed).filter(lambda c: c is not None)
+PRIMITIVES = _CONFIGS.map(lambda c: c.primitives)
 
 
 def economies(max_rho=0.97):
     """(Primitives, Regime) pairs with rho in [0.05, max_rho]."""
-    return st.tuples(PRIMITIVES, st.builds(Regime, st.floats(0.05, max_rho), SCHEDULES))
+    return _CONFIGS.filter(lambda c: c.rho <= max_rho).map(
+        lambda c: (c.primitives, Regime(c.rho, c.schedule)))
 
 
 def solved_or_none(prim, regime):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,8 @@ import gatekeep
 from gatekeep.cli import MC_Z_LIMIT, QUAD_DELTA_LIMIT, _build_parser, main
 from gatekeep.config import MODES
 from gatekeep.welfare import SweepRecord
+
+from families import economy
 
 #: the directory that holds the gatekeep package, for child interpreters
 SRC = os.path.dirname(os.path.dirname(gatekeep.__file__))
@@ -734,6 +737,24 @@ def test_validate_reports_no_nan_quadrature(tmp_path, capsys):
     assert abs(float(cells["pi_breve"]["quad_delta"])) <= QUAD_DELTA_LIMIT
 
 
+@pytest.mark.parametrize("family", ["scaled", "scaled_down"])
+def test_validate_moments_do_not_depend_on_the_cost_scale(family, tmp_path):
+    # a domain economy with every cost and L near 1e300 (or 1e-250): the
+    # oracle keeps its moments in units of a power of two, so the squared
+    # deviations neither overflow (a numpy RuntimeWarning, an error here)
+    # nor underflow to a standard error of 0. The scaled economy still
+    # exits 3 on its absolute quadrature deltas (ROADMAP item 16)
+    path, out = tmp_path / "scaled.cfg", tmp_path / "scaled.csv"
+    path.write_text(economy(family, random.Random(4)))
+    assert main(["validate", "--config", str(path), "--out", str(out), "--quiet"]) in (0, 3)
+    _, header, rows = _read(str(out))
+    se, z = header.index("mc_std_error"), header.index("z_score")
+    assert len(rows) == 5
+    for row in rows:
+        assert 0.0 < float(row[se]) < math.inf, row
+        assert abs(float(row[z])) <= MC_Z_LIMIT, row
+
+
 def test_validate_quadrature_overflow_is_no_traceback(tmp_path, capsys):
     path = tmp_path / "overflow.cfg"
     path.write_text(VALIDATE_OVERFLOW_CFG)
@@ -784,58 +805,12 @@ s_points = 11
 """
 
 
-def _positive(lo=-3.0, hi=1.0):
-    # log-uniform on [10^lo, 10^hi], where economies tend to solve, and the
-    # whole positive range with its extremes
-    return st.one_of(
-        st.floats(lo, hi).map(lambda e: 10.0 ** e),
-        st.floats(5e-324, 1e300),
-    )
-
-
-_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-_SIGMA = st.one_of(
-    _positive(-1.0, 1.0).map(lambda x: 1.0 + x).filter(lambda s: s > 1.0),
-    st.floats(1.0, 1e300, exclude_min=True),
-)
-
-
-@st.composite
-def _config_texts(draw):
-    """Config text over the whole domain of every primitive and schedule key."""
-    primitives = {"sigma": draw(_SIGMA), "f": draw(_positive()), "f_n": draw(_positive()),
-                  "delta": draw(_UNIT), "L": draw(_positive())}
-    kind = draw(st.sampled_from(["constant", "power_bounded", "piecewise_linear", "hyperbolic"]))
-    if kind == "constant":
-        schedule = {"f_b": draw(_positive())}
-    elif kind == "power_bounded":
-        schedule = {"f_b0": draw(_positive()), "kappa": draw(st.one_of(st.just(0.0), _positive())),
-                    "alpha": draw(_positive())}
-    elif kind == "piecewise_linear":
-        rho_low, rho_high = sorted(draw(st.lists(_UNIT, min_size=2, max_size=2, unique=True)))
-        f_low, f_high = sorted((draw(_positive()), draw(_positive())))
-        schedule = {"rho_low": rho_low, "rho_high": rho_high, "f_low": f_low, "f_high": f_high}
-    else:
-        schedule = {"f_b0": draw(_positive())}
-    start, stop = sorted(draw(st.lists(_UNIT, min_size=2, max_size=2, unique=True)))
-    # at most 5 grid points
-    step = (stop - start) / draw(st.integers(1, 4))
-    # validate's quadratures take seconds as the clamped rho nears 1 - 1e-6
-    run = {"rho": draw(st.floats(0.0, 0.99, exclude_min=True)), "grid": f"{start}:{stop}:{step}",
-           "s_points": 5, "mc_n": draw(st.integers(1, 5000)), "seed": draw(st.integers(0, 2**32))}
-    for key in ("f_e0", "f_b_bar"):
-        if draw(st.booleans()):
-            run[key] = draw(_positive())
-    lines = []
-    for name, entries in (("primitives", primitives), ("schedule", {"kind": kind, **schedule}),
-                          ("run", run)):
-        # str of a float is its shortest round-tripping repr
-        lines += [f"[{name}]", *(f"{key} = {value}" for key, value in entries.items())]
-    return "\n".join(lines) + "\n"
+# config texts over the extreme ranges of every primitive and schedule key
+_CONFIG_TEXTS = st.randoms(use_true_random=False).map(lambda rng: economy("extreme", rng))
 
 
 @pytest.mark.parametrize("mode", MODES)
-@given(text=_config_texts())
+@given(text=_CONFIG_TEXTS)
 @example(text=VALIDATE_OVERFLOW_CFG)
 @example(text=INF_PRODUCT_CFG)
 @settings(max_examples=12, derandomize=True, deadline=None)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatekeep import equilibrium
@@ -400,30 +400,26 @@ def test_transfer_cutoff_returns_a_grid_point_where_the_residual_is_zero():
 
 
 # The paper's policy claims across economies, not only at the benchmark one,
-# over the domain of tests/economies.py. hypothesis derives a derandomized
-# test's examples from its source, so these names keep the two tests below,
-# and the economies they draw, as they were.
-
-_ECONOMIES = economies()
-_solved = solved_or_none
+# over the domain of tests/economies.py, which draws with the shared sampler
+# of tests/families.py.
 
 
-@given(economy=_ECONOMIES)
+@given(economy=economies())
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_planner_cutoff_equals_market_cutoff_over_the_domain(economy):
     prim, regime = economy
-    eq = _solved(prim, regime)
+    eq = solved_or_none(prim, regime)
     if eq is not None:
         assert abs(planner_cutoff(prim, regime, eq) - eq.cutoffs.t_star) <= 1e-8
 
 
-@given(economy=_ECONOMIES, shares=st.lists(
+@given(economy=economies(), shares=st.lists(
     st.floats(-0.5, 0.5).filter(lambda x: x != 0.0), min_size=2, max_size=2))
 @settings(max_examples=30, derandomize=True, deadline=None)
 def test_no_transfer_beats_zero_over_the_domain(economy, shares):
     # W(s) <= W(0) for every transfer s on the CLI's grid range [-f_b/2, f_b/2]
     prim, regime = economy
-    if _solved(prim, regime) is None:
+    if solved_or_none(prim, regime) is None:
         return
     w0 = pigouvian_welfare(prim, regime, 0.0)
     for share in shares:
@@ -446,7 +442,36 @@ def test_perfect_information_limit_cutoff_exceeds_zero_information_over_the_doma
     assert perfect.p_star > zero.p_star, (perfect, zero)
 
 
-@given(economy=_ECONOMIES)
+@given(economy=economies())
+# the domain's corner c = 1e-6, k = 7: the gap is 5.51 sqrt(eps) at eps = 1e-4
+@example(economy=(Primitives(8.0, 10.0, 1e-5, 0.01), Regime(0.5, ConstantCost(1e-3))))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_signal_cutoff_tends_to_the_perfect_information_cutoff_over_the_domain(economy):
+    # As rho = 1 - eps -> 1, the signal cutoff t* tends to the perfect-
+    # information limit's cutoff at the same activation cost. Its gap is
+    # that of the activation index x* = rho t* - p*, which solves
+    # E[(exp(k X) - 1)^+] = c for X ~ N(x*, s^2), c = delta f_b / f and
+    # s^2 = 1 - rho^2 (about 2 eps), against the limit's log1p(c) / k; the
+    # free-entry condition moves t* with x* up to O(k eps). Where c is
+    # small next to k s the option value of the spread carries x* a few s
+    # below: E[k X^+] = k s psi(x* / s) <= c, psi(z) = phi(z) + z Phi(z).
+    # On this domain c >= 1e-6 and k <= 7, where the index gap is 5.55
+    # sqrt(eps) at eps = 1e-4 and 4.75 sqrt(eps) at 1e-6, so C = 6. The
+    # generated examples reach 1.01 sqrt(eps). The hyperbolic schedule's f_b
+    # has no limit at rho = 1
+    prim, regime = economy
+    if isinstance(regime.schedule, HyperbolicCost):
+        return
+    for eps in (1e-4, 1e-6):
+        at_eps = Regime(1.0 - eps, regime.schedule)
+        eq = solved_or_none(prim, at_eps)
+        if eq is None:
+            continue
+        perfect = melitz_limit_perfect(prim, at_eps.f_b)
+        assert abs(eq.cutoffs.t_star - perfect.p_star) <= 6.0 * math.sqrt(eps), (eps, eq, perfect)
+
+
+@given(economy=economies())
 @settings(max_examples=40, derandomize=True, deadline=None)
 def test_pigouvian_bisection_matches_the_ordered_scan_over_the_domain(economy):
     # For s < 0 the locus residual strictly decreases, and pigouvian_welfare
@@ -458,7 +483,7 @@ def test_pigouvian_bisection_matches_the_ordered_scan_over_the_domain(economy):
         assert _outcome(pigouvian_welfare, prim, regime, s) == expected, s
 
 
-@given(economy=_ECONOMIES)
+@given(economy=economies())
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_pigouvian_welfare_is_flat_and_concave_at_zero_over_the_domain(economy):
     # The sharp form of "Pigouvian transfers cannot correct the losses":
@@ -509,7 +534,7 @@ def _solve_and_transfers(prim, regime):
     return outcomes
 
 
-@given(economy=_ECONOMIES)
+@given(economy=economies())
 @settings(max_examples=40, derandomize=True, deadline=None)
 def test_solve_and_transfers_do_not_depend_on_the_cost_scale_over_the_domain(economy):
     # With f, f_n, L and every activation cost times lam, each residual (a
