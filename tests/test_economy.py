@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from gatekeep.economy import (
     expected_profit_given_signal,
 )
 from gatekeep.errors import DomainError, NearSingularCorrelationError, TiltOverflowError
-from gatekeep.normal import SQRT_2PI, log_std_normal_cdf, std_normal_cdf
+from gatekeep.normal import NEAR_SINGULAR_RHO, SQRT_2PI, log_std_normal_cdf, std_normal_cdf
 from golden_values import PI_TILDE_QUAD
 
 PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
@@ -158,6 +159,27 @@ def test_expected_profit_rejects_bad_rho():
         expected_profit_given_signal(PRIM, -0.2, 0.0, 0.0)
     with pytest.raises(NearSingularCorrelationError):
         expected_profit_given_signal(PRIM, 1.0 - 1e-13, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("rho, error, message", [
+    (NEAR_SINGULAR_RHO, NearSingularCorrelationError,
+     "rho = 0.999999999999 is numerically indistinguishable from 1"),
+    (math.nextafter(NEAR_SINGULAR_RHO, 2.0), NearSingularCorrelationError,
+     "rho = 0.9999999999990001 is numerically indistinguishable from 1"),
+    (-0.0, DomainError, "precision rho must be positive, got -0.0"),
+    (-5e-324, DomainError, "precision rho must be positive, got -5e-324"),
+    (math.nextafter(NEAR_SINGULAR_RHO, 0.0), None, None),
+    (5e-324, None, None),
+])
+@pytest.mark.parametrize("kernel", [expected_joint_profit, expected_profit_given_signal])
+def test_expected_profits_keep_their_errors_at_the_ends_of_the_rho_range(kernel, rho, error, message):
+    # the inline 0 < rho < NEAR_SINGULAR_RHO test passes the open interval
+    # and hands both of its ends, and what lies beyond, to _check_interior_rho
+    if error is None:
+        assert math.isfinite(kernel(PRIM, rho, 0.1, 0.2))
+    else:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            kernel(PRIM, rho, 0.1, 0.2)
 
 
 def test_joint_profit_empty_activation_set():

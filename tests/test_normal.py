@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -394,6 +395,40 @@ def test_joint_tail_masses_raise_the_single_calls_errors():
         assert want in (DomainError, NearSingularCorrelationError)
         with pytest.raises(want):
             joint_tail_masses(k, p, t, rho)
+
+
+@pytest.mark.parametrize("rho, error, message", [
+    (normal.NEAR_SINGULAR_RHO, None, None),
+    (math.nextafter(normal.NEAR_SINGULAR_RHO, 2.0), NearSingularCorrelationError,
+     "rho = 0.9999999999990001 exceeds 0.999999999999; use the univariate reduction"),
+    (-0.0, None, None),
+    (-5e-324, DomainError, "correlation must lie in [0, 0.999999999999], got -5e-324"),
+])
+def test_joint_tail_masses_keep_their_errors_at_the_ends_of_the_rho_range(rho, error, message):
+    # the inline range test passes both ends of [0, NEAR_SINGULAR_RHO], -0.0
+    # included, and hands the first float outside to _check_correlation
+    for k, p, t in ((1.0, 0.1, 0.2), (0.0, -0.3, 0.4)):
+        if error is None:
+            _assert_pair_exact(k, p, t, rho)
+        else:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                joint_tail_masses(k, p, t, rho)
+
+
+@pytest.mark.parametrize("masses", [
+    (math.nan, -0.0), (-0.0, math.nan), (1.0 + 2.0**-52, -5e-324), (-5e-324, 1.0 + 2.0**-52),
+    (0.25, 1.0), (1.0, 0.25), (math.inf, -math.inf),
+])
+def test_joint_tail_masses_clamp_each_genz_mass_like_min_max(monkeypatch, masses):
+    # each mass is clamped as min(1.0, max(0.0, v)) clamps it: NaN and -0.0
+    # give +0.0, and a mass a rounding above 1 gives 1.0
+    monkeypatch.setattr(normal, "_bvn_upper_pair", lambda *args: masses)
+    k = 1.5
+    s_mass, p_phi = (min(1.0, max(0.0, v)) for v in masses)
+    want = (-math.inf if s_mass == 0.0 else 0.5 * k * k + math.log(s_mass), p_phi)
+    got = joint_tail_masses(k, 0.2, -0.3, 0.6)
+    assert got == want
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
 
 
 def test_joint_tail_masses_signed_zero_keys_share_values():
