@@ -1,7 +1,7 @@
 """A/B benchmark of the working tree against a parent revision.
 
     python3 .github/scripts/ab_bench.py PARENT_REV LABEL --workload W [W ...]
-        [--seeds 0 7] [--pairs 10] [--seconds 20] [--claim METRIC]
+        [--seeds 0 7] [--pairs 10] [--seconds 20]
 
 The parent is built from ``git archive PARENT_REV``; the change is a copy of
 the working tree (every tracked file and every untracked one that git does
@@ -22,15 +22,20 @@ It writes ``BENCH_<LABEL>.json`` at the repository root, with:
 - ``traced["W"]``: each per-layer metric's median on both sides, the
   traced pairs in which the change read lower, and which counts are equal
   in every traced run;
-- ``parent``, ``command``, ``protocol``, ``environment`` and, with
-  ``--claim``, whether the claim rule holds for that metric at every seed of
-  the first workload.
-Where the file exists with the same parent, the entries of the workloads
-and seeds measured now replace their old ones and the rest are kept, so a
-claim workload and the other workloads can be run at different pair counts.
+- ``parent``, ``change_tree``, ``command``, ``protocol`` and
+  ``environment``.
+``change_tree`` is a SHA-256 over the change tree's file names and bytes,
+leaving out the Markdown documents and the ``BENCH_*.json`` results at the
+root, which no run reads. Where the file exists with the same parent and
+the same ``change_tree``, the entries of the workloads and seeds measured
+now replace their old ones and the rest are kept, so a claim workload and
+the other workloads can be run at different pair counts; otherwise the old
+file is discarded whole.
 
-A metric improves where the change wins at least 9 of every 10 pairs and
-its median beats the parent's by more than the parent's IQR. It regresses
+A metric improves where it was measured in at least 10 pairs, the change
+wins at least 9 of every 10 of them, and its median beats the parent's by
+more than the parent's IQR; with fewer pairs the gain rule is not
+evaluated, and the summary says so. It regresses
 where its median is worse than the parent's by more than the bound. The
 script exits 0 when every run was correct, 1 when some run reported a
 failed op, and 2 when a run could not be made. It edits nothing in either
@@ -40,6 +45,7 @@ tree.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -56,6 +62,8 @@ ROOT = Path(__file__).resolve().parents[2]
 WORKLOADS = ("cli_cold", "solve_sweep", "pigouvian", "validate")
 #: the share of pairs the change must win for a metric to improve
 WIN_SHARE = 0.9
+#: the fewest pairs from which a metric can read "improved"
+MIN_GAIN_PAIRS = 10
 #: traced pairs per workload at most; a traced cycle's times vary from run to run
 TRACE_PAIRS = 5
 RUN_TIMEOUT_S = 1800.0
@@ -87,7 +95,8 @@ def metric_summary(parent: list[float], change: list[float], better: str, bound:
     wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
     iqr = p_q[2] - p_q[0]
     gap = sign * (p_q[1] - c_q[1])
-    improved = wins >= math.ceil(WIN_SHARE * len(parent)) and gap > iqr
+    gain_rule_evaluated = len(parent) >= MIN_GAIN_PAIRS
+    improved = gain_rule_evaluated and wins >= math.ceil(WIN_SHARE * len(parent)) and gap > iqr
     regressed = -gap > bound * abs(p_q[1])
     # a parent spread wider than the bound cannot show "unchanged", unless
     # every run of the change reads better than every run of the parent
@@ -101,6 +110,7 @@ def metric_summary(parent: list[float], change: list[float], better: str, bound:
         "change_better_in_pairs": f"{wins}/{len(parent)}",
         "bound": bound,
         "better": better,
+        "gain_rule_evaluated": gain_rule_evaluated,
         "verdict": ("regressed" if regressed else "improved" if improved
                     else "unresolved" if unresolved else "within bound"),
     }
@@ -147,6 +157,22 @@ def build_trees(parent_rev: str, work: Path) -> tuple[str, dict]:
             dst.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dst)
     return rev, trees
+
+
+def tree_digest(tree: Path) -> str:
+    """SHA-256 over the names and bytes of ``tree``'s files, bar Markdown and root ``BENCH_*.json``."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tree.rglob("*") if p.is_file()):
+        name = path.relative_to(tree).as_posix()
+        if path.suffix == ".md" or ("/" not in name and name.startswith("BENCH_") and name.endswith(".json")):
+            continue
+        digest.update(name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def same_trees(old: dict, rev: str, change_tree: str) -> bool:
+    """Whether an earlier ``BENCH_*.json`` measured this parent against this change tree."""
+    return old.get("parent") == rev and old.get("change_tree") == change_tree
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
@@ -211,13 +237,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=[0, 7])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--claim", metavar="METRIC",
-                        help="an end-to-end metric the change claims to improve on the first workload")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     end_to_end = spec["end_to_end"]
-    if args.claim is not None and args.claim not in {m["name"] for m in end_to_end}:
-        parser.error(f"--claim must name an end-to-end metric of BENCHMARK.json, got {args.claim!r}")
     if args.pairs < 1 or not args.seconds >= 0.0:
         parser.error("--pairs must be at least 1 and --seconds nonnegative")
 
@@ -225,13 +247,14 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(prefix="ab_bench-"))
     try:
         rev, trees = build_trees(args.parent_rev, work)
-        doc = {}
-        if out_path.exists():
-            doc = json.loads(out_path.read_text(encoding="utf-8"))
-            if doc.get("parent") != rev:
-                doc = {}
-        doc.update(
+        change_tree = tree_digest(trees["change"])
+        old = json.loads(out_path.read_text(encoding="utf-8")) if out_path.exists() else {}
+        if old and not same_trees(old, rev, change_tree):
+            log(f"discarding {out_path.name}: it measured another parent or change tree")
+            old = {}
+        doc = dict(
             parent=rev,
+            change_tree=change_tree,
             command=f"{' '.join(spec['command'])} --workload <w> --seed <s> --seconds <t> "
                     "--trace 0 (last stdout line)",
             protocol=(
@@ -239,15 +262,18 @@ def main(argv=None) -> int:
                 "each run from its own directory; pairs alternate which side runs first "
                 "(pair 1 the parent); quartiles by statistics.quantiles(method='inclusive'); "
                 "median_change = change median / parent median - 1; a metric improves where "
-                f"the change wins at least {WIN_SHARE:.0%} of its pairs and its median beats "
-                "the parent's by more than the parent's IQR, and regresses where its median "
+                f"it was measured in at least {MIN_GAIN_PAIRS} pairs, the change wins at least "
+                f"{WIN_SHARE:.0%} of them and its median beats the parent's by more than the "
+                "parent's IQR (gain_rule_evaluated says whether there were enough pairs), and "
+                "regresses where its median "
                 "is worse by more than its BENCHMARK.json bound; traced: min(pairs, "
                 f"{TRACE_PAIRS}) alternating pairs of --trace 1 --seconds 0 runs at the "
                 "first seed, medians compared"
             ),
+            summary=old.get("summary", {}),
+            runs=old.get("runs", {}),
+            traced=old.get("traced", {}),
         )
-        for key in ("summary", "runs", "traced"):
-            doc.setdefault(key, {})
         env = None
         for workload in args.workload:
             for seed in args.seeds:
@@ -271,12 +297,6 @@ def main(argv=None) -> int:
                     traced[side].append(bench(trees[side], workload, seed, 0.0, 1)[0])
             doc["traced"][workload] = {"seed": seed, **traced_comparison(traced["parent"], traced["change"])}
         doc["environment"] = env
-        if args.claim is not None:
-            workload = args.workload[0]
-            verdicts = {f"seed{s}": doc["summary"][f"{workload}/seed{s}"][args.claim]["verdict"]
-                        for s in args.seeds}
-            doc["claim"] = {"workload": workload, "metric": args.claim, "verdicts": verdicts,
-                            "holds": all(v == "improved" for v in verdicts.values())}
     except AbError as exc:
         log(f"ab_bench: {exc}")
         return 2

@@ -192,9 +192,8 @@ def expected_profit_given_signal(
     through the index rho * t - p_star, and is weakly increasing in t. It is
     0.0 at p_star = +inf; at p_star = -inf it raises ``TiltOverflowError``.
     """
-    if not 0.0 < rho < NEAR_SINGULAR_RHO:
-        _check_interior_rho(rho)
-    return prim.f * _profit_moment(prim.sigma - 1.0, rho * t - p_star, 1.0 - rho * rho,
+    _check_interior_rho(rho)
+    return prim.f * _profit_moment(prim.k, rho * t - p_star, 1.0 - rho * rho,
                                    "expected profit given signal")
 
 
@@ -207,9 +206,8 @@ def expected_joint_profit(prim: Primitives, rho: float, p_star: float, t_star: f
     f * (exp(-k p_star) * S - P(p >= p_star, t >= t_star)), with both masses
     from one ``joint_tail_masses`` pass.
     """
-    if not 0.0 < rho < NEAR_SINGULAR_RHO:
-        _check_interior_rho(rho)
-    k = prim.sigma - 1.0
+    _check_interior_rho(rho)
+    k = prim.k
     log_s, p_phi = joint_tail_masses(k, p_star, t_star, rho)
     lead = exp_tilt(log_s - k * p_star, "expected joint profit")
     return prim.f * (lead - p_phi)

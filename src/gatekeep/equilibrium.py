@@ -181,16 +181,14 @@ def fe_residual(p_star: float, t_star: float, prim: Primitives, regime: Regime) 
     Expected lifetime profit per experimenter (in units of f) net of the
     expected activation outlay and the experimentation cost.
     """
-    f, delta = prim.f, prim.delta
-    pi_breve_over_f = expected_joint_profit(prim, regime.rho, p_star, t_star) / f
-    gate = (delta * regime.f_b / f) * std_normal_cdf(-t_star)
-    return pi_breve_over_f - gate - delta * prim.f_n / f
+    pi_breve_over_f = expected_joint_profit(prim, regime.rho, p_star, t_star) / prim.f
+    gate = (prim.delta * regime.f_b / prim.f) * std_normal_cdf(-t_star)
+    return pi_breve_over_f - gate - prim.delta * prim.f_n / prim.f
 
 
 def _locus_fn(prim: Primitives, regime: Regime, a: float):
     """The free-entry residual on the locus p* = rho t + a, as a function of t."""
-    rho = regime.rho
-    return lambda t: fe_residual(rho * t + a, t, prim, regime)
+    return lambda t: fe_residual(regime.rho * t + a, t, prim, regime)
 
 
 def fe_stationarity(p_star: float, t_star: float, prim: Primitives, regime: Regime) -> float:

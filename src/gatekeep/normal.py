@@ -26,13 +26,11 @@ first value. All kernels here are pure functions: the node tables change how
 fast a value is computed, never the value.
 
 The guard and clamp contract of ``joint_tail_masses``, which every
-free-entry probe passes through: it takes the pair pass where the shifted
-point and the cutoffs all lie strictly inside +/-``_FAR_ARGUMENT``, one
-chained comparison each (the shifted signal is NaN or infinite wherever rho
-is, so that test covers rho too), and calls ``_check_correlation`` only
-where ``0 <= rho <= NEAR_SINGULAR_RHO`` fails, so the errors and their
-messages are ``bvn_cdf``'s. Each Genz mass is then clamped as
-``min(1.0, max(0.0, v))`` clamps it: NaN and -0.0 give +0.0, and a mass a
+free-entry probe passes through: it takes the pair pass where rho is finite
+and the shifted point and the cutoffs all lie strictly inside
++/-``_FAR_ARGUMENT``, and checks rho with ``_check_correlation``, so the
+errors and their messages are ``bvn_cdf``'s. Each Genz mass is then clamped
+as ``min(1.0, max(0.0, v))`` clamps it: NaN and -0.0 give +0.0, and a mass a
 rounding above 1 gives 1.0.
 
 Tilted moments are held in log space, so they are total on their
@@ -174,11 +172,9 @@ def _bvn_upper_pair(h1: float, k1: float, h2: float, k2: float, r: float):
         for wi, sn, den in nodes:
             bvn1 += wi * exp((sn * hk1 - hs1) / den)
             bvn2 += wi * exp((sn * hk2 - hs2) / den)
-        # 0.5 * erfc(h / sqrt 2) is std_normal_cdf(-h), float for float
-        erfc = math.erfc
         return (
-            bvn1 * asr / (4.0 * math.pi) + 0.5 * erfc(h1 / _SQRT2) * (0.5 * erfc(k1 / _SQRT2)),
-            bvn2 * asr / (4.0 * math.pi) + 0.5 * erfc(h2 / _SQRT2) * (0.5 * erfc(k2 / _SQRT2)),
+            bvn1 * asr / (4.0 * math.pi) + std_normal_cdf(-h1) * std_normal_cdf(-k1),
+            bvn2 * asr / (4.0 * math.pi) + std_normal_cdf(-h2) * std_normal_cdf(-k2),
         )
     # High-correlation branch: expand about r = 1 (r < 1 is guaranteed by
     # the near-singular guard upstream).
@@ -258,10 +254,8 @@ def joint_tail_masses(k: float, p_c: float, t_c: float, rho: float) -> tuple[flo
     """
     x, y = -p_c + k, -t_c + rho * k
     far = _FAR_ARGUMENT
-    # y is not finite where rho is not, so one chained test covers rho too
-    if -far < x < far and -far < y < far and -far < p_c < far and -far < t_c < far:
-        if not 0.0 <= rho <= NEAR_SINGULAR_RHO:
-            _check_correlation(rho)
+    if abs(x) < far and abs(y) < far and abs(p_c) < far and abs(t_c) < far and math.isfinite(rho):
+        _check_correlation(rho)
         s_mass, p_phi = _bvn_upper_pair(-x, -y, p_c, t_c, rho)
         # min(1.0, max(0.0, v)): NaN and -0.0 map to +0.0
         s_mass = s_mass if 0.0 < s_mass <= 1.0 else (1.0 if s_mass > 1.0 else 0.0)

@@ -74,10 +74,45 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     assert ab_bench.metric_summary(noisy, [3.0] * 10, "higher", 0.25)["verdict"] == "improved"
 
 
+def test_fewer_than_ten_pairs_cannot_improve():
+    s = ab_bench.metric_summary(PARENT[:9], _faster(0.1)[:9], "lower", 0.25)
+    assert s["change_better_in_pairs"] == "9/9"
+    assert (s["gain_rule_evaluated"], s["verdict"]) == (False, "within bound")
+    assert ab_bench.metric_summary(PARENT, _faster(0.1), "lower", 0.25)["gain_rule_evaluated"] is True
+    # a regression needs no minimum
+    assert ab_bench.metric_summary([1.0], [1.3], "lower", 0.25)["verdict"] == "regressed"
+
+
 def test_one_pair_reads_as_its_own_quartiles():
     s = ab_bench.metric_summary([2.0], [1.0], "lower", 0.25)
     assert s["parent_q1_median_q3"] == [2.0, 2.0, 2.0]
-    assert (s["parent_iqr"], s["change_better_in_pairs"], s["verdict"]) == (0.0, "1/1", "improved")
+    assert (s["parent_iqr"], s["change_better_in_pairs"], s["verdict"]) == (0.0, "1/1", "within bound")
+
+
+def test_the_change_tree_digest_reads_what_a_run_can_read(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    (tmp_path / "README.md").write_text("a\n")
+    digest = ab_bench.tree_digest(tmp_path)
+    # documents and earlier results at the root do not count
+    (tmp_path / "README.md").write_text("b\n")
+    (tmp_path / "BENCH_x.json").write_text("{}\n")
+    assert ab_bench.tree_digest(tmp_path) == digest
+    # a byte of source or a new file does
+    (tmp_path / "src" / "m.py").write_text("x = 2\n")
+    assert ab_bench.tree_digest(tmp_path) != digest
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    (tmp_path / "src" / "BENCH_y.json").write_text("{}\n")
+    assert ab_bench.tree_digest(tmp_path) != digest
+
+
+def test_an_earlier_file_is_kept_only_for_the_same_two_trees():
+    old = {"parent": "p" * 40, "change_tree": "c" * 64}
+    assert ab_bench.same_trees(old, "p" * 40, "c" * 64)
+    assert not ab_bench.same_trees(old, "p" * 40, "d" * 64)
+    assert not ab_bench.same_trees(old, "q" * 40, "c" * 64)
+    # a file that records no change tree is never merged into
+    assert not ab_bench.same_trees({"parent": "p" * 40}, "p" * 40, "c" * 64)
 
 
 def test_pairs_alternate_which_side_runs_first():

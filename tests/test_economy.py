@@ -173,8 +173,8 @@ def test_expected_profit_rejects_bad_rho():
 ])
 @pytest.mark.parametrize("kernel", [expected_joint_profit, expected_profit_given_signal])
 def test_expected_profits_keep_their_errors_at_the_ends_of_the_rho_range(kernel, rho, error, message):
-    # the inline 0 < rho < NEAR_SINGULAR_RHO test passes the open interval
-    # and hands both of its ends, and what lies beyond, to _check_interior_rho
+    # the open interval (0, NEAR_SINGULAR_RHO) passes, to its last floats;
+    # both of its ends, and what lies beyond, raise _check_interior_rho's errors
     if error is None:
         assert math.isfinite(kernel(PRIM, rho, 0.1, 0.2))
     else:

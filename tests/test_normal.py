@@ -405,8 +405,8 @@ def test_joint_tail_masses_raise_the_single_calls_errors():
     (-5e-324, DomainError, "correlation must lie in [0, 0.999999999999], got -5e-324"),
 ])
 def test_joint_tail_masses_keep_their_errors_at_the_ends_of_the_rho_range(rho, error, message):
-    # the inline range test passes both ends of [0, NEAR_SINGULAR_RHO], -0.0
-    # included, and hands the first float outside to _check_correlation
+    # both ends of [0, NEAR_SINGULAR_RHO], -0.0 included, take the pair pass;
+    # the first float outside raises _check_correlation's errors
     for k, p, t in ((1.0, 0.1, 0.2), (0.0, -0.3, 0.4)):
         if error is None:
             _assert_pair_exact(k, p, t, rho)
