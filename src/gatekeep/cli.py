@@ -262,12 +262,17 @@ def _run_validate(config: RunConfig) -> _Table:
     # precedence, then one in pi_tilde, then the first quadrature's, then
     # pi_tilde's closed form.
     with _forked(references) as quadratures:
-        # numpy loads here, on the one mode that needs it
+        # numpy loads here, on the one mode that needs it, and on this thread
+        # rather than on an estimator's. It loads after the oracle, so a
+        # process that compiles gatekeep from source does not hold the
+        # compiler's memory on top of numpy's.
         from concurrent.futures import ThreadPoolExecutor
 
         from .oracle import (
             estimate_aggregates, estimate_profit_given_signal, sample_log_population, z_score,
         )
+
+        import numpy  # noqa: F401
 
         with ThreadPoolExecutor(1) as pool:
             pi_tilde = pool.submit(

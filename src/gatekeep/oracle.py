@@ -4,8 +4,9 @@ Monte Carlo estimates from raw bivariate-normal draws, and ``z_score`` to
 compare an estimate with a value computed elsewhere. It imports no solver
 module; the closed forms it is checked against are the aggregates the
 solver reports, so agreement is evidence rather than tautology. It is the
-one gatekeep module that loads numpy. The quadrature oracle, which needs no
-numpy, is ``gatekeep.quadrature``.
+one gatekeep module that loads numpy, and it loads it on its first draw or
+reduction, so a process that imports it and never samples pays for none of
+numpy. The quadrature oracle, which needs no numpy, is ``gatekeep.quadrature``.
 
 Sampling uses numpy's PCG64 generator (``numpy.random.default_rng``) seeded
 explicitly; identical (n, seed) reproduce identical draws and estimates, on
@@ -31,15 +32,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .errors import DomainError, TiltOverflowError
+
 # Bound here for perfbench/, which calls and traces it under this name;
 # ROADMAP item 4 ports those callers to gatekeep.quadrature and drops it.
-# Imported before numpy, so a process that compiles gatekeep from source
-# does not hold the compiler's memory on top of numpy's.
 from .quadrature import quadrature_reference  # noqa: F401
-
-import numpy as np
-
-from .errors import DomainError, TiltOverflowError
 from .records import Record
 
 #: draws per Monte Carlo block: bounds the memory of every estimate
@@ -91,9 +88,11 @@ class PopulationDraws(Record, namedtuple("PopulationDraws", "rho n seed")):
         and each step draws t and forms p again, so a consumer may overwrite
         a yielded block, and the next step does: copy a block to keep it.
         """
-        # imported here, as numpy.random is on the first draw: a process that
-        # imports the oracle but never samples pays for neither
+        # imported here, as numpy and numpy.random are on the first draw: a
+        # process that imports the oracle but never samples pays for none
         from concurrent.futures import ThreadPoolExecutor
+
+        import numpy as np
 
         signals = np.random.default_rng(self.seed)
         noise = np.random.default_rng(self.seed)
@@ -158,6 +157,8 @@ class _Moments:
         self.exponent = None
 
     def add(self, values: np.ndarray) -> None:
+        import numpy as np
+
         if self.exponent is None:
             top = max(float(values.max()), -float(values.min()))
             if top > 0.0:
@@ -192,6 +193,8 @@ def _tilted_profit(f: float, k: float, p: np.ndarray, p_star: float, passed: np.
                    out: np.ndarray) -> np.ndarray:
     # f * (exp(k * (p - p*)) - 1) * passed into out, each step as the
     # expression evaluates it
+    import numpy as np
+
     np.subtract(p, p_star, out=out)
     np.multiply(k, out, out=out)
     np.exp(out, out=out)
@@ -214,6 +217,8 @@ def estimate_aggregates(draws: PopulationDraws, prim, cutoffs) -> dict[str, McEs
     An empty indicator set gives mean 0.0 with standard error 0.0; pi_breve
     at a log-productivity cutoff p* = -inf is the exact estimate inf.
     """
+    import numpy as np
+
     t_star, p_star = cutoffs.t_star, cutoffs.p_star
     k = prim.k
     profit = p_star != -math.inf
@@ -259,6 +264,8 @@ def estimate_profit_given_signal(
     _check_sample(rho, n)
     if p_star == -math.inf:
         return McEstimate(mean=math.inf, std_error=0.0)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     sd = math.sqrt(1.0 - rho * rho)
     mean = rho * t
