@@ -156,7 +156,7 @@ class _Moments:
         self.m2 = 0.0
         self.exponent = None
 
-    def add(self, values: np.ndarray) -> None:
+    def add(self, values) -> None:
         import numpy as np
 
         if self.exponent is None:
@@ -189,10 +189,9 @@ class _Moments:
             ) from None
 
 
-def _tilted_profit(f: float, k: float, p: np.ndarray, p_star: float, passed: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    # f * (exp(k * (p - p*)) - 1) * passed into out, each step as the
-    # expression evaluates it
+def _tilted_profit(f: float, k: float, p, p_star: float, passed, out):
+    # f * (exp(k * (p - p*)) - 1) * passed into the array out, elementwise over
+    # the arrays p and passed, each step as the expression evaluates it
     import numpy as np
 
     np.subtract(p, p_star, out=out)

@@ -1,31 +1,23 @@
 import pytest
 
 from gatekeep import normal
-from gatekeep.economy import PowerBoundedCost, Primitives, Regime
+from gatekeep.economy import Regime
 from gatekeep.equilibrium import solve_equilibrium
 from gatekeep.welfare import compute_aggregates
 
-
-@pytest.fixture(scope="session")
-def fig3_primitives():
-    return Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1, L=1.0)
+from economies import BENCHMARK
 
 
 @pytest.fixture(scope="session")
-def fig3_schedule():
-    return PowerBoundedCost(f_b0=3.0, kappa=2.0, alpha=8.0)
-
-
-@pytest.fixture(scope="session")
-def solved(fig3_primitives, fig3_schedule):
+def solved():
     """Cache of (rho -> (regime, solution, aggregates)) on the benchmark economy."""
     cache = {}
 
     def get(rho):
         if rho not in cache:
-            regime = Regime(rho, fig3_schedule)
-            eq = solve_equilibrium(fig3_primitives, regime)
-            agg = compute_aggregates(fig3_primitives, regime, eq.cutoffs)
+            regime = Regime(rho, BENCHMARK.schedule)
+            eq = solve_equilibrium(BENCHMARK.primitives, regime)
+            agg = compute_aggregates(BENCHMARK.primitives, regime, eq.cutoffs)
             cache[rho] = (regime, eq, agg)
         return cache[rho]
 

@@ -1,14 +1,20 @@
-"""Hypothesis strategies over the domain of economies, shared by the tests that
-check the paper's claims and the closed forms across it.
+"""The economies the tests share: hypothesis strategies over the domain of
+economies, and the benchmark calibration.
 
-They map a hypothesis-controlled random.Random through the "domain" family of
+Each sampled economy is one seed: hypothesis draws a 64-bit integer, and a
+random.Random seeded with it draws a config text from a family of
 tests/families.py, the sampler that compare_outputs.sh and census.py draw
-with. hypothesis's random repeats values, so it draws equal piecewise
-breakpoints or grid ends; a text that does not parse is rejected. An economy
-that raises a GatekeepError has no claim to check; once it solves, the claim
-must hold."""
+with. Every text of a family parses, so no example is filtered out, and a
+thousand seeds give a thousand distinct texts (test_config.py pins both). An
+economy that raises a GatekeepError has no claim to check; once it solves,
+the claim must hold.
+
+BENCHMARK is benchmark.cfg, parsed: the calibration of the paper's figures,
+of the golden values and of the benchmark."""
 
 import math
+import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -19,19 +25,19 @@ from gatekeep.errors import GatekeepError
 
 from families import economy
 
+BENCHMARK = parse_config((Path(__file__).parents[1] / "benchmark.cfg").read_text(encoding="utf-8"))
+
 
 def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
-def _parsed(rng):
-    try:
-        return parse_config(economy("domain", rng))
-    except GatekeepError:
-        return None
+def seeded(family):
+    """Config texts of the family, each drawn from a random.Random of one seed."""
+    return st.integers(0, 2**64 - 1).map(lambda seed: economy(family, random.Random(seed)))
 
 
-_CONFIGS = st.randoms(use_true_random=False).map(_parsed).filter(lambda c: c is not None)
+_CONFIGS = seeded("domain").map(parse_config)
 PRIMITIVES = _CONFIGS.map(lambda c: c.primitives)
 
 

@@ -9,15 +9,19 @@ computed directly by adaptive quadrature, not by the closed form it tests.
 Run from the repository root:  python tests/oracles/generate_goldens.py
 """
 
+from pathlib import Path
+
 import mpmath as mp
 
-from gatekeep.economy import PowerBoundedCost, Primitives, Regime
+from gatekeep.config import parse_config
+from gatekeep.economy import Regime
 from gatekeep.equilibrium import melitz_limit_perfect, melitz_limit_zero, solve_equilibrium
 
 mp.mp.dps = 40
 
-prim = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
-schedule = PowerBoundedCost(3.0, 2.0, 8.0)
+# the benchmark calibration, as tests/economies.py's BENCHMARK reads it
+benchmark = parse_config((Path(__file__).parents[2] / "benchmark.cfg").read_text(encoding="utf-8"))
+prim = benchmark.primitives
 
 
 def quad_profit_given_signal(sigma, f, rho, p_star, t):
@@ -33,11 +37,11 @@ def quad_profit_given_signal(sigma, f, rho, p_star, t):
 
 
 def main():
-    regime = Regime(0.89, schedule)
+    regime = Regime(benchmark.rho, benchmark.schedule)
     eq = solve_equilibrium(prim, regime)
     zero = melitz_limit_zero(prim, prim.f_n + 3.0)
     perfect = melitz_limit_perfect(prim, 3.0)
-    pi_tilde_ref = quad_profit_given_signal(2.0, 0.15, 0.89, 0.5, 1.0)
+    pi_tilde_ref = quad_profit_given_signal(prim.sigma, prim.f, 0.89, 0.5, 1.0)
     lines = [
         '"""Frozen golden values; regenerate with tests/oracles/generate_goldens.py."""',
         "",

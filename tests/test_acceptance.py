@@ -17,7 +17,6 @@ from gatekeep.economy import (
     ConstantCost,
     HyperbolicCost,
     PiecewiseLinearCost,
-    PowerBoundedCost,
     Primitives,
     Regime,
 )
@@ -48,9 +47,11 @@ from gatekeep.welfare import (
     welfare_selection_burden,
 )
 
-FIG3 = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1, L=1.0)
-SCHED = PowerBoundedCost(f_b0=3.0, kappa=2.0, alpha=8.0)
-SEED = 20260809
+from economies import BENCHMARK
+
+FIG3 = BENCHMARK.primitives
+SCHED = BENCHMARK.schedule
+SEED = BENCHMARK.seed
 MC_N = 10**7
 
 

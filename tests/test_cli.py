@@ -1,22 +1,26 @@
 import csv
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import random
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import gatekeep
 from gatekeep.cli import MC_Z_LIMIT, QUAD_DELTA_LIMIT, _build_parser, main
 from gatekeep.config import MODES
 from gatekeep.welfare import SweepRecord
 
+from economies import seeded
 from families import economy
 
 #: the directory that holds the gatekeep package, for child interpreters
@@ -805,10 +809,8 @@ s_points = 11
 """
 
 
-# config texts over the extreme ranges of every primitive and schedule key,
-# each from a seeded random.Random: hypothesis's own randoms favour the ends
-# of an interval, where the family's rho and grid are no valid config
-_CONFIG_TEXTS = st.integers(0, 2**64 - 1).map(lambda s: economy("extreme", random.Random(s)))
+# config texts over the extreme ranges of every primitive and schedule key
+_CONFIG_TEXTS = seeded("extreme")
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -878,6 +880,28 @@ def test_oracle_import_loads_no_scipy(tmp_path):
         "oracle_numpy": False, "z_score": 2.0, "undrawn_numpy": False, "drawn_numpy": True,
         "oracle": [], "validate_code": 0, "validate": [],
     }
+
+
+def test_every_annotation_resolves():
+    # a name a module imports only inside a function is not there to resolve
+    # an annotation (from __future__ import annotations keeps them as strings)
+    unresolved = []
+    for info in pkgutil.iter_modules(gatekeep.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"gatekeep.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            # a method, or the function behind a staticmethod, classmethod or property
+            members = [getattr(m, "__func__", getattr(m, "fget", m)) for m in vars(obj).values()] \
+                if inspect.isclass(obj) else [obj]
+            for fn in filter(inspect.isfunction, members):
+                try:
+                    typing.get_type_hints(fn)
+                except NameError as err:
+                    unresolved.append(f"{fn.__module__}.{fn.__qualname__}: {err}")
+    assert unresolved == []
 
 
 COLD_IMPORT_SCRIPT = """

@@ -1,4 +1,5 @@
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ from gatekeep.config import GridSpec, RunConfig, config_hash, format_config, par
 from gatekeep.economy import PowerBoundedCost, Primitives
 from gatekeep.errors import ParseError, ValidationError
 from gatekeep.records import replace
+
+from families import economy
 
 FIG3_TEXT = """\
 # benchmark calibration
@@ -361,3 +364,13 @@ def test_every_run_key_canonical_text(schedule, digest):
     canonical = prim + "L = 1.0\n\n[schedule]\n" + schedule + "\n" + FULL_RUN
     assert format_config(cfg) == canonical
     assert config_hash(cfg) == digest
+
+
+@pytest.mark.parametrize("family", ["domain", "scaled", "scaled_down", "extreme"])
+def test_every_seed_of_a_family_parses_to_its_own_text(family):
+    # tests/economies.py's seeded strategies draw one text per seed with no
+    # filter, so each text must parse and each example be a new economy
+    texts = [economy(family, random.Random(seed)) for seed in range(1000)]
+    for text in texts:
+        parse_config(text)
+    assert len(set(texts)) == len(texts)

@@ -19,9 +19,10 @@ from gatekeep.economy import (
 )
 from gatekeep.errors import DomainError, NearSingularCorrelationError, TiltOverflowError
 from gatekeep.normal import NEAR_SINGULAR_RHO, SQRT_2PI, log_std_normal_cdf, std_normal_cdf
+from economies import BENCHMARK
 from golden_values import PI_TILDE_QUAD
 
-PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
+PRIM = BENCHMARK.primitives
 
 
 def test_primitives_validation():

@@ -6,7 +6,6 @@ import pytest
 from gatekeep import equilibrium
 from gatekeep.economy import (
     ConstantCost,
-    PowerBoundedCost,
     Primitives,
     Regime,
     expected_joint_profit,
@@ -37,10 +36,11 @@ from gatekeep.errors import (
 )
 from gatekeep.normal import exp_tilt, log_std_normal_cdf, std_normal_cdf
 from gatekeep.welfare import compute_aggregates
+from economies import BENCHMARK
 from golden_values import AC_INTERCEPT, MELITZ_PERFECT_P_STAR, MELITZ_ZERO_P_STAR, P_STAR, T_STAR
 
-PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
-SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
+PRIM = BENCHMARK.primitives
+SCHED = BENCHMARK.schedule
 
 
 def test_ac_residual_limits():

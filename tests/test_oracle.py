@@ -10,7 +10,7 @@ from hypothesis import Phase, given, settings
 
 from gatekeep import oracle, quadrature
 from gatekeep.cli import QUAD_DELTA_LIMIT, validate_checks
-from gatekeep.economy import LogCutoffs, PowerBoundedCost, Primitives, expected_profit_given_signal
+from gatekeep.economy import LogCutoffs, Primitives, expected_profit_given_signal
 from gatekeep.errors import DomainError, GatekeepError, ToleranceNotMetError
 from gatekeep.normal import bvn_cdf, log_tilted_upper_tail2
 from gatekeep.oracle import (
@@ -23,9 +23,9 @@ from gatekeep.oracle import (
 from gatekeep.quadrature import _ndtr, _qagse, quadrature_reference
 from gatekeep.welfare import compute_aggregates
 
-from economies import economies, solved_or_none
+from economies import BENCHMARK, economies, solved_or_none
 
-PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
+PRIM = BENCHMARK.primitives
 
 
 def _concat(draws):
@@ -648,7 +648,7 @@ def test_qagse_matches_scipy_on_the_oracles_integrands(rho, monkeypatch):
     from gatekeep.equilibrium import solve_equilibrium
     from gatekeep.welfare import compute_aggregates
 
-    regime = Regime(rho, PowerBoundedCost(3.0, 2.0, 8.0))
+    regime = Regime(rho, BENCHMARK.schedule)
     eq = solve_equilibrium(PRIM, regime)
     agg = compute_aggregates(PRIM, regime, eq.cutoffs)
     calls = []

@@ -10,7 +10,6 @@ from gatekeep.economy import (
     HyperbolicCost,
     LogCutoffs,
     PiecewiseLinearCost,
-    PowerBoundedCost,
     Primitives,
     Regime,
     expected_profit_given_signal,
@@ -45,10 +44,10 @@ from gatekeep.quadrature import quadrature_reference
 from gatekeep.records import replace
 from gatekeep.welfare import compute_aggregates, welfare_selection_burden
 
-from economies import PRIMITIVES, economies, log_uniform, solved_or_none
+from economies import BENCHMARK, PRIMITIVES, economies, log_uniform, solved_or_none
 
-PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
-SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
+PRIM = BENCHMARK.primitives
+SCHED = BENCHMARK.schedule
 
 
 def test_kernel_zero_at_market_cutoff(solved):

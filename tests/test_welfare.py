@@ -10,7 +10,6 @@ from gatekeep.economy import (
     HyperbolicCost,
     LogCutoffs,
     PiecewiseLinearCost,
-    PowerBoundedCost,
     Primitives,
     Regime,
 )
@@ -33,10 +32,10 @@ from gatekeep.welfare import (
     welfare_selection_burden,
 )
 
-from economies import economies, log_uniform, solved_or_none
+from economies import BENCHMARK, economies, log_uniform, solved_or_none
 
-PRIM = Primitives(sigma=2.0, f=0.15, f_n=0.005, delta=0.1)
-SCHED = PowerBoundedCost(3.0, 2.0, 8.0)
+PRIM = BENCHMARK.primitives
+SCHED = BENCHMARK.schedule
 
 
 def test_welfare_power_overflow_is_a_tilt_overflow():
@@ -90,8 +89,8 @@ def test_aggregates_refuse_cutoffs_off_free_entry(solved):
 def test_free_entry_identity_refuses_at_every_cost_scale(lam):
     # the calibration with f, f_n, L and f_b0 times lam; its cutoffs moved
     # 0.5 along the activation line miss free entry by the same share
-    prim = Primitives(sigma=2.0, f=0.15 * lam, f_n=0.005 * lam, delta=0.1, L=lam)
-    regime = Regime(0.89, PowerBoundedCost(3.0 * lam, 2.0, 8.0))
+    prim = replace(PRIM, f=PRIM.f * lam, f_n=PRIM.f_n * lam, L=PRIM.L * lam)
+    regime = Regime(0.89, replace(SCHED, f_b0=SCHED.f_b0 * lam))
     cutoffs = solve_equilibrium(prim, regime).cutoffs
     a, t = cutoffs.a, cutoffs.t_star + 0.5
     with pytest.raises(InconsistentEquilibriumError, match="^free-entry identity violated by "):
