@@ -18,7 +18,9 @@ It writes ``BENCH_<LABEL>.json`` at the repository root, with:
   of the median, the parent's IQR, the pairs the change won, and a verdict
   against the metric's ``BENCHMARK.json`` bound;
 - ``runs["W/seedS"]``: every run's end-to-end metrics, op counts and
-  correctness, and the seconds each ran;
+  correctness, the seconds each ran, and each side's failed ops and median
+  op count (an in-process workload's ``peak_rss_mb`` grows with its op
+  count, through the harness's own samples);
 - ``traced["W"]``: each per-layer metric's median on both sides, the
   traced pairs in which the change read lower, and which counts are equal
   in every traced run;
@@ -125,6 +127,18 @@ def summarize(runs: dict, end_to_end: list[dict]) -> dict:
             spec["better"], spec["bound"],
         )
         for spec in end_to_end
+    }
+
+
+def runs_entry(runs: dict, seconds: float) -> dict:
+    """``runs["W/seedS"]`` of one workload and seed: both sides' runs, the
+    seconds each ran, and each side's failed ops and median op count."""
+    return {
+        "seconds": seconds,
+        "failed_ops": {side: f"{sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}"
+                       for side, rs in runs.items()},
+        "median_ops": {side: statistics.median(r["attempted"] for r in rs) for side, rs in runs.items()},
+        **runs,
     }
 
 
@@ -286,9 +300,7 @@ def main(argv=None) -> int:
                         runs[side].append(run_record(result))
                         log(f"{key} pair {i + 1}/{args.pairs} {side}: "
                             + ", ".join(f"{m['name']} {runs[side][-1][m['name']]:.6g}" for m in end_to_end))
-                failed_ops = {side: f"{sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}"
-                              for side, rs in runs.items()}
-                doc["runs"][key] = {"seconds": args.seconds, "failed_ops": failed_ops, **runs}
+                doc["runs"][key] = runs_entry(runs, args.seconds)
                 doc["summary"][key] = summarize(runs, end_to_end)
             seed = args.seeds[0]
             traced = {"parent": [], "change": []}
@@ -310,6 +322,9 @@ def main(argv=None) -> int:
             log(f"{key} {name}: {s['parent_q1_median_q3'][1]:.6g} -> {s['change_q1_median_q3'][1]:.6g} "
                 f"({s['median_change']:+.2%}), {s['change_better_in_pairs']} pairs, {s['verdict']}"
                 if s["median_change"] is not None else f"{key} {name}: {s['verdict']}")
+        ops = doc["runs"][key].get("median_ops")
+        if ops:
+            log(f"{key} ops per run (median): {ops['parent']:g} -> {ops['change']:g}")
     correct = [r["correct"] for entry in doc["runs"].values() for side in ("parent", "change")
                for r in entry[side]]
     correct += [ok for entry in doc["traced"].values() for ok in entry["correct"].values()]

@@ -19,8 +19,8 @@ from functools import cached_property
 from .errors import DomainError, NearSingularCorrelationError
 from .normal import (
     NEAR_SINGULAR_RHO,
+    _joint_tail_masses_at,
     exp_tilt,
-    joint_tail_masses,
     log_std_normal_cdf,
     std_normal_cdf,
 )
@@ -206,8 +206,21 @@ def expected_joint_profit(prim: Primitives, rho: float, p_star: float, t_star: f
     f * (exp(-k p_star) * S - P(p >= p_star, t >= t_star)), with both masses
     from one ``joint_tail_masses`` pass.
     """
+    return _expected_joint_profit_at(prim, rho)(p_star, t_star)
+
+
+def _expected_joint_profit_at(prim: Primitives, rho: float):
+    """``expected_joint_profit`` at one economy and rho: profit(p_star, t_star).
+
+    rho is checked once, here, and the tilt k and the Genz masses at (k, rho)
+    are bound, so each call runs only its own arithmetic.
+    """
     _check_interior_rho(rho)
-    k = prim.k
-    log_s, p_phi = joint_tail_masses(k, p_star, t_star, rho)
-    lead = exp_tilt(log_s - k * p_star, "expected joint profit")
-    return prim.f * (lead - p_phi)
+    k, f = prim.k, prim.f
+    masses = _joint_tail_masses_at(k, rho)
+
+    def profit(p_star: float, t_star: float) -> float:
+        log_s, p_phi = masses(p_star, t_star)
+        return f * (exp_tilt(log_s - k * p_star, "expected joint profit") - p_phi)
+
+    return profit

@@ -10,9 +10,13 @@ residuals seed Brent, so no point is evaluated twice. Both root finders
 return the residual Brent holds at the root along with the root, so the
 residual reported at a solution is the value computed there, not a second
 evaluation. Each free-entry residual takes both of its Genz masses from one
-``normal.joint_tail_masses`` pass; the activation residual and the limit
-economies' residual share one truncated profit moment,
-``economy._profit_moment``.
+pass of the Genz rule, as ``normal.joint_tail_masses`` does. A root find
+binds its residual once, with ``_fe_residual_at``: the rho checks, the rule
+at rho and the costs that do not move with the probed point are bound there,
+so a probe runs only its own arithmetic, float for float the one-off
+``fe_residual``'s; every probe still passes through ``_brent_eval``. The
+activation residual and the limit economies' residual share one truncated
+profit moment, ``economy._profit_moment``.
 
 The root finder is an in-house, pure-Python Brent's method (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4). It is a line-by-line
@@ -32,7 +36,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .economy import (LogCutoffs, Primitives, Regime, _profit_moment, expected_joint_profit,
+from .economy import (LogCutoffs, Primitives, Regime, _expected_joint_profit_at, _profit_moment,
                       expected_profit_given_signal)
 from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError, IterationCapError
 from .normal import std_normal_cdf
@@ -181,20 +185,37 @@ def fe_residual(p_star: float, t_star: float, prim: Primitives, regime: Regime) 
     Expected lifetime profit per experimenter (in units of f) net of the
     expected activation outlay and the experimentation cost.
     """
-    pi_breve_over_f = expected_joint_profit(prim, regime.rho, p_star, t_star) / prim.f
-    gate = (prim.delta * regime.f_b / prim.f) * std_normal_cdf(-t_star)
-    return pi_breve_over_f - gate - prim.delta * prim.f_n / prim.f
+    return _fe_residual_at(prim, regime)(p_star, t_star)
+
+
+def _fe_residual_at(prim: Primitives, regime: Regime):
+    """``fe_residual`` at one economy and regime: residual(p_star, t_star).
+
+    Each root find binds one, so its probes pay only for their own
+    arithmetic; the costs delta f_b / f and delta f_n / f are bound here.
+    """
+    profit = _expected_joint_profit_at(prim, regime.rho)
+    f = prim.f
+    gate_cost = prim.delta * regime.f_b / prim.f
+    entry_cost = prim.delta * prim.f_n / prim.f
+
+    def residual(p_star: float, t_star: float) -> float:
+        return profit(p_star, t_star) / f - gate_cost * std_normal_cdf(-t_star) - entry_cost
+
+    return residual
 
 
 def _locus_fn(prim: Primitives, regime: Regime, a: float):
     """The free-entry residual on the locus p* = rho t + a, as a function of t."""
-    return lambda t: fe_residual(regime.rho * t + a, t, prim, regime)
+    residual, rho = _fe_residual_at(prim, regime), regime.rho
+    return lambda t: residual(rho * t + a, t)
 
 
 def fe_stationarity(p_star: float, t_star: float, prim: Primitives, regime: Regime) -> float:
     """Central-difference dH/dt at fixed p_star (zero at the locus peak)."""
-    up = fe_residual(p_star, t_star + _STATIONARITY_STEP, prim, regime)
-    down = fe_residual(p_star, t_star - _STATIONARITY_STEP, prim, regime)
+    residual = _fe_residual_at(prim, regime)
+    up = residual(p_star, t_star + _STATIONARITY_STEP)
+    down = residual(p_star, t_star - _STATIONARITY_STEP)
     return (up - down) / (2.0 * _STATIONARITY_STEP)
 
 

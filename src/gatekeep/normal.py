@@ -15,23 +15,24 @@ transformation, with a separate expansion branch for ``rho >= 0.925``). It
 serves the correlations the economy has, ``0 <= rho <= 1 - 1e-12``, and
 refuses the others. Absolute accuracy is on the order of 5e-15 for
 ``rho <= 0.99``. The quadrature nodes depend on the correlation alone, so
-they are built once per ``rho`` and the last few kept in a bounded table;
-each node is the same float expression as in the uncached rule, so results
-are identical to it bit for bit. One rule, ``_bvn_upper_pair``, evaluates
-two points per pass over the nodes: ``joint_tail_masses`` uses both to give
-the two masses of a free-entry residual, the tilted mass and the joint tail
-at one rho, and hands a NaN, infinite or far point to ``bvn_cdf``, which
-holds the guards and reductions, passes its one point twice and keeps the
-first value. All kernels here are pure functions: the node tables change how
-fast a value is computed, never the value.
+``_genz_rule`` builds the rule once per ``rho``, its nodes bound, and keeps
+the last few in a bounded table; each node is the same float expression as
+in the uncached rule, so results are identical to it bit for bit. The rule
+evaluates two points per pass over the nodes: ``joint_tail_masses`` uses
+both to give the two masses of a free-entry residual, the tilted mass and
+the joint tail at one rho, and hands a NaN, infinite or far point to
+``bvn_cdf``, which holds the guards and reductions, passes its one point
+twice and keeps the first value. All kernels here are pure functions: the
+rule table changes how fast a value is computed, never the value.
 
 The guard and clamp contract of ``joint_tail_masses``, which every
-free-entry probe passes through: it takes the pair pass where rho is finite
-and the shifted point and the cutoffs all lie strictly inside
-+/-``_FAR_ARGUMENT``, and checks rho with ``_check_correlation``, so the
-errors and their messages are ``bvn_cdf``'s. Each Genz mass is then clamped
-as ``min(1.0, max(0.0, v))`` clamps it: NaN and -0.0 give +0.0, and a mass a
-rounding above 1 gives 1.0.
+free-entry probe passes through, one-off or bound into a root find's
+residual by ``_joint_tail_masses_at``: k and rho are checked once, a NaN k
+first and then rho with ``_check_correlation``, so the errors and their
+messages are ``bvn_cdf``'s. A point takes the pair pass where the shifted
+point and the cutoffs all lie strictly inside +/-``_FAR_ARGUMENT``, and
+each Genz mass is then clamped as ``min(1.0, max(0.0, v))`` clamps it: NaN
+and -0.0 give +0.0, and a mass a rounding above 1 gives 1.0.
 
 Tilted moments are held in log space, so they are total on their
 mathematical domain; ``exp_tilt`` raises ``TiltOverflowError`` only where a
@@ -99,11 +100,10 @@ def _check_correlation(rho: float) -> None:
         raise DomainError(f"correlation must lie in [0, {NEAR_SINGULAR_RHO!r}], got {rho!r}")
 
 
-#: correlations whose quadrature nodes are kept; a solve uses one rho throughout
+#: correlations whose Genz rules are kept; a solve uses one rho throughout
 _NODE_CACHE_SIZE = 8
 
 
-@lru_cache(maxsize=_NODE_CACHE_SIZE)
 def _arcsine_nodes(r: float):
     """asin(r) and the (w, sn, 1 - sn^2) nodes of the r < 0.925 rule."""
     asr = math.asin(r)
@@ -115,7 +115,6 @@ def _arcsine_nodes(r: float):
     return asr, tuple(nodes)
 
 
-@lru_cache(maxsize=_NODE_CACHE_SIZE)
 def _expansion_nodes(r: float):
     """(1 - r)(1 + r), its root a, and the nodes of the r >= 0.925 expansion.
 
@@ -152,50 +151,65 @@ def _expansion_head(h: float, k: float, hk: float, a_sq: float, a: float):
     return bs, c, d, bvn
 
 
-def _bvn_upper_pair(h1: float, k1: float, h2: float, k2: float, r: float):
-    """(P(X > h1, Y > k1), P(X > h2, Y > k2)) for standard bivariate normal
-    with correlation 0 <= r <= 1 - 1e-12, from one pass over the nodes.
+@lru_cache(maxsize=_NODE_CACHE_SIZE)
+def _genz_rule(r: float):
+    """The Genz rule at correlation 0 <= r <= 1 - 1e-12, with its nodes bound.
 
-    Double-precision Drezner-Wesolowsky/Genz algorithm, 20-point
-    Gauss-Legendre rule throughout; the nodes come from the per-r tables.
-    The two sums share the nodes and nothing else, so each value is the one
-    the rule gives for its point alone.
+    Returns pair(h1, k1, h2, k2) = (P(X > h1, Y > k1), P(X > h2, Y > k2))
+    for the standard bivariate normal, from one pass over the nodes: the
+    double-precision Drezner-Wesolowsky/Genz algorithm, 20-point
+    Gauss-Legendre rule throughout. The two sums share the nodes and nothing
+    else, so each value is the one the rule gives for its point alone. Each
+    Phi(-x) is written 0.5 * erfc(x / sqrt 2), the float ``std_normal_cdf``
+    gives.
     """
-    exp = math.exp
-    hk1 = h1 * k1
-    hk2 = h2 * k2
+    exp, erfc = math.exp, math.erfc
     if r < 0.925:
-        hs1 = 0.5 * (h1 * h1 + k1 * k1)
-        hs2 = 0.5 * (h2 * h2 + k2 * k2)
         asr, nodes = _arcsine_nodes(r)
-        bvn1 = bvn2 = 0.0
-        for wi, sn, den in nodes:
-            bvn1 += wi * exp((sn * hk1 - hs1) / den)
-            bvn2 += wi * exp((sn * hk2 - hs2) / den)
-        return (
-            bvn1 * asr / (4.0 * math.pi) + std_normal_cdf(-h1) * std_normal_cdf(-k1),
-            bvn2 * asr / (4.0 * math.pi) + std_normal_cdf(-h2) * std_normal_cdf(-k2),
-        )
+        four_pi = 4.0 * math.pi
+
+        def pair(h1: float, k1: float, h2: float, k2: float):
+            hk1 = h1 * k1
+            hk2 = h2 * k2
+            hs1 = 0.5 * (h1 * h1 + k1 * k1)
+            hs2 = 0.5 * (h2 * h2 + k2 * k2)
+            bvn1 = bvn2 = 0.0
+            for wi, sn, den in nodes:
+                bvn1 += wi * exp((sn * hk1 - hs1) / den)
+                bvn2 += wi * exp((sn * hk2 - hs2) / den)
+            return (
+                bvn1 * asr / four_pi + 0.5 * erfc(h1 / _SQRT2) * (0.5 * erfc(k1 / _SQRT2)),
+                bvn2 * asr / four_pi + 0.5 * erfc(h2 / _SQRT2) * (0.5 * erfc(k2 / _SQRT2)),
+            )
+
+        return pair
     # High-correlation branch: expand about r = 1 (r < 1 is guaranteed by
     # the near-singular guard upstream).
     a_sq, a, nodes = _expansion_nodes(r)
-    bs1, c1, d1, bvn1 = _expansion_head(h1, k1, hk1, a_sq, a)
-    bs2, c2, d2, bvn2 = _expansion_head(h2, k2, hk2, a_sq, a)
-    for awi, xs, rs, one_minus_rs, two_one_plus_rs in nodes:
-        asr1 = -(bs1 / xs + hk1) / 2.0
-        if asr1 > -100.0:
-            sp = 1.0 + c1 * xs * (1.0 + d1 * xs)
-            ep = exp(-hk1 * one_minus_rs / two_one_plus_rs) / rs
-            bvn1 += awi * exp(asr1) * (ep - sp)
-        asr2 = -(bs2 / xs + hk2) / 2.0
-        if asr2 > -100.0:
-            sp = 1.0 + c2 * xs * (1.0 + d2 * xs)
-            ep = exp(-hk2 * one_minus_rs / two_one_plus_rs) / rs
-            bvn2 += awi * exp(asr2) * (ep - sp)
-    return (
-        std_normal_cdf(-max(h1, k1)) - bvn1 / (2.0 * math.pi),
-        std_normal_cdf(-max(h2, k2)) - bvn2 / (2.0 * math.pi),
-    )
+    two_pi = 2.0 * math.pi
+
+    def pair(h1: float, k1: float, h2: float, k2: float):
+        hk1 = h1 * k1
+        hk2 = h2 * k2
+        bs1, c1, d1, bvn1 = _expansion_head(h1, k1, hk1, a_sq, a)
+        bs2, c2, d2, bvn2 = _expansion_head(h2, k2, hk2, a_sq, a)
+        for awi, xs, rs, one_minus_rs, two_one_plus_rs in nodes:
+            asr1 = -(bs1 / xs + hk1) / 2.0
+            if asr1 > -100.0:
+                sp = 1.0 + c1 * xs * (1.0 + d1 * xs)
+                ep = exp(-hk1 * one_minus_rs / two_one_plus_rs) / rs
+                bvn1 += awi * exp(asr1) * (ep - sp)
+            asr2 = -(bs2 / xs + hk2) / 2.0
+            if asr2 > -100.0:
+                sp = 1.0 + c2 * xs * (1.0 + d2 * xs)
+                ep = exp(-hk2 * one_minus_rs / two_one_plus_rs) / rs
+                bvn2 += awi * exp(asr2) * (ep - sp)
+        return (
+            0.5 * erfc(max(h1, k1) / _SQRT2) - bvn1 / two_pi,
+            0.5 * erfc(max(h2, k2) / _SQRT2) - bvn2 / two_pi,
+        )
+
+    return pair
 
 
 def bvn_cdf(x: float, y: float, rho: float) -> float:
@@ -216,7 +230,7 @@ def bvn_cdf(x: float, y: float, rho: float) -> float:
         if x >= far and y >= far:
             return 1.0
         return std_normal_cdf(y) if x >= far else std_normal_cdf(x)
-    p = _bvn_upper_pair(-x, -y, -x, -y, rho)[0]
+    p = _genz_rule(rho)(-x, -y, -x, -y)[0]
     return min(1.0, max(0.0, p))
 
 
@@ -252,17 +266,33 @@ def joint_tail_masses(k: float, p_c: float, t_c: float, rho: float) -> tuple[flo
     float for float. NaN arguments, and points ``bvn_cdf`` reduces (infinite
     or beyond ``_FAR_ARGUMENT``), take both masses from ``bvn_cdf``.
     """
-    x, y = -p_c + k, -t_c + rho * k
-    far = _FAR_ARGUMENT
-    if abs(x) < far and abs(y) < far and abs(p_c) < far and abs(t_c) < far and math.isfinite(rho):
-        _check_correlation(rho)
-        s_mass, p_phi = _bvn_upper_pair(-x, -y, p_c, t_c, rho)
-        # min(1.0, max(0.0, v)): NaN and -0.0 map to +0.0
-        s_mass = s_mass if 0.0 < s_mass <= 1.0 else (1.0 if s_mass > 1.0 else 0.0)
-        p_phi = p_phi if 0.0 < p_phi <= 1.0 else (1.0 if p_phi > 1.0 else 0.0)
-    else:
-        if math.isnan(k):
-            raise DomainError("tilt exponent must not be NaN")
-        s_mass, p_phi = bvn_cdf(x, y, rho), bvn_cdf(-p_c, -t_c, rho)
-    log_s = -math.inf if s_mass == 0.0 else 0.5 * k * k + math.log(s_mass)
-    return log_s, p_phi
+    return _joint_tail_masses_at(k, rho)(p_c, t_c)
+
+
+def _joint_tail_masses_at(k: float, rho: float):
+    """``joint_tail_masses`` at one k and rho: masses(p_c, t_c).
+
+    k and rho are checked once, here (a NaN k first, then
+    ``_check_correlation``), and what depends on them alone is bound: the
+    Genz rule at rho, rho * k and k^2 / 2. Each call then runs only its own
+    arithmetic.
+    """
+    if math.isnan(k):
+        raise DomainError("tilt exponent must not be NaN")
+    _check_correlation(rho)
+    rule = _genz_rule(rho)
+    rho_k, half_kk = rho * k, 0.5 * k * k
+    far, log = _FAR_ARGUMENT, math.log
+
+    def masses(p_c: float, t_c: float) -> tuple[float, float]:
+        x, y = -p_c + k, -t_c + rho_k
+        if abs(x) < far and abs(y) < far and abs(p_c) < far and abs(t_c) < far:
+            s_mass, p_phi = rule(-x, -y, p_c, t_c)
+            # min(1.0, max(0.0, v)): NaN and -0.0 map to +0.0
+            s_mass = s_mass if 0.0 < s_mass <= 1.0 else (1.0 if s_mass > 1.0 else 0.0)
+            p_phi = p_phi if 0.0 < p_phi <= 1.0 else (1.0 if p_phi > 1.0 else 0.0)
+        else:
+            s_mass, p_phi = bvn_cdf(x, y, rho), bvn_cdf(-p_c, -t_c, rho)
+        return (-math.inf if s_mass == 0.0 else half_kk + log(s_mass)), p_phi
+
+    return masses

@@ -28,15 +28,21 @@ def solved():
 def genz_passes(monkeypatch):
     """Counts of Genz passes.
 
-    ``_bvn_upper_pair`` is the one Genz rule, so a stray ``bvn_cdf`` call
-    shows up as one more pair pass.
+    ``_genz_rule`` builds the one Genz rule at each rho, and every pass,
+    bound into a residual or made by ``bvn_cdf``, calls a rule it returned;
+    so a stray ``bvn_cdf`` call shows up as one more pair pass.
     """
     counts = {"pair": 0}
-    fn = normal._bvn_upper_pair
+    rule_at = normal._genz_rule
 
-    def counted(*args):
-        counts["pair"] += 1
-        return fn(*args)
+    def counted_rule(r):
+        rule = rule_at(r)
 
-    monkeypatch.setattr(normal, "_bvn_upper_pair", counted)
+        def counted(*args):
+            counts["pair"] += 1
+            return rule(*args)
+
+        return counted
+
+    monkeypatch.setattr(normal, "_genz_rule", counted_rule)
     return counts

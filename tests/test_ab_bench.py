@@ -118,3 +118,13 @@ def test_an_earlier_file_is_kept_only_for_the_same_two_trees():
 def test_pairs_alternate_which_side_runs_first():
     assert [ab_bench.pair_order(i) for i in range(3)] == [
         ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_each_sides_median_op_count_sits_beside_its_failed_ops():
+    # an RSS move of an in-process workload reads against its op count
+    runs = {"parent": [{"attempted": n, "failed": 0} for n in (4756, 4800, 4700)],
+            "change": [{"attempted": n, "failed": f} for n, f in ((5400, 0), (5500, 1), (5450, 0))]}
+    entry = ab_bench.runs_entry(runs, 20.0)
+    assert entry["median_ops"] == {"parent": 4756, "change": 5450}
+    assert entry["failed_ops"] == {"parent": "0/14256", "change": "1/16350"}
+    assert (entry["seconds"], entry["parent"], entry["change"]) == (20.0, runs["parent"], runs["change"])

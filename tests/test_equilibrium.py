@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from gatekeep import equilibrium
 from gatekeep.economy import (
@@ -30,13 +31,14 @@ from gatekeep.equilibrium import (
 from gatekeep.errors import (
     BracketFailureError,
     DomainError,
+    GatekeepError,
     InconsistentEquilibriumError,
     IterationCapError,
     TiltOverflowError,
 )
-from gatekeep.normal import exp_tilt, log_std_normal_cdf, std_normal_cdf
+from gatekeep.normal import exp_tilt, joint_tail_masses, log_std_normal_cdf, std_normal_cdf
 from gatekeep.welfare import compute_aggregates
-from economies import BENCHMARK
+from economies import BENCHMARK, economies
 from golden_values import AC_INTERCEPT, MELITZ_PERFECT_P_STAR, MELITZ_ZERO_P_STAR, P_STAR, T_STAR
 
 PRIM = BENCHMARK.primitives
@@ -349,10 +351,70 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _counted_probes(monkeypatch):
+    """Count the free-entry probes the solver makes: every residual it binds
+    with equilibrium._fe_residual_at records its p_star."""
+    bind, calls = equilibrium._fe_residual_at, []
+
+    def counted_bind(prim, regime):
+        residual = bind(prim, regime)
+        return lambda p_star, t_star: calls.append(p_star) or residual(p_star, t_star)
+
+    monkeypatch.setattr(equilibrium, "_fe_residual_at", counted_bind)
+    return calls
+
+
 def _root_evaluations(fn, xtol):
     seen = []
     _root_decreasing(lambda x: seen.append(x) or fn(x), xtol, "count")
     return len(seen)
+
+
+def _probe_outcome(fn, t):
+    """repr of fn(t), so that -0.0 counts, or the class and message it raises."""
+    try:
+        return repr(fn(t))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _frozen_fe_residual(p_star, t_star, prim, regime):
+    # fe_residual as it stood before its residual was bound per root find,
+    # each layer written out on the one-off joint_tail_masses
+    k = prim.k
+    log_s, p_phi = joint_tail_masses(k, p_star, t_star, regime.rho)
+    pi_breve = prim.f * (exp_tilt(log_s - k * p_star, "expected joint profit") - p_phi)
+    gate = (prim.delta * regime.f_b / prim.f) * std_normal_cdf(-t_star)
+    return pi_breve / prim.f - gate - prim.delta * prim.f_n / prim.f
+
+
+@given(economy=economies())
+@example(economy=(PRIM, Regime(0.5, SCHED)))
+@example(economy=(PRIM, Regime(0.95, SCHED)))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_bound_locus_residual_equals_the_one_off_form(economy):
+    # every probe of the residual _locus_fn binds, in both Genz branches, is
+    # fe_residual's float at the same point, and the frozen form's, or raises
+    # their error
+    prim, regime = economy
+    rho = regime.rho
+    try:
+        a, _, _ = _solve_activation_intercept(prim, rho, regime.f_b)
+    except GatekeepError:
+        return
+    locus = _locus_fn(prim, regime, a)
+    one_off = lambda t: fe_residual(rho * t + a, t, prim, regime)
+    # where p* = (k^2 / 2 - 710) / k - 1, log S is about k^2 / 2, so the
+    # log of the profit's lead, log S - k p*, is about 710 + k: just past
+    # the double range, whose log is 709.78
+    k = prim.k
+    t_overflow = (((0.5 * k * k - 710.0) / k - 1.0) - a) / rho
+    assert _probe_outcome(one_off, t_overflow)[0] is TiltOverflowError
+    grid = [-BRACKET_BOUND + i * BRACKET_BOUND / 100.0 for i in range(201)]
+    frozen = lambda t: _frozen_fe_residual(rho * t + a, t, prim, regime)
+    for t in grid + [1e6, -1e6, math.inf, -math.inf, math.nan, t_overflow]:
+        got = _probe_outcome(locus, t)
+        assert got == _probe_outcome(one_off, t) == _probe_outcome(frozen, t), t
 
 
 @pytest.mark.parametrize("sched", [SCHED, ConstantCost(2.0)])
@@ -365,7 +427,7 @@ def test_solve_evaluates_each_residual_only_in_its_root_find(rho, sched, monkeyp
     ac_root_calls, fe_root_calls = _root_evaluations(ac, 1e-15), _root_evaluations(locus, 1e-12)
 
     ac_calls = _counted(monkeypatch, "activation_residual")
-    fe_calls = _counted(monkeypatch, "fe_residual")
+    fe_calls = _counted_probes(monkeypatch)
     sol = solve_equilibrium(PRIM, regime)
     monkeypatch.undo()
     # the bracket-plus-Brent evaluations, and for free entry the two
@@ -383,7 +445,7 @@ def test_solve_makes_one_genz_pass_per_free_entry_residual(rho, sched, monkeypat
     # one fused pass gives both Genz masses of a residual, and the aggregates
     # at the solved cutoffs make one more
     regime = Regime(rho, sched)
-    fe_calls = _counted(monkeypatch, "fe_residual")
+    fe_calls = _counted_probes(monkeypatch)
     sol = solve_equilibrium(PRIM, regime)
     assert genz_passes == {"pair": len(fe_calls)}
     compute_aggregates(PRIM, regime, sol.cutoffs)

@@ -296,8 +296,8 @@ def test_bvn_node_tables_stay_bounded():
     for i in range(1000):
         rho = 0.999 * i / 999
         bvn_cdf(0.3, -0.2, rho)
-    for table in (normal._arcsine_nodes, normal._expansion_nodes):
-        assert 0 < table.cache_info().currsize <= normal._NODE_CACHE_SIZE
+    # the nodes of both branches are held in the table of per-rho Genz rules
+    assert 0 < normal._genz_rule.cache_info().currsize <= normal._NODE_CACHE_SIZE
 
 
 def _frozen_log_tilted_upper_tail2(k, p_c, t_c, rho):
@@ -422,7 +422,7 @@ def test_joint_tail_masses_keep_their_errors_at_the_ends_of_the_rho_range(rho, e
 def test_joint_tail_masses_clamp_each_genz_mass_like_min_max(monkeypatch, masses):
     # each mass is clamped as min(1.0, max(0.0, v)) clamps it: NaN and -0.0
     # give +0.0, and a mass a rounding above 1 gives 1.0
-    monkeypatch.setattr(normal, "_bvn_upper_pair", lambda *args: masses)
+    monkeypatch.setattr(normal, "_genz_rule", lambda r: lambda *args: masses)
     k = 1.5
     s_mass, p_phi = (min(1.0, max(0.0, v)) for v in masses)
     want = (-math.inf if s_mass == 0.0 else 0.5 * k * k + math.log(s_mass), p_phi)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -211,14 +212,28 @@ def test_decentralization_fixed_point(solved):
     assert w == pytest.approx(baseline, rel=1e-8)
 
 
+def _route_probes(monkeypatch, probe):
+    """Send every free-entry probe through probe(residual, p_star, t_star), where
+    residual is the one equilibrium._fe_residual_at bound for the root find."""
+    bind = equilibrium._fe_residual_at
+    monkeypatch.setattr(equilibrium, "_fe_residual_at",
+                        lambda prim, regime: functools.partial(probe, bind(prim, regime)))
+
+
+def _recorded_probes(monkeypatch):
+    """The (p_star, t_star) of every free-entry probe, in order."""
+    calls = []
+    _route_probes(monkeypatch, lambda residual, *args: calls.append(args) or residual(*args))
+    return calls
+
+
 @pytest.mark.parametrize("s_frac", [-0.5, 0.0, 0.3])
 @pytest.mark.parametrize("rho", [0.5, 0.97])
 def test_pigouvian_makes_one_genz_pass_per_residual_and_one_for_aggregates(
     rho, s_frac, monkeypatch, genz_passes
 ):
     regime = Regime(rho, SCHED)
-    fe, calls = equilibrium.fe_residual, []
-    monkeypatch.setattr(equilibrium, "fe_residual", lambda *args: calls.append(args) or fe(*args))
+    calls = _recorded_probes(monkeypatch)
     pigouvian_welfare(PRIM, regime, s_frac * regime.f_b)
     assert calls and genz_passes == {"pair": len(calls) + 1}
 
@@ -314,8 +329,7 @@ def test_pigouvian_bisection_reports_the_scans_bracket_failure(monkeypatch):
     # after its two end probes.
     prim = Primitives(sigma=2.0, f=0.15, f_n=1e30, delta=0.1)
     regime = Regime(0.5, SCHED)
-    fe, calls = equilibrium.fe_residual, []
-    monkeypatch.setattr(equilibrium, "fe_residual", lambda *args: calls.append(args) or fe(*args))
+    calls = _recorded_probes(monkeypatch)
     for s in (-0.5 * regime.f_b, 0.25 * regime.f_b):
         expected = _outcome(_ordered_scan_welfare, prim, regime, s)
         assert expected[0] is BracketFailureError
@@ -332,8 +346,7 @@ def test_pigouvian_bisects_for_negative_transfers_and_scans_otherwise(rho, s_fra
     # scan; for s > 0 the scan runs in order, with the scan's own count.
     regime = Regime(rho, SCHED)
     s = s_frac * regime.f_b
-    fe, calls = equilibrium.fe_residual, []
-    monkeypatch.setattr(equilibrium, "fe_residual", lambda *args: calls.append(args) or fe(*args))
+    calls = _recorded_probes(monkeypatch)
     expected = _ordered_scan_welfare(PRIM, regime, s)
     scan_calls = len(calls)
     calls.clear()
@@ -352,16 +365,15 @@ def test_pigouvian_bisection_raises_where_a_probe_fails(window, failure, monkeyp
     # mid-way, or the far end t = 50) raises or is NaN, and so does the search.
     regime = Regime(0.5, SCHED)
     s = -0.5 * regime.f_b
-    fe = equilibrium.fe_residual
 
-    def failing(p_star, t_star, prim, regime):
+    def failing(residual, p_star, t_star):
         if window[0] <= t_star < window[1]:
             if failure == "raise":
                 raise TiltOverflowError("probe outside the scan's reach")
             return math.nan
-        return fe(p_star, t_star, prim, regime)
+        return residual(p_star, t_star)
 
-    monkeypatch.setattr(equilibrium, "fe_residual", failing)
+    _route_probes(monkeypatch, failing)
     assert isinstance(_ordered_scan_welfare(PRIM, regime, s), float)
     if failure == "raise":
         with pytest.raises(TiltOverflowError, match="probe outside the scan's reach"):
@@ -376,12 +388,11 @@ def test_pigouvian_scan_raises_where_a_probe_is_nan(monkeypatch):
     # would walk past NaN residuals at t in [-45, -40) and still give a value.
     regime = Regime(0.5, SCHED)
     s = 0.3 * regime.f_b
-    fe = equilibrium.fe_residual
 
-    def failing(p_star, t_star, prim, regime):
-        return math.nan if -45.0 <= t_star < -40.0 else fe(p_star, t_star, prim, regime)
+    def failing(residual, p_star, t_star):
+        return math.nan if -45.0 <= t_star < -40.0 else residual(p_star, t_star)
 
-    monkeypatch.setattr(equilibrium, "fe_residual", failing)
+    _route_probes(monkeypatch, failing)
     assert isinstance(_ordered_scan_welfare(PRIM, regime, s), float)
     with pytest.raises(DomainError, match="root finder: residual is NaN"):
         pigouvian_welfare(PRIM, regime, s)
