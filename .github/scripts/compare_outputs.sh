@@ -17,7 +17,11 @@
 #   tree's tests/families.py, a third each of its domain, scaled and extreme
 #   families, then SCALED_DOWN_CONFIGS of its scaled_down family from the
 #   same generator; the outputs of a scaled economy must not depend on its
-#   scale.
+#   scale;
+# - DENSE_CONFIGS more from the same generator, alternating its domain and
+#   extreme families, each with its sweep grid replaced by benchmark.cfg's
+#   0.05:0.98:0.01, so that sweep and optimum cross the points where a
+#   root's ladder rung changes from one precision to the next.
 # It then requires the same set of files on both sides: every CSV, SVG,
 # stdout and stderr byte-identical (a warning's source location aside), and
 # every exit code equal. A Python
@@ -46,6 +50,10 @@ DOMAIN_CONFIGS = 48
 FAMILIES = ("domain", "scaled", "extreme")
 # drawn after the 48 above, so that each of those keeps its text
 SCALED_DOWN_CONFIGS = 8
+# drawn after all of the above, for the same reason
+DENSE_CONFIGS = 6
+DENSE_FAMILIES = ("domain", "extreme")
+DENSE_GRID = "grid = 0.05:0.98:0.01"
 SEED = 20261019
 
 bench_path, out = Path(sys.argv[1]), Path(sys.argv[2])
@@ -77,6 +85,11 @@ for i in range(DOMAIN_CONFIGS):
     configs[f"{family}_{i // len(FAMILIES):02d}"] = economy(family, rng)
 for i in range(SCALED_DOWN_CONFIGS):
     configs[f"scaled_down_{i:02d}"] = economy("scaled_down", rng)
+for i in range(DENSE_CONFIGS):
+    family = DENSE_FAMILIES[i % len(DENSE_FAMILIES)]
+    text, count = re.subn(r"^grid = .*$", DENSE_GRID, economy(family, rng), flags=re.M)
+    assert count == 1, (family, i)
+    configs[f"dense_{family}_{i // len(DENSE_FAMILIES):02d}"] = text
 
 for name, text in configs.items():
     (out / f"{name}.cfg").write_text(text, encoding="utf-8")

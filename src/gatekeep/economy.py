@@ -177,9 +177,23 @@ class LogCutoffs(Record, namedtuple("LogCutoffs", "t_star p_star a")):
 def _profit_moment(k: float, x: float, s2: float, what: str) -> float:
     """E[(exp(k X) - 1) 1{X >= 0}] for X ~ N(x, s2); where its lead exceeds
     the double range, ``TiltOverflowError`` names ``what``."""
+    return _profit_moment_at(k, s2, what)(x)
+
+
+def _profit_moment_at(k: float, s2: float, what: str):
+    """``_profit_moment`` at one tilt and variance: moment(x).
+
+    The standard deviation and the variance term 0.5 k^2 s2 are bound here,
+    each the float the one-off form computes.
+    """
     sd = math.sqrt(s2)
-    lead = exp_tilt(k * x + 0.5 * k * k * s2 + log_std_normal_cdf((x + k * s2) / sd), what)
-    return lead - std_normal_cdf(x / sd)
+    half_var = 0.5 * k * k * s2
+
+    def moment(x: float) -> float:
+        lead = exp_tilt(k * x + half_var + log_std_normal_cdf((x + k * s2) / sd), what)
+        return lead - std_normal_cdf(x / sd)
+
+    return moment
 
 
 def expected_profit_given_signal(
@@ -192,9 +206,23 @@ def expected_profit_given_signal(
     through the index rho * t - p_star, and is weakly increasing in t. It is
     0.0 at p_star = +inf; at p_star = -inf it raises ``TiltOverflowError``.
     """
+    return _expected_profit_given_signal_at(prim, rho)(p_star, t)
+
+
+def _expected_profit_given_signal_at(prim: Primitives, rho: float):
+    """``expected_profit_given_signal`` at one economy and rho: profit(p_star, t).
+
+    rho is checked once, here, and the moment at variance 1 - rho^2 is bound,
+    so each call runs only its own arithmetic.
+    """
     _check_interior_rho(rho)
-    return prim.f * _profit_moment(prim.k, rho * t - p_star, 1.0 - rho * rho,
-                                   "expected profit given signal")
+    f = prim.f
+    moment = _profit_moment_at(prim.k, 1.0 - rho * rho, "expected profit given signal")
+
+    def profit(p_star: float, t: float) -> float:
+        return f * moment(rho * t - p_star)
+
+    return profit
 
 
 def expected_joint_profit(prim: Primitives, rho: float, p_star: float, t_star: float) -> float:

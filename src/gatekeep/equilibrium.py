@@ -5,18 +5,36 @@ Condition pins down the intercept ``a`` of the log-linear activation locus
 ``p* = rho t* + a`` through a strictly decreasing one-dimensional residual,
 and along that locus the Free-Entry residual ``J(t) = H(rho t + a, t)`` is
 strictly decreasing in ``t``, so each stage is one call to
-``_root_decreasing``: a geometric bracket expansion from 0 whose endpoint
-residuals seed Brent, so no point is evaluated twice. Both root finders
-return the residual Brent holds at the root along with the root, so the
-residual reported at a solution is the value computed there, not a second
+``_root_decreasing``: a ladder of rungs from 0 (0, +/-1, 2, 4, ..., 32,
++/-``BRACKET_BOUND``) climbed to a sign change, whose endpoint residuals
+seed Brent, so no point is evaluated twice. Both root finders return the
+residual Brent holds at the root along with the root, so the residual
+reported at a solution is the value computed there, not a second
 evaluation. Each free-entry residual takes both of its Genz masses from one
-pass of the Genz rule, as ``normal.joint_tail_masses`` does. A root find
-binds its residual once, with ``_fe_residual_at``: the rho checks, the rule
-at rho and the costs that do not move with the probed point are bound there,
-so a probe runs only its own arithmetic, float for float the one-off
-``fe_residual``'s; every probe still passes through ``_brent_eval``. The
-activation residual and the limit economies' residual share one truncated
-profit moment, ``economy._profit_moment``.
+pass of the Genz rule, as ``normal.joint_tail_masses`` does.
+
+Each stage binds its residual once: the activation stage with
+``_activation_residual_at``, and a solve with ``_fe_residual_at``, whose one
+binding serves the locus root find and the two stationarity probes. The rho
+checks, the Genz rule at rho and the terms that do not move with the probed
+point are bound there, so a probe runs only its own arithmetic, float for
+float the one-off ``activation_residual``'s or ``fe_residual``'s; every
+probe of a root find still passes through ``_brent_eval``. The activation
+residual and the limit economies' residual share one truncated profit
+moment, ``economy._profit_moment_at``.
+
+A sweep warms each solve with the cutoffs of the last point that solved
+(``solve_equilibrium``'s optional hint): each ladder first probes the
+largest rung strictly between 0 and that point's root, and climbs on from
+it where the residual there has the rung's sign; otherwise it runs cold from
+0, reusing that probe. The rungs a point shares with its neighbour are not
+climbed again. Where the residual's signs at the rungs are those of a
+decreasing function, and no probe the warm ladder skips (0 and the rungs
+below the warm one) would raise, Brent starts from the bracket the cold
+ladder reaches, so the result is a cold solve's, float for float. A skipped
+probe that would raise is never seen, so there a warm solve can return a
+root where a cold one refuses. The tests check, row for row over the domain
+and extreme families, that a sweep's rows are cold solves'.
 
 The root finder is an in-house, pure-Python Brent's method (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4). It is a line-by-line
@@ -36,14 +54,18 @@ import math
 import sys
 from collections import namedtuple
 
-from .economy import (LogCutoffs, Primitives, Regime, _expected_joint_profit_at, _profit_moment,
-                      expected_profit_given_signal)
-from .errors import BracketFailureError, DomainError, InconsistentEquilibriumError, IterationCapError
+from .economy import (LogCutoffs, Primitives, Regime, _expected_joint_profit_at,
+                      _expected_profit_given_signal_at, _profit_moment)
+from .errors import (BracketFailureError, DomainError, GatekeepError, InconsistentEquilibriumError,
+                     IterationCapError)
 from .normal import std_normal_cdf
 from .records import Record
 
-#: log-space window beyond which tail probabilities underflow; treated as
-#: parameter pathology rather than searched further
+#: the last rung of each bracket ladder, in that ladder's own variable: t
+#: for free entry, a for activation, p* for the limit economies. A root
+#: beyond it is refused as a parameter pathology, not searched further; it
+#: is not where tail probabilities underflow (at small rho, p* = rho t + a
+#: moves by only rho per unit of t)
 BRACKET_BOUND = 50.0
 
 #: drift bound on both residuals, in units of the check's scale
@@ -132,22 +154,46 @@ def _brent_root(fn, xpre: float, fpre: float, xcur: float, fcur: float, xtol: fl
     )
 
 
-def _root_decreasing(fn, xtol: float, what: str):
-    """Root of a decreasing fn: grow a bracket out from 0, then Brent.
+def _root_decreasing(fn, xtol: float, what: str, hint: float | None = None):
+    """Root of a decreasing fn: climb a ladder of rungs out from 0, then Brent.
 
-    The bracket doubles from 0 towards the side where fn changes sign and
-    stops at +/-BRACKET_BOUND; Brent starts from the residuals the expansion
-    already computed, so no point is evaluated twice. Returns (root,
-    iterations, fn(root)) as ``_brent_root`` does.
+    The cold ladder probes 0, then doubles towards the side where fn changes
+    sign (+/-1, 2, 4, ..., 32) and stops at +/-BRACKET_BOUND. Given a hint,
+    the root of a neighbouring problem, the ladder first probes the rung
+    ``_warm_rung(hint)``. Where fn there has the rung's sign, the climb goes
+    on from that rung as the cold ladder's would, so Brent gets the same
+    bracket. Otherwise, or where that probe raises a ``GatekeepError``, the
+    cold ladder runs, and takes the probe's value or error if it reaches that
+    rung; so only the cold ladder's errors escape, and no point is evaluated
+    twice. A warm climb skips 0 and the rungs below the warm one, so the
+    result is the cold ladder's only where none of those probes would raise:
+    an error there is never seen. Brent starts from the residuals the ladder
+    computed. Returns (root, iterations, fn(root)) as ``_brent_root`` does.
     """
-    x, fx = 0.0, _brent_eval(fn, 0.0)
-    if fx == 0.0:
-        return x, 0, fx
-    side = 1.0 if fx > 0.0 else -1.0
-    step = 1.0
+    rung, at_rung, warm = _warm_rung(hint), None, False
+    if rung is not None:
+        side = 1.0 if rung > 0.0 else -1.0
+        try:
+            at_rung = _brent_eval(fn, rung)
+        except GatekeepError as exc:
+            at_rung = exc
+        else:
+            warm = side * at_rung > 0.0
+    if warm:
+        x, fx, step = rung, at_rung, 2.0 * abs(rung)
+    else:
+        x, fx = 0.0, _brent_eval(fn, 0.0)
+        if fx == 0.0:
+            return x, 0, fx
+        side, step = (1.0 if fx > 0.0 else -1.0), 1.0
     while True:
         y = side * min(step, BRACKET_BOUND)
-        fy = _brent_eval(fn, y)
+        if y != rung:
+            fy = _brent_eval(fn, y)
+        elif isinstance(at_rung, GatekeepError):
+            raise at_rung
+        else:
+            fy = at_rung
         if side * fy <= 0.0:
             break
         if step >= BRACKET_BOUND:
@@ -160,23 +206,54 @@ def _root_decreasing(fn, xtol: float, what: str):
     return _brent_root(fn, y, fy, x, fx, xtol)
 
 
+def _warm_rung(hint: float | None) -> float | None:
+    """The cold ladder's largest-magnitude rung strictly between 0 and hint,
+    short of +/-BRACKET_BOUND; None where there is none (|hint| <= 1)."""
+    if hint is None or not abs(hint) > 1.0:
+        return None
+    step = 1.0
+    while 2.0 * step < abs(hint) and 2.0 * step < BRACKET_BOUND:
+        step *= 2.0
+    return step if hint > 0.0 else -step
+
+
 def activation_residual(a: float, prim: Primitives, rho: float, activation_cost: float) -> float:
     """Expected-profit-over-f at activation index -a, minus delta*cost/f.
 
     Strictly decreasing in a. The cost argument lets policy counterfactuals
     shift the effective activation cost without touching free entry.
     """
-    # On the activation locus the profit index rho*t - p* equals -a for all t.
-    pi_over_f = expected_profit_given_signal(prim, rho, p_star=a, t=0.0) / prim.f
-    return pi_over_f - prim.delta * activation_cost / prim.f
+    return _activation_residual_at(prim, rho, activation_cost)(a)
 
 
-def _solve_activation_intercept(prim: Primitives, rho: float, activation_cost: float):
-    """The activation stage: (a, iterations, activation residual at a)."""
+def _activation_residual_at(prim: Primitives, rho: float, activation_cost: float):
+    """``activation_residual`` at one economy, rho and cost: residual(a).
+
+    Each activation stage binds one, as each free-entry root find binds
+    ``_fe_residual_at``; the profit at rho and the cost delta * cost / f are
+    bound here.
+    """
+    profit = _expected_profit_given_signal_at(prim, rho)
+    f = prim.f
+    gate_cost = prim.delta * activation_cost / prim.f
+
+    def residual(a: float) -> float:
+        # On the activation locus the profit index rho*t - p* equals -a for all t.
+        return profit(a, 0.0) / f - gate_cost
+
+    return residual
+
+
+def _solve_activation_intercept(prim: Primitives, rho: float, activation_cost: float,
+                                hint: float | None = None):
+    """The activation stage: (a, iterations, activation residual at a).
+
+    hint is a neighbouring solve's intercept, or None (``_root_decreasing``).
+    """
     if not activation_cost > 0.0:
         raise DomainError(f"activation cost must be positive, got {activation_cost!r}")
-    fn = lambda a: activation_residual(a, prim, rho, activation_cost)
-    return _root_decreasing(fn, 1e-15, "activation intercept")
+    fn = _activation_residual_at(prim, rho, activation_cost)
+    return _root_decreasing(fn, 1e-15, "activation intercept", hint)
 
 
 def fe_residual(p_star: float, t_star: float, prim: Primitives, regime: Regime) -> float:
@@ -207,29 +284,48 @@ def _fe_residual_at(prim: Primitives, regime: Regime):
 
 def _locus_fn(prim: Primitives, regime: Regime, a: float):
     """The free-entry residual on the locus p* = rho t + a, as a function of t."""
-    residual, rho = _fe_residual_at(prim, regime), regime.rho
+    return _on_locus(_fe_residual_at(prim, regime), regime.rho, a)
+
+
+def _on_locus(residual, rho: float, a: float):
+    """A bound free-entry residual on the locus p* = rho t + a."""
     return lambda t: residual(rho * t + a, t)
 
 
 def fe_stationarity(p_star: float, t_star: float, prim: Primitives, regime: Regime) -> float:
     """Central-difference dH/dt at fixed p_star (zero at the locus peak)."""
-    residual = _fe_residual_at(prim, regime)
+    return _central_difference(_fe_residual_at(prim, regime), p_star, t_star)
+
+
+def _central_difference(residual, p_star: float, t_star: float) -> float:
+    """``fe_stationarity`` through a bound free-entry residual."""
     up = residual(p_star, t_star + _STATIONARITY_STEP)
     down = residual(p_star, t_star - _STATIONARITY_STEP)
     return (up - down) / (2.0 * _STATIONARITY_STEP)
 
 
-def solve_equilibrium(prim: Primitives, regime: Regime) -> EquilibriumSolution:
-    """Solve for the unique cutoff pair (t*, p*)."""
-    a, ac_iters, ac_res = _solve_activation_intercept(prim, regime.rho, regime.f_b)
-    t_star, fe_iters, fe_res = _root_decreasing(_locus_fn(prim, regime, a), 1e-12, "free-entry cutoff")
+def solve_equilibrium(prim: Primitives, regime: Regime,
+                      hint: LogCutoffs | None = None) -> EquilibriumSolution:
+    """Solve for the unique cutoff pair (t*, p*).
+
+    hint, a neighbouring solve's cutoffs, warms each ladder (its a for
+    activation, its t_star for free entry; ``_root_decreasing``); the result
+    is a cold solve's, float for float, where no probe the warm ladders skip
+    would raise.
+    """
+    a, ac_iters, ac_res = _solve_activation_intercept(
+        prim, regime.rho, regime.f_b, None if hint is None else hint.a)
+    residual = _fe_residual_at(prim, regime)
+    t_star, fe_iters, fe_res = _root_decreasing(
+        _on_locus(residual, regime.rho, a), 1e-12, "free-entry cutoff",
+        None if hint is None else hint.t_star)
     p_star = regime.rho * t_star + a
 
     sol = EquilibriumSolution(
         cutoffs=LogCutoffs(t_star=t_star, p_star=p_star, a=a),
         ac_residual=ac_res,
         fe_residual=fe_res,
-        fe_stationarity=fe_stationarity(p_star, t_star, prim, regime),
+        fe_stationarity=_central_difference(residual, p_star, t_star),
         iterations=(ac_iters, fe_iters),
     )
     # Residuals are differences of terms of size delta*f_b/f, so the drift

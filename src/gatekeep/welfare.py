@@ -189,23 +189,32 @@ class SweepRecord(Record, namedtuple("SweepRecord", "rho eq agg error", defaults
 
 
 def sweep_records(prim: Primitives, schedule, rho_grid) -> list[SweepRecord]:
-    """Solve every grid point; failures become explicit records, never dropped."""
+    """Solve every grid point; failures become explicit records, never dropped.
+
+    Each solve is warmed by the cutoffs of the last point that solved, which
+    moves no float (``equilibrium.solve_equilibrium``'s hint).
+    """
     rho_grid = list(rho_grid)
     if any(b <= a for a, b in zip(rho_grid, rho_grid[1:])):
         raise DomainError("rho grid must be strictly increasing")
-    records = []
+    records, hint = [], None
     for rho in rho_grid:
         try:
-            records.append(_solve_point(prim, schedule, rho))
+            record = _solve_point(prim, schedule, rho, hint)
         except GatekeepError as exc:
             records.append(SweepRecord(rho=rho, eq=None, agg=None, error=exc))
+        else:
+            records.append(record)
+            hint = record.eq.cutoffs
     return records
 
 
-def _solve_point(prim: Primitives, schedule, rho: float) -> SweepRecord:
-    """Solution and aggregates at one precision; a failure raises."""
+def _solve_point(prim: Primitives, schedule, rho: float,
+                 hint: LogCutoffs | None = None) -> SweepRecord:
+    """Solution and aggregates at one precision, the solve warmed by hint (a
+    neighbouring point's cutoffs); a failure raises."""
     regime = Regime(rho, schedule)
-    eq = solve_equilibrium(prim, regime)
+    eq = solve_equilibrium(prim, regime, hint)
     return SweepRecord(rho=rho, eq=eq, agg=compute_aggregates(prim, regime, eq.cutoffs))
 
 

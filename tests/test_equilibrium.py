@@ -9,6 +9,7 @@ from gatekeep.economy import (
     ConstantCost,
     Primitives,
     Regime,
+    _check_interior_rho,
     expected_joint_profit,
     expected_profit_given_signal,
 )
@@ -16,6 +17,7 @@ from gatekeep.equilibrium import (
     BRACKET_BOUND,
     FE_RESIDUAL_TOL,
     STATIONARITY_TOL,
+    _activation_residual_at,
     _brent_root,
     _locus_fn,
     _root_decreasing,
@@ -34,6 +36,7 @@ from gatekeep.errors import (
     GatekeepError,
     InconsistentEquilibriumError,
     IterationCapError,
+    NearSingularCorrelationError,
     TiltOverflowError,
 )
 from gatekeep.normal import exp_tilt, joint_tail_masses, log_std_normal_cdf, std_normal_cdf
@@ -321,7 +324,10 @@ def test_brent_root_degenerate_bracket():
 @pytest.mark.parametrize("sched", [SCHED, ConstantCost(2.0)])
 @pytest.mark.parametrize("rho", [0.05, 0.5, 0.89, 0.97])
 def test_root_decreasing_evaluates_no_point_twice(rho, sched):
+    # on the residuals the solve binds, climbing cold and then warmed by the
+    # cutoffs of the solve at rho - 0.01, as a sweep warms its next point
     regime = Regime(rho, sched)
+    neighbour = solve_equilibrium(PRIM, Regime(rho - 0.01, sched)).cutoffs
     seen = []
 
     def recorded(fn):
@@ -330,13 +336,15 @@ def test_root_decreasing_evaluates_no_point_twice(rho, sched):
             return fn(x)
         return wrapper
 
-    ac = lambda a: activation_residual(a, PRIM, regime.rho, regime.f_b)
-    a, _, _ = _root_decreasing(recorded(ac), 1e-15, "ac")
-    assert len(seen) == len(set(seen)) > 2
-    seen.clear()
-    locus = lambda t: fe_residual(regime.rho * t + a, t, PRIM, regime)
-    _root_decreasing(recorded(locus), 1e-12, "fe")
-    assert len(seen) == len(set(seen)) > 2
+    for ac_hint, fe_hint in ((None, None), (neighbour.a, neighbour.t_star)):
+        seen.clear()
+        ac = _activation_residual_at(PRIM, regime.rho, regime.f_b)
+        a, _, _ = _root_decreasing(recorded(ac), 1e-15, "ac", ac_hint)
+        assert len(seen) == len(set(seen)) > 2
+        seen.clear()
+        locus = _locus_fn(PRIM, regime, a)
+        _root_decreasing(recorded(locus), 1e-12, "fe", fe_hint)
+        assert len(seen) == len(set(seen)) > 2
 
 
 def _counted(monkeypatch, name):
@@ -351,16 +359,17 @@ def _counted(monkeypatch, name):
     return calls
 
 
-def _counted_probes(monkeypatch):
-    """Count the free-entry probes the solver makes: every residual it binds
-    with equilibrium._fe_residual_at records its p_star."""
-    bind, calls = equilibrium._fe_residual_at, []
+def _counted_probes(monkeypatch, seam="_fe_residual_at"):
+    """Count the probes the solver makes through one binding seam: every
+    residual it binds with equilibrium.<seam> records its first argument,
+    p_star for ``_fe_residual_at`` and a for ``_activation_residual_at``."""
+    bind, calls = getattr(equilibrium, seam), []
 
-    def counted_bind(prim, regime):
-        residual = bind(prim, regime)
-        return lambda p_star, t_star: calls.append(p_star) or residual(p_star, t_star)
+    def counted_bind(*bound):
+        residual = bind(*bound)
+        return lambda x, *rest: calls.append(x) or residual(x, *rest)
 
-    monkeypatch.setattr(equilibrium, "_fe_residual_at", counted_bind)
+    monkeypatch.setattr(equilibrium, seam, counted_bind)
     return calls
 
 
@@ -417,6 +426,169 @@ def test_bound_locus_residual_equals_the_one_off_form(economy):
         assert got == _probe_outcome(one_off, t) == _probe_outcome(frozen, t), t
 
 
+def _frozen_activation_residual(a, prim, rho, activation_cost):
+    # activation_residual as it stood before its residual was bound per
+    # activation stage: expected_profit_given_signal at p* = a and t = 0, and
+    # its profit moment, written out
+    _check_interior_rho(rho)
+    k, x, s2 = prim.k, rho * 0.0 - a, 1.0 - rho * rho
+    sd = math.sqrt(s2)
+    lead = exp_tilt(k * x + 0.5 * k * k * s2 + log_std_normal_cdf((x + k * s2) / sd),
+                    "expected profit given signal")
+    profit = prim.f * (lead - std_normal_cdf(x / sd))
+    return profit / prim.f - prim.delta * activation_cost / prim.f
+
+
+@given(economy=economies())
+@example(economy=(PRIM, Regime(0.5, SCHED)))
+@example(economy=(PRIM, Regime(0.95, SCHED)))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_bound_activation_residual_equals_the_one_off_form(economy):
+    # every probe of the residual an activation stage binds is
+    # activation_residual's float at the same a, and the frozen form's, or
+    # raises their error
+    prim, regime = economy
+    rho, cost = regime.rho, regime.f_b
+    bound = _activation_residual_at(prim, rho, cost)
+    one_off = lambda a: activation_residual(a, prim, rho, cost)
+    frozen = lambda a: _frozen_activation_residual(a, prim, rho, cost)
+    # at x = -a = (710 - k^2 s2 / 2) / k + 1 the log of the profit's lead is
+    # about 710 + k: just past the double range, whose log is 709.78
+    k, s2 = prim.k, 1.0 - rho * rho
+    a_overflow = -((710.0 - 0.5 * k * k * s2) / k + 1.0)
+    assert _probe_outcome(one_off, a_overflow)[0] is TiltOverflowError
+    grid = [-BRACKET_BOUND + i * BRACKET_BOUND / 100.0 for i in range(201)]
+    for a in grid + [1e6, -1e6, math.inf, -math.inf, math.nan, a_overflow]:
+        got = _probe_outcome(bound, a)
+        assert got == _probe_outcome(one_off, a) == _probe_outcome(frozen, a), a
+
+
+def test_activation_stage_checks_cost_before_rho():
+    # the cost is refused first; the rho check is made where the residual is
+    # bound, before any probe
+    with pytest.raises(DomainError, match="^activation cost must be positive"):
+        _solve_activation_intercept(PRIM, 1.0 - 1e-13, -1.0)
+    with pytest.raises(NearSingularCorrelationError):
+        _solve_activation_intercept(PRIM, 1.0 - 1e-13, 1.0)
+    with pytest.raises(NearSingularCorrelationError):
+        _activation_residual_at(PRIM, 1.0 - 1e-13, 1.0)
+
+
+def _ladder(fn, hint):
+    """(outcome, points evaluated) of _root_decreasing on fn from hint: the
+    repr of (root, iterations, residual), or the error's class and message."""
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return fn(x)
+
+    return _probe_outcome(lambda h: _root_decreasing(recorded, 1e-12, "ladder", h), hint), seen
+
+
+#: the cold ladder's rungs short of BRACKET_BOUND, by magnitude
+_RUNGS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+
+def _decreasing_shapes():
+    """Synthetic decreasing functions, each with its root c."""
+    for c in (0.3, -0.7, 1.5, -1.5, 3.0, -3.0, 5.5, 12.0, -20.0, 40.0, -49.0):
+        yield c, lambda x, c=c: c - x
+        yield c, lambda x, c=c: math.atan(3.0 * (c - x))
+        yield c, lambda x, c=c: math.exp(c - x) - 1.0
+
+
+def test_warm_ladder_below_the_root_returns_the_cold_result():
+    # for each rung strictly between 0 and the root, a hint that starts the
+    # ladder there gives the cold ladder's root, iterations and residual,
+    # evaluates no point twice and skips 0 and every rung below it
+    for c, fn in _decreasing_shapes():
+        cold, cold_seen = _ladder(fn, None)
+        side = math.copysign(1.0, c)
+        rungs = [side * m for m in _RUNGS if m < abs(c)]
+        for rung in rungs:
+            for hint in (1.5 * rung, c):
+                if rung != rungs[-1] and hint == c:
+                    continue
+                warm, seen = _ladder(fn, hint)
+                assert warm == cold, (c, hint)
+                assert seen[0] == rung and len(seen) == len(set(seen)) < len(cold_seen)
+        if not rungs:
+            assert _ladder(fn, c) == (cold, cold_seen)
+
+
+def test_warm_ladder_past_the_root_falls_back_to_the_cold_ladder():
+    # a rung beyond the root, or on its other side, is probed first; the
+    # cold ladder then runs, taking that rung's value where it reaches it
+    for c, fn in _decreasing_shapes():
+        cold, cold_seen = _ladder(fn, None)
+        for hint in (2.0 * c + 3.0, -2.0 * c - 3.0, 45.0, -45.0, 5.0 * c):
+            below = [m for m in _RUNGS if m < abs(hint)]
+            if not below:
+                continue
+            rung = math.copysign(below[-1], hint)
+            if abs(rung) < abs(c) and rung * c > 0.0:
+                continue
+            warm, seen = _ladder(fn, hint)
+            assert warm == cold, (c, hint)
+            assert seen == [rung] + [x for x in cold_seen if x != rung], (c, hint)
+
+
+def test_warm_ladder_with_no_rung_below_the_hint_runs_cold():
+    for c, fn in _decreasing_shapes():
+        cold = _ladder(fn, None)
+        for hint in (0.0, -0.0, 0.5, -1.0, 1.0, math.nan):
+            assert _ladder(fn, hint) == cold
+
+
+def test_warm_ladder_raising_probe_falls_back_to_the_cold_ladder():
+    # a warm probe that raises a GatekeepError is set aside: the cold ladder
+    # runs, and raises that error only if it reaches the same rung, with the
+    # rung evaluated once
+    for error in (TiltOverflowError("lead overflows"), None):
+        for c, rung, reached in ((3.0, 32.0, False), (3.0, 4.0, True), (-20.0, -16.0, True),
+                                 (-20.0, -32.0, True), (0.3, 2.0, False), (0.3, -2.0, False)):
+            base = lambda x: c - x
+
+            def fn(x):
+                if x == rung:
+                    if error is None:
+                        return math.nan  # _brent_eval's DomainError
+                    raise error
+                return base(x)
+
+            cold, cold_seen = _ladder(fn, None)
+            warm, seen = _ladder(fn, 1.5 * rung)
+            assert warm == cold and seen.count(rung) == 1, (c, rung)
+            assert seen == [rung] + [x for x in cold_seen if x != rung]
+            if reached:
+                assert warm[0] is (DomainError if error is None else TiltOverflowError)
+            else:
+                assert warm == _ladder(base, None)[0]
+
+
+def test_warm_ladder_never_sees_an_error_at_a_rung_it_skips():
+    # a warm climb skips 0 and the rungs below the warm one; where one of
+    # them would raise, the cold ladder refuses and the warm one returns the
+    # root of the function without that error
+    base = lambda x: 6.0 - x
+    for error in (TiltOverflowError("lead overflows"), None):
+        for skipped in (0.0, 1.0, 2.0):
+
+            def fn(x):
+                if x == skipped:
+                    if error is None:
+                        return math.nan  # _brent_eval's DomainError
+                    raise error
+                return base(x)
+
+            cold, _ = _ladder(fn, None)
+            warm, seen = _ladder(fn, 7.0)
+            assert cold[0] is (DomainError if error is None else TiltOverflowError)
+            assert seen[0] == 4.0 and skipped not in seen
+            assert warm == _ladder(base, None)[0]
+
+
 @pytest.mark.parametrize("sched", [SCHED, ConstantCost(2.0)])
 @pytest.mark.parametrize("rho", [0.05, 0.5, 0.89, 0.97])
 def test_solve_evaluates_each_residual_only_in_its_root_find(rho, sched, monkeypatch):
@@ -426,7 +598,7 @@ def test_solve_evaluates_each_residual_only_in_its_root_find(rho, sched, monkeyp
     locus = lambda t: fe_residual(regime.rho * t + a, t, PRIM, regime)
     ac_root_calls, fe_root_calls = _root_evaluations(ac, 1e-15), _root_evaluations(locus, 1e-12)
 
-    ac_calls = _counted(monkeypatch, "activation_residual")
+    ac_calls = _counted_probes(monkeypatch, "_activation_residual_at")
     fe_calls = _counted_probes(monkeypatch)
     sol = solve_equilibrium(PRIM, regime)
     monkeypatch.undo()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from gatekeep import welfare
+from gatekeep.config import parse_config
 from gatekeep.economy import (
     ConstantCost,
     HyperbolicCost,
@@ -32,7 +33,7 @@ from gatekeep.welfare import (
     welfare_selection_burden,
 )
 
-from economies import BENCHMARK, economies, log_uniform, solved_or_none
+from economies import BENCHMARK, economies, log_uniform, seeded, solved_or_none
 
 PRIM = BENCHMARK.primitives
 SCHED = BENCHMARK.schedule
@@ -134,6 +135,47 @@ def test_sweep_rows_and_failure_marker():
     assert len(failed) == 2
     assert all(row[-1].startswith("failed: BracketFailureError") for row in failed)
     assert all(math.isnan(row[_W]) for row in failed)
+
+
+def _cold_outcome(prim, schedule, rho):
+    """reprs of a point's solution and aggregates solved alone, from no
+    neighbour's cutoffs, or the class and message of its error."""
+    try:
+        regime = Regime(rho, schedule)
+        eq = solve_equilibrium(prim, regime)
+        return repr(eq), repr(compute_aggregates(prim, regime, eq.cutoffs))
+    except GatekeepError as exc:
+        return type(exc), str(exc)
+
+
+def _row_outcome(rec):
+    return (repr(rec.eq), repr(rec.agg)) if rec.ok else (type(rec.error), str(rec.error))
+
+
+@pytest.mark.parametrize("family", ["domain", "extreme"])
+def test_warm_sweep_rows_equal_cold_solves(family):
+    # each point of a sweep starts its ladders at the rungs the last solved
+    # point ended on; every row is still the float, or the error, of that
+    # point solved alone
+    grid = BENCHMARK.grid.points()
+
+    @given(config=seeded(family).map(parse_config))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def check(config):
+        prim, schedule = config.primitives, config.schedule
+        for rec in sweep_records(prim, schedule, grid):
+            assert _row_outcome(rec) == _cold_outcome(prim, schedule, rec.rho), rec.rho
+
+    check()
+
+
+def test_warm_sweep_genz_passes_per_point(genz_passes):
+    # the benchmark's 94-point sweep: 15.98 Genz passes per point with every
+    # ladder cold, one of them the aggregates' own
+    grid = BENCHMARK.grid.points()
+    records = sweep_records(PRIM, SCHED, grid)
+    assert len(grid) == 94 and all(r.ok for r in records)
+    assert genz_passes["pair"] <= 14.2 * len(grid)
 
 
 def test_sweep_records_requires_sorted_grid():
